@@ -268,6 +268,12 @@ def save_witness_cache(path: str | Path, witnesses: list[IntersectionWitness]) -
     Path(path).write_text(json.dumps(records, indent=2) + "\n")
 
 
+def append_witness_cache(path: str | Path, w: IntersectionWitness) -> None:
+    """Add one witness record to the cache file, keeping the records in it."""
+    records = load_witness_cache(path) + [witness_record(w)]
+    Path(path).write_text(json.dumps(records, indent=2) + "\n")
+
+
 def load_witness_cache(path: str | Path) -> list[dict]:
     p = Path(path)
     if not p.exists():

@@ -15,10 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import checks
+from . import __version__, checks
 from .checks import CheckResult, RunConfig
-
-VERSION = "0.1.0"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +77,7 @@ def config_from_args(args) -> RunConfig:
 
 def results_to_report(cfg: RunConfig | None, results: list[CheckResult]) -> dict:
     return {
-        "version": VERSION,
+        "version": __version__,
         "config": cfg.to_record() if cfg is not None else {},
         "results": [r.to_record() for r in results],
     }

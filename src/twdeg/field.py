@@ -197,22 +197,6 @@ class Field:
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
 
-    def arith(self, x: int, y: int | None, op: str) -> int:
-        """Dispatch form: op in {add, sub, mul, div, inv, neg}."""
-        if op == "add":
-            return self.add(x, y)
-        if op == "sub":
-            return self.sub(x, y)
-        if op == "mul":
-            return self.mul(x, y)
-        if op == "div":
-            return self.div(x, y)
-        if op == "inv":
-            return self.inv(x)
-        if op == "neg":
-            return self.neg(x)
-        raise ValueError(f"unknown op {op!r}")
-
     def element_order(self, x: int) -> int:
         """Multiplicative order of a nonzero element."""
         if x == 0:
@@ -237,6 +221,3 @@ def pow_elem(field: Field, x: int, e: int) -> int:
         e >>= 1
     return r
 
-
-def field_new(p: int, f: int) -> Field:
-    return Field(p, f)

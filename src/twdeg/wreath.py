@@ -104,55 +104,10 @@ def wm_inv(T: GroupTable, u):
     return (parts, inv_sig)
 
 
-@dataclass
-class DiagonalL:
-    """The subgroup L = {(x,...,x)sigma} of H; phi((x,...,x)sigma) = x."""
-
-    T: GroupTable
-    m: int
-
-    @property
-    def order(self) -> int:
-        f = 1
-        for i in range(2, self.m + 1):
-            f *= i
-        return self.T.order * f
-
-    def elements(self):
-        """Pairs (x, sigma), x a T-element index; enumeration is x-major."""
-        sigmas = list(permutations(range(self.m)))
-        for x in range(self.T.order):
-            for sig in sigmas:
-                yield (x, sig)
-
-    def phi(self, ell) -> int:
-        return ell[0]
-
-
-@dataclass
-class Wreath:
-    """Descriptor for H = T wr S_m; elements built on demand, never stored."""
-
-    T: GroupTable
-    m: int
-
-    @property
-    def order(self) -> int:
-        f = 1
-        for i in range(2, self.m + 1):
-            f *= i
-        return self.T.order**self.m * f
-
-
-def wreath_group(T: GroupTable, m: int) -> tuple[Wreath, DiagonalL]:
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    return Wreath(T, m), DiagonalL(T, m)
-
-
-def wreath_full_table(T: GroupTable) -> GroupTable:
-    """Full enumeration of T wr S_2 as permutations of two point blocks."""
-    n2 = 2 * T.order * T.order
+def wreath_full_table(T: GroupTable, swap: bool = True) -> GroupTable:
+    """Full enumeration of T wr S_2 as permutations of two point blocks; of
+    its base group T x T when `swap` is false."""
+    n2 = (2 if swap else 1) * T.order * T.order
     if n2 > FULL_ENUM_CAP:
         raise WreathTooLargeError(f"|H| = {n2} exceeds {FULL_ENUM_CAP}")
     d = T.degree
@@ -160,7 +115,8 @@ def wreath_full_table(T: GroupTable) -> GroupTable:
     for g in (T.elements[i] for i in T.generators):
         gens.append(tuple(g) + tuple(d + p for p in range(d)))
         gens.append(tuple(range(d)) + tuple(d + p for p in g))
-    gens.append(tuple(d + p for p in range(d)) + tuple(range(d)))  # the swap
+    if swap:
+        gens.append(tuple(d + p for p in range(d)) + tuple(range(d)))
     H = GroupTable.from_generators(2 * d, tuple(gens))
     if H.order != n2:
         raise AssertionError(f"wreath enumeration gave {H.order}, expected {n2}")
@@ -628,9 +584,11 @@ def find_witness_t(
     label: str = "",
     maximal: bool = True,
     pair: tuple[int, int] | None = None,
+    shifts: list[int] | None = None,
 ) -> WitnessT | None:
     """Scan t = (1,...,1,s) over coset representatives of K for a central
     element (eta,...,eta)sigma with eta != 1 in Z(D^t cap L), D = K wr S_m.
+    For m = 2 `shifts`, when given, replaces the coset representatives.
 
     For m >= 6 a pair shape t = (1,...,1,r,r,s) is tried when the single
     shape fails (or verified directly when the pair is supplied).  Returns
@@ -642,7 +600,7 @@ def find_witness_t(
     index = T.order // K.order
     if m == 2:
         D = wreath_sub(K)
-        for s in engine.coset_representatives(T, K):
+        for s in engine.coset_representatives(T, K) if shifts is None else shifts:
             mem = d_t_cap_L(D, (0, s, 0))
             found = first_central_eta(T, mem)
             if found is not None:
@@ -898,12 +856,13 @@ def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
             raise AssertionError("stored eta is no longer central")
         return index**cert.m
     if w.get("construction") == "p1-product":
-        # divisor certificate: the coset function over P1 x P1 exists
         P1 = find_named_subgroup(T, "P1").subgroup
-        s = int(w["shift"][0])
         D = product_sub(P1, P1)
-        mem = d_t_cap_L(D, (0, s, 0))
-        if first_central_eta(T, mem) is None:
+        t = (0, int(w["shift"][0]), 0)
+        if cert.kind == "exact-stabilizer":
+            return stabilizer_subdegree(build_coset_fn(D, t)).subdegree
+        # divisor certificate: the coset function over P1 x P1 exists
+        if first_central_eta(T, d_t_cap_L(D, t)) is None:
             raise AssertionError("stored shift no longer yields a central element")
-        return cert.value
+        return 2 * (T.order // P1.order) ** 2
     raise ValueError(f"unknown certificate witness {w!r}")

@@ -192,3 +192,42 @@ def test_runs_deterministic(tmp_path):
     db = json.loads(b.read_text())["results"]
     strip = lambda rs: [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rs]
     assert strip(da) == strip(db)
+
+
+def test_report_replay_rejects_forged_p1_product(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    run_cli(["table2", "--q", "11", "--m", "2", "--out", str(out)])
+    data = json.loads(out.read_text())
+    rec = next(r for r in data["results"] if r["check_id"] == "table2.row1.q11.m2")
+    assert rec["witness"]["d"]["witness"]["construction"] == "p1-product"
+    assert rec["witness"]["d"]["value"] == "288"
+    rec["witness"]["d"]["value"] = "576"
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = run_cli(["report", "--in", str(out), "--replay"])
+    text = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  replay.table2.row1.q11.m2  expected=576  actual=288" in text
+
+
+def test_p1_product_scanned_once_per_process(monkeypatch):
+    """table4 at q = 11 scans each coset function once, P1 x P1 included."""
+    import hashlib
+
+    from twdeg import wreath
+
+    scanned = []
+    scan = wreath.stabilizer_subdegree
+
+    def recording_scan(alpha, *args, **kwargs):
+        scanned.append(hashlib.blake2b(alpha.values.tobytes(), digest_size=16).hexdigest())
+        return scan(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(wreath, "stabilizer_subdegree", recording_scan)
+    monkeypatch.setattr(checks, "_CTX", {})
+    cfg = RunConfig(q_list=[11], q_explicit=True)
+    specs = checks.table4_specs(cfg)
+    assert [s[0] for s in specs] == ["table4.q11.pair1", "table4.q11.pair2", "table4.q11.pair3"]
+    results = checks.execute_specs(specs, cfg)
+    assert all(r.status == "pass" for r in results)
+    assert scanned and len(set(scanned)) == len(scanned)

@@ -3,19 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twdeg.field import Field, FieldTooLargeError, NonPrimeError, field_new, is_prime
+from twdeg.field import Field, FieldTooLargeError, NonPrimeError, is_prime
 
 SMALL_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (31, 1)]
 
 
 def test_prime_field():
-    F = field_new(7, 1)
+    F = Field(7, 1)
     assert F.q == 7
     assert F.mul(3, 5) == 1  # 15 mod 7
 
 
 def test_gf4_modulus():
-    F = field_new(2, 2)
+    F = Field(2, 2)
     assert F.q == 4
     assert F.modulus == [1, 1, 1]  # x^2 + x + 1
     # x * x = x + 1: encodings x=2, x+1=3
@@ -32,39 +32,27 @@ def test_gf25_modulus_is_first_irreducible():
         for c0, c1 in itertools.product(range(5), repeat=2)
         if not has_root(c0, c1)
     )
-    F = field_new(5, 2)
+    F = Field(5, 2)
     assert (F.modulus[0], F.modulus[1]) == first
     assert F.modulus[2] == 1
 
 
 def test_gf25_inverses():
-    F = field_new(5, 2)
+    F = Field(5, 2)
     for a in range(1, 25):
         assert F.mul(F.inv(a), a) == 1
 
 
 def test_errors():
     with pytest.raises(NonPrimeError):
-        field_new(6, 1)
+        Field(6, 1)
     with pytest.raises(FieldTooLargeError):
-        field_new(2, 17)
-    F = field_new(7, 1)
+        Field(2, 17)
+    F = Field(7, 1)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
     with pytest.raises(ZeroDivisionError):
         F.div(3, 0)
-
-
-def test_arith_dispatch():
-    F = field_new(7, 1)
-    assert F.arith(3, 5, "add") == 1
-    assert F.arith(3, 5, "sub") == 5
-    assert F.arith(3, 5, "mul") == 1
-    assert F.arith(3, None, "neg") == 4
-    assert F.arith(3, None, "inv") == 5
-    assert F.arith(6, 2, "div") == 3
-    with pytest.raises(ValueError):
-        F.arith(1, 1, "pow")
 
 
 @pytest.mark.parametrize("p,f", SMALL_FIELDS)
