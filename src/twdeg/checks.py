@@ -218,7 +218,7 @@ def ctx_p1_product(q: int) -> tuple:
     if key not in _CTX:
         s = _p1_shift(q)
         alpha = wreath.build_coset_fn(wreath.product_sub(ctx_p1(q), ctx_p1(q)), (0, s, 0))
-        res = wreath.stabilizer_subdegree(alpha)
+        res = wreath.stabilizer_subdegree(alpha, collect_members=False)
         cert = SubdegreeCertificate(
             q, 2, "exact-stabilizer", res.subdegree, {"construction": "p1-product", "shift": [s]}
         )
@@ -726,7 +726,8 @@ def lm_wreath_conditions(p, cfg):
     gamma = int(T.elements_of_order(2)[0])
     alpha_h, _, _ = wreath.build_centralizer_fn(T, gamma, 2)
     C = engine.centralizer(T, gamma)
-    ok1 = wreath.check_wreath_conditions(alpha_h, C)
+    # build_centralizer_fn has already asserted that its stabilizer is C wr S_2
+    ok1 = wreath.check_wreath_conditions(alpha_h, C, verify_stabilizer=False)
     ok2 = True
     if q % 4 != 1:
         # P1 wr S_2 stabilizers are ruled out only for q even or 3 mod 4

@@ -8,14 +8,16 @@ A function f in the twisted function space N is represented for m = 2 by
 the array alpha with alpha(t) = f((t, 1)); then
 f((t1,t2)iota^k) = alpha(t1 t2^-1) conjugated by t2, and the H-action
 becomes an action on alpha arrays.  Point stabilizers H_f are computed
-exactly for m = 2 by an exhaustive accounting of all 2|T|^2 elements; the
-orbit space N itself is never materialized.  For m >= 3 only subdegree
-certificates are produced, from computations inside L (|L| = |T| m!).
+exactly for m = 2 by anchoring on the values of alpha: the members with a
+given (y, k) form one coset of the left stabilizer or none, an anchor value
+names the candidate cosets, so none is missed, and every counted member is
+a product of two elements checked with act_alpha.  The orbit space N is
+never materialized.  For m >= 3 only subdegree certificates are produced,
+from computations inside L (|L| = |T| m!).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 from math import lcm
@@ -242,14 +244,7 @@ def wreath_members_fingerprint(T: GroupTable, members) -> IsoFingerprint:
     from collections import Counter
 
     cnt = Counter(w2_order(T, u) for u in members)
-    gens = []
-    closed = {w2_identity()}
-    for u in members:
-        if u not in closed:
-            gens.append(u)
-            closed = _triple_closure(T, gens)
-            if len(closed) == len(members):
-                break
+    gens = WreathSub2(T, "explicit", explicit=frozenset(members)).generators()
     abelian = all(
         w2_mul(T, a, b) == w2_mul(T, b, a)
         for i, a in enumerate(gens)
@@ -332,92 +327,129 @@ class StabilizerResult:
 
 
 def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> StabilizerResult:
-    """Exact |H : H_f| by accounting for every element of H = T wr S_2.
+    """Exact |H : H_f| for H = T wr S_2, anchored on the values of alpha.
 
-    An element (x, y) fixes f iff the row t -> alpha(x t) equals the row
-    t -> alpha(t y)^(y^-1); an element (x, y) iota fixes f iff the x-row
-    equals a second y-derived row.  Rows are matched by digest, so the scan
-    is O(|T|^2) row operations; the result is identical to comparing
-    act_alpha(alpha, h) with alpha for each of the 2|T|^2 elements h.
+    Let Lambda = {x : (x, 1, 0) fixes f}.  For fixed (y, k) the members
+    (x, y, k) form one right coset Lambda x_0 or none: the quotient of two
+    of them is (x' x^-1, 1, 0).  At an anchor point s_0 with v_0 = alpha(s_0)
+    a member satisfies
+        straight: alpha(x s_0 y^-1)   = y v_0 y^-1,
+        swap:     alpha(x s_0^-1 y^-1) = (y s_0) v_0 (y s_0)^-1,
+    so x = p y s_0^(-/+1) with p in the fiber of the required value, and
+    p -> lambda p moves x to lambda x.  One p per Lambda-coset of the fiber
+    therefore reaches every coset Lambda x_0: no member is missed.
+    Candidates are filtered on further anchor points by the same identities
+    and each survivor is checked with act_alpha over all of T, as is every
+    element of Lambda (found from the fiber of v_0 with y = 1).  A counted
+    member (lambda x_0, y, k) = (lambda, 1, 0)(x_0, y, k) is the product of
+    two verified stabilizer elements, so every counted member is exact.
+    Temporaries are proportional to the candidate count; members come in
+    (y, k, x) order.
     """
     T = alpha.T
     n = T.order
     M = T.ensure_mul_table()
     inv = T.inv
-    a = alpha.values.astype(np.int32)
+    a = alpha.values
     if alpha.is_identity():
-        order = 2 * n * n
-        return StabilizerResult(1, order, None)
+        return StabilizerResult(1, 2 * n * n, None)
+    # anchor on the value class c minimizing |alpha^-1(c)| * |C_T(v)|
+    cls = np.full(n, -1)
+    for v in range(n):
+        if cls[v] < 0:
+            cls[M[M[:, v], inv]] = v
+    hits = np.bincount(cls[a], minlength=n)
+    present = np.flatnonzero(hits)
+    c = present[np.argmin(hits[present] * (n // np.bincount(cls, minlength=n)[present]))]
+    s0 = int(np.flatnonzero(cls[a] == c)[0])
+    v0 = int(a[s0])
+    anchors = np.linspace(0, n - 1, 8).astype(np.int64)
 
-    def digest(row) -> bytes:
-        return hashlib.blake2b(row.tobytes(), digest_size=16).digest()
+    def exact(xs, ys, ks) -> list[tuple[int, int, int]]:
+        for s in anchors:
+            u = np.where(ks == 0, ys, M[ys, s])  # y, resp. y s
+            w = M[M[xs, np.where(ks == 0, s, inv[s])], inv[ys]]
+            keep = a[w] == M[M[u, a[s]], inv[u]]
+            xs, ys, ks = xs[keep], ys[keep], ks[keep]
+        cand = zip(xs.tolist(), ys.tolist(), ks.tolist())
+        return [h for h in cand if act_alpha(alpha, h) == alpha]
 
-    rows = {}
-    for x in range(n):
-        rows.setdefault(digest(a[M[x]]), []).append(x)
-    count = 0
-    members = [] if collect_members else None
-    arange = np.arange(n)
-    for y in range(n):
-        yinv = int(inv[y])
-        # straight part: alpha(x t) = alpha(t y)^(y^-1) for all t
-        B = M[M[y, a[M[:, y]]], yinv].astype(np.int32)
-        for x in rows.get(digest(B), ()):
-            count += 1
-            if members is not None:
-                members.append((x, y, 0))
-        # swap part: alpha(x u^-1) = (u alpha(y^-1 u) u^-1) as functions of u,
-        # reindexed back to x-rows via u -> u^-1
-        vals = a[M[yinv]]
-        Dv = M[M[arange, vals], inv]
-        E = Dv[inv].astype(np.int32)
-        for x in rows.get(digest(E), ()):
-            count += 1
-            if members is not None:
-                members.append((x, y, 1))
+    fiber = np.flatnonzero(a == v0)
+    zeros = np.zeros(len(fiber), dtype=np.int64)
+    lam = np.array(sorted(x for x, _, _ in exact(M[fiber, inv[s0]], zeros, zeros)))
+    # one representative per coset Lambda p inside the fiber of class c
+    reps = np.array(engine.coset_representatives(T, Subgroup(T, lam)))
+    reps = reps[cls[a[reps]] == c]
+    reps = reps[np.argsort(a[reps], kind="stable")]
+    rv = a[reps]
+    want = M[M[:, v0], inv]  # y v0 y^-1 over y
+    parts = []
+    for k, (need, shift) in enumerate(((want, int(inv[s0])), (want[M[:, s0]], s0))):
+        lo = np.searchsorted(rv, need, "left")
+        cnt = np.searchsorted(rv, need, "right") - lo
+        ys = np.repeat(np.arange(n), cnt)
+        ps = reps[np.arange(len(ys)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)]
+        parts.append((M[M[ps, ys], shift], ys, np.full(len(ys), k)))
+    found = sorted(exact(*(np.concatenate(z) for z in zip(*parts))), key=lambda h: h[1:])
+    count = len(found) * len(lam)
     order_h = 2 * n * n
     if order_h % count != 0:
         raise AssertionError("stabilizer order does not divide |H|")
-    # spot-check a few reported members against the direct action
-    if members:
-        step = max(1, len(members) // 8)
-        for u in members[::step]:
-            if act_alpha(alpha, u) != alpha:
-                raise AssertionError("digest row matching produced a non-member")
+    members = None
+    if collect_members:
+        members = [(x, y, k) for x0, y, k in found for x in sorted(M[lam, x0].tolist())]
     return StabilizerResult(order_h // count, count, members)
 
 
 # -- coset functions (the explicit orbit representatives) ----------------------
 
 def d_t_cap_L(D: WreathSub2, t) -> list[tuple[int, int]]:
-    """Members (x, k) of D^t cap L, filtering L by conjugation into D."""
+    """Members (x, k) of D^t cap L, filtering L by conjugation into D.
+
+    For t = (t1, t2, 0), t (x, x, k) t^-1 is (t1 x t1^-1, t2 x t2^-1, 0) for
+    k = 0 and (t1 x t2^-1, t2 x t1^-1, 1) for k = 1; the structured kinds
+    test both coordinates with one membership mask each.
+    """
     T = D.T
-    tinv = w2_inv(T, t)
     out = []
-    for k in (0, 1):
-        for x in range(T.order):
-            z = w2_mul(T, w2_mul(T, t, (x, x, k)), tinv)
-            if D.contains(z):
-                out.append((x, k))
+    if D.kind == "explicit":
+        tinv = w2_inv(T, t)
+        for k in (0, 1):
+            for x in range(T.order):
+                if D.contains(w2_mul(T, w2_mul(T, t, (x, x, k)), tinv)):
+                    out.append((x, k))
+        return out
+    t1, t2, _ = t
+    in1, in2 = _member_mask(D.K1), _member_mask(D.K2)
+    shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
+    for k, (u1, u2) in enumerate(shapes):
+        mask = in1[_conj_column(T, t1, u1, T._mul)] & in2[_conj_column(T, t2, u2, T._mul)]
+        out += [(int(x), k) for x in np.flatnonzero(mask)]
     return out
 
 
-def central_elements(T: GroupTable, mem: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Center of a subgroup of L; (x,k)(y,l) = (xy, k xor l), so only the
-    T-parts constrain commutation."""
-    return [
-        (x, k)
-        for (x, k) in mem
-        if all(T.mul(x, y) == T.mul(y, x) for (y, _) in mem)
-    ]
+def _member_mask(K: Subgroup) -> np.ndarray:
+    mask = np.zeros(K.parent.order, dtype=bool)
+    mask[K.members] = True
+    return mask
+
+
+def _conj_column(T: GroupTable, u: int, v: int, M: np.ndarray | None) -> np.ndarray:
+    """u x v^-1 over all x in T, through the mul table M when one is given."""
+    vi = int(T.inv[v])
+    if M is not None:
+        return M[M[u], vi]
+    return np.fromiter(
+        (T.mul(T.mul(u, x), vi) for x in range(T.order)), dtype=np.int64, count=T.order
+    )
 
 
 def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
-    """First central element (eta, k) with eta != 1, k-major enumeration."""
-    cen = central_elements(T, mem)
-    cen.sort(key=lambda u: (u[1], u[0]))
-    for x, k in cen:
-        if x != T.identity:
+    """First central element (eta, k) of a subgroup of L with eta != 1, in
+    k-major order; (x,k)(y,l) = (xy, k xor l), so only the T-parts
+    constrain commutation."""
+    for x, k in sorted(mem, key=lambda u: (u[1], u[0])):
+        if x != T.identity and all(T.mul(x, y) == T.mul(y, x) for (y, _) in mem):
             return (x, k)
     return None
 
@@ -433,53 +465,41 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     T = D.T
     if t[2] != 0:
         raise ValueError("use a representative t with trivial swap part")
+    M = T.ensure_mul_table()
+    mem = d_t_cap_L(D, t)
     if eta is None:
-        found = first_central_eta(T, d_t_cap_L(D, t))
+        found = first_central_eta(T, mem)
         if found is None:
             raise NotCentralError("Z(D^t cap L) has no element with nontrivial part")
         eta = found[0]
-    else:
-        mem = d_t_cap_L(D, t)
-        if (
-            eta == T.identity
-            or not any((eta, k) in set(mem) for k in (0, 1))
-            or not all(T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem)
-        ):
-            raise NotCentralError("supplied eta is not a central member part")
-    M = T.ensure_mul_table()
+    elif (
+        eta == T.identity
+        or not any((eta, k) in set(mem) for k in (0, 1))
+        or not all(T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem)
+    ):
+        raise NotCentralError("supplied eta is not a central member part")
     inv = T.inv
     n = T.order
     t1, t2, _ = t
-    t1i, t2i = int(inv[t1]), int(inv[t2])
-    conj_eta = M[M[inv, eta], np.arange(n)]  # x -> x^-1 eta x
-    wreath_kind = D.kind == "wreath"
+    values = np.full(n, T.identity, dtype=np.int64)
     if D.kind in ("product", "wreath"):
-        K1 = D.K1
-        K2 = D.K2 if D.kind == "product" else D.K1
-        in1 = np.zeros(n, dtype=bool)
-        in1[K1.members] = True
-        in2 = np.zeros(n, dtype=bool)
-        in2[K2.members] = True
-        # z ell^-1 t^-1 for ell = (x,x,k): straight (a x^-1 t1^-1, x^-1 t2^-1),
-        # swapped (a x^-1 t2^-1, x^-1 t1^-1) with a swap bit
-        xi = inv  # x^-1 over x
-        col_a = M[xi, t2i]  # x^-1 t2^-1
-        col_b = M[xi, t1i]
-        values = np.full(n, T.identity, dtype=np.int64)
-        for a_el in range(n):
-            row = M[a_el][xi]  # a x^-1
-            mask = in1[M[row, t1i]] & in2[col_a]
-            if wreath_kind:
-                mask |= in1[M[row, t2i]] & in2[col_b]
-            if mask.any():
-                vals = np.unique(conj_eta[mask])
-                if len(vals) > 1:
-                    raise InconsistentFunctionError(
-                        f"conflicting values at point {a_el}: {vals}"
-                    )
-                values[a_el] = int(vals[0])
+        # the point (a, 1) lies in D t (x, x, k) iff a x^-1 t1^-1 in K1 and
+        # x^-1 t2^-1 in K2 (k = 0), i.e. x in t2^-1 K2 and a = k1 t1 x; the
+        # swapped shape gives x in t1^-1 K2 and a = k1 t2 x
+        points, vals = [], []
+        for u1, u2 in [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]:
+            xs = M[int(inv[u2]), D.K2.members]
+            points.append(M[np.ix_(D.K1.members, M[u1, xs])].ravel())
+            vals.append(np.tile(M[M[inv[xs], eta], xs], D.K1.order))  # x^-1 eta x
+        points, vals = np.concatenate(points), np.concatenate(vals)
+        values[points] = vals
+        clash = values[points] != vals
+        if clash.any():
+            raise InconsistentFunctionError(
+                f"conflicting values at point {int(points[clash][0])}"
+            )
     else:
-        values = np.full(n, T.identity, dtype=np.int64)
+        conj_eta = M[M[inv, eta], np.arange(n)]  # x -> x^-1 eta x
         tinv = w2_inv(T, t)
         for a_el in range(n):
             got = set()
@@ -639,22 +659,12 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tup
     n = T.order
     m = len(t_tuple)
     M = T.ensure_mul_table() if n <= engine.MUL_TABLE_CAP else None
-    inv = T.inv
-    inK = np.zeros(n, dtype=bool)
-    inK[K.members] = True
+    inK = _member_mask(K)
     out = []
     for sig in permutations(range(m)):
         mask = np.ones(n, dtype=bool)
         for j in range(m):
-            tj, tjs = t_tuple[j], t_tuple[sig[j]]
-            if M is not None:
-                mask &= inK[M[M[tj], int(inv[tjs])]]
-            else:
-                col = np.fromiter(
-                    (T.mul(T.mul(tj, x), int(inv[tjs])) for x in range(n)),
-                    dtype=np.int64, count=n,
-                )
-                mask &= inK[col]
+            mask &= inK[_conj_column(T, t_tuple[j], t_tuple[sig[j]], M)]
             if not mask.any():
                 break
         for x in np.nonzero(mask)[0]:
@@ -815,33 +825,30 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
 
 def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
     """Recompute the certified value from the stored witness data."""
-    from .atlas import find_named_subgroup
+    from .atlas import find_named_subgroup, label_maximal
 
     w = cert.witness
     if w.get("construction") == "centralizer":
         gamma = int(w["gamma"])
-        C = centralizer(T, gamma)
-        value = (T.order // C.order) ** cert.m
         if cert.kind == "exact-stabilizer":
-            alpha, res, _ = build_centralizer_fn(T, gamma, 2)
-            value = res.subdegree
-        return value
-    if w.get("construction") == "coset-fn":
-        K = find_named_subgroup(T, w["label"]).subgroup
+            return build_centralizer_fn(T, gamma, 2)[1].subdegree
+        return (T.order // centralizer(T, gamma).order) ** cert.m
+    construction = w.get("construction")
+    if construction in ("coset-fn", "p1-product"):
+        K = find_named_subgroup(T, w.get("label", "P1")).subgroup
         index = T.order // K.order
         shift = [int(s) for s in w["shift"]]
-        if cert.m == 2:
-            D = wreath_sub(K)
-            t = (0, shift[0], 0)
-            mem = d_t_cap_L(D, t)
-            eta = int(w["eta"])
-            if eta == T.identity or not all(
-                T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem
-            ):
-                raise AssertionError("stored eta is no longer central")
-            if (eta, 0) not in mem and (eta, 1) not in mem:
-                raise AssertionError("stored eta is not in D^t cap L")
-            return index**cert.m
+        D = wreath_sub(K) if construction == "coset-fn" else product_sub(K, K)
+        if cert.kind == "exact-stabilizer":
+            alpha = build_coset_fn(D, (0, shift[0], 0), eta=w.get("eta"))
+            return stabilizer_subdegree(alpha, collect_members=False).subdegree
+        if construction == "p1-product":
+            # divisor certificate: the coset function over P1 x P1 exists
+            if first_central_eta(T, d_t_cap_L(D, (0, shift[0], 0))) is None:
+                raise AssertionError("stored shift no longer yields a central element")
+            return 2 * index**2
+        if not label_maximal(cert.q, w["label"]):
+            raise AssertionError(f"Lemma 2.6 needs {w['label']} maximal at q = {cert.q}")
         m = cert.m
         if "t_tuple" in w:
             t_tuple = tuple(int(x) for x in w["t_tuple"])
@@ -851,18 +858,9 @@ def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
             t_tuple = tuple([T.identity] * (m - 3) + [shift[0], shift[0], shift[1]])
         mem = filter_L_members(T, K, t_tuple)
         eta = int(w["eta"])
-        etas = [x for (x, _) in mem if x == eta]
-        if not etas or not all(T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem):
+        if eta == T.identity or all(x != eta for (x, _) in mem) or not all(
+            T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem
+        ):
             raise AssertionError("stored eta is no longer central")
-        return index**cert.m
-    if w.get("construction") == "p1-product":
-        P1 = find_named_subgroup(T, "P1").subgroup
-        D = product_sub(P1, P1)
-        t = (0, int(w["shift"][0]), 0)
-        if cert.kind == "exact-stabilizer":
-            return stabilizer_subdegree(build_coset_fn(D, t)).subdegree
-        # divisor certificate: the coset function over P1 x P1 exists
-        if first_central_eta(T, d_t_cap_L(D, t)) is None:
-            raise AssertionError("stored shift no longer yields a central element")
-        return 2 * (T.order // P1.order) ** 2
+        return index**m
     raise ValueError(f"unknown certificate witness {w!r}")

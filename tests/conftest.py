@@ -16,6 +16,22 @@ def group_for(q: int):
     return _GROUPS[q]
 
 
+@pytest.fixture
+def scan_log(monkeypatch):
+    """The alpha values (as bytes) of every wreath.stabilizer_subdegree call."""
+    from twdeg import wreath
+
+    scanned = []
+    scan = wreath.stabilizer_subdegree
+
+    def recording_scan(alpha, *args, **kwargs):
+        scanned.append(alpha.values.tobytes())
+        return scan(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(wreath, "stabilizer_subdegree", recording_scan)
+    return scanned
+
+
 @pytest.fixture(scope="session")
 def T7():
     return group_for(7)

@@ -210,24 +210,55 @@ def test_report_replay_rejects_forged_p1_product(tmp_path, capsys):
     assert "FAIL  replay.table2.row1.q11.m2  expected=576  actual=288" in text
 
 
-def test_p1_product_scanned_once_per_process(monkeypatch):
+def test_p1_product_scanned_once_per_process(monkeypatch, scan_log):
     """table4 at q = 11 scans each coset function once, P1 x P1 included."""
-    import hashlib
-
-    from twdeg import wreath
-
-    scanned = []
-    scan = wreath.stabilizer_subdegree
-
-    def recording_scan(alpha, *args, **kwargs):
-        scanned.append(hashlib.blake2b(alpha.values.tobytes(), digest_size=16).hexdigest())
-        return scan(alpha, *args, **kwargs)
-
-    monkeypatch.setattr(wreath, "stabilizer_subdegree", recording_scan)
     monkeypatch.setattr(checks, "_CTX", {})
     cfg = RunConfig(q_list=[11], q_explicit=True)
     specs = checks.table4_specs(cfg)
     assert [s[0] for s in specs] == ["table4.q11.pair1", "table4.q11.pair2", "table4.q11.pair3"]
     results = checks.execute_specs(specs, cfg)
     assert all(r.status == "pass" for r in results)
-    assert scanned and len(set(scanned)) == len(scanned)
+    assert scan_log and len(set(scan_log)) == len(scan_log)
+
+
+def test_lemma_7_8_scans_each_alpha_once(monkeypatch, scan_log):
+    monkeypatch.setattr(checks, "_CTX", {})
+    cfg = RunConfig()
+    results = checks.execute_specs(checks.lemma_specs(cfg, "7.8"), cfg)
+    assert results and all(r.status == "pass" for r in results)
+    assert scan_log and len(set(scan_log)) == len(scan_log)
+
+
+def _table4_q11_report(tmp_path):
+    out = tmp_path / "t4.json"
+    assert run_cli(["table4", "--q", "11", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    pair3 = next(r for r in data["results"] if r["check_id"] == "table4.q11.pair3")
+    return out, data, pair3["witness"]["d"]  # the g side of the pair
+
+
+def test_report_replay_rescans_exact_coset_fn(tmp_path, capsys, scan_log):
+    """The exact A4 wr S_2 certificate is derived again by a scan."""
+    from twdeg import wreath
+
+    out, _, g = _table4_q11_report(tmp_path)
+    assert g["kind"] == "exact-stabilizer" and g["witness"]["label"] == "A4"
+    A4 = checks.ctx_atlas(11, "A4").subgroup
+    alpha = wreath.build_coset_fn(
+        wreath.wreath_sub(A4), (0, g["witness"]["shift"][0], 0), eta=g["witness"]["eta"]
+    )
+    scan_log.clear()
+    capsys.readouterr()
+    assert run_cli(["report", "--in", str(out), "--replay"]) == 0
+    assert "PASS  replay.table4.q11.pair3" in capsys.readouterr().out
+    assert alpha.values.tobytes() in scan_log
+
+
+def test_report_replay_rejects_lemma_2_6_over_non_maximal(tmp_path, capsys):
+    """Lemma 2.6 needs K maximal; A4 is not maximal in PSL(2,11)."""
+    out, data, g = _table4_q11_report(tmp_path)
+    g["kind"] = "lemma-2.6-witness"
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["report", "--in", str(out), "--replay"]) == 1
+    assert "FAIL  replay.table4.q11.pair3" in capsys.readouterr().out

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import group_for
 from twdeg import atlas, engine as eng, wreath as wr
+from twdeg.checks import factor_prime_power
 from twdeg.engine import IsoFingerprint
-from twdeg.psl import point_stabilizer
+from twdeg.field import Field
+from twdeg.psl import point_stabilizer, psl_group
 
 
 # -- multiplication conventions ---------------------------------------------------
@@ -162,33 +164,66 @@ def test_twisted_equivariance(q):
 # -- stabilizers --------------------------------------------------------------------
 
 def naive_stab(T, alpha):
-    n = T.order
+    """Every h = (x, y, k) of H with f^h = f: the two formulas of act_alpha
+    evaluated for all x at once, over all y and k."""
+    M = T.ensure_mul_table()
+    inv = T.inv
+    a = alpha.values
     members = []
-    for a in range(n):
-        for b in range(n):
-            for k in (0, 1):
-                if wr.act_alpha(alpha, (a, b, k)) == alpha:
-                    members.append((a, b, k))
+    for y in range(T.order):
+        yi = int(inv[y])
+        straight = M[M[yi][a[M[M, yi]]], y]  # y^-1 alpha(x t y^-1) y
+        yt = M[y]
+        swap = M[M[inv[yt], a[M[M[:, inv], yi]]], yt]  # (yt)^-1 alpha(x t^-1 y^-1) (yt)
+        for k, image in enumerate((straight, swap)):
+            members += [(int(x), y, k) for x in np.flatnonzero((image == a).all(axis=1))]
     return members
 
 
-def test_stabilizer_matches_naive_q4(T4):
-    T4.ensure_mul_table()
-    rng = np.random.default_rng(21)
-    # random functions
-    for _ in range(3):
-        alpha = wr.random_alpha(T4, rng)
+def test_naive_stab_matches_act_alpha(T4):
+    gamma = int(T4.elements_of_order(2)[0])
+    alphas = [wr.random_alpha(T4, np.random.default_rng(3)),
+              wr.build_centralizer_fn(T4, gamma, 2)[0]]
+    for alpha in alphas:
+        direct = [
+            (x, y, k) for x in range(T4.order) for y in range(T4.order) for k in (0, 1)
+            if wr.act_alpha(alpha, (x, y, k)) == alpha
+        ]
+        assert set(naive_stab(T4, alpha)) == set(direct)
+    assert len(direct) == 2 * 4**2  # C_T(gamma) wr S_2, |C_T(gamma)| = 4
+
+
+def _stabilizer_cases(T, q):
+    """A random function, {1, g}-valued functions on random sets and on all
+    of T, the centralizer function of each element order, and coset
+    functions over P1 x P1 and over one K wr S_2."""
+    rng = np.random.default_rng(q)
+    cases = [wr.random_alpha(T, rng)]
+    for density in (0.1, 0.5, 1.0):
+        values = np.full(T.order, T.identity)
+        values[rng.random(T.order) < density] = rng.integers(1, T.order)
+        cases.append(wr.AlphaFn(T, values))
+    for order in sorted(set(T.orders.tolist()) - {1}):
+        cases.append(wr.build_centralizer_fn(T, int(T.elements_of_order(order)[0]), 2)[0])
+    P1 = point_stabilizer(T, q)
+    s = next(g for g in range(T.order) if g not in P1.member_set)
+    cases.append(wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0)))
+    K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
+    wit = wr.find_witness_t(T, K, 2, maximal=False)
+    cases.append(wr.build_coset_fn(wr.wreath_sub(K), (0, wit.shift[0], 0), eta=wit.eta))
+    return cases
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_stabilizer_matches_naive(q):
+    T = group_for(q)
+    for alpha in _stabilizer_cases(T, q):
         res = wr.stabilizer_subdegree(alpha)
-        naive = naive_stab(T4, alpha)
+        naive = naive_stab(T, alpha)
         assert res.stabilizer_order == len(naive)
         assert set(res.members) == set(naive)
-    # structured: centralizer function of an involution
-    gamma = int(T4.elements_of_order(2)[0])
-    alpha, res, cert = wr.build_centralizer_fn(T4, gamma, 2)
-    naive = naive_stab(T4, alpha)
-    assert set(res.members) == set(naive)
-    assert res.subdegree == 2 * 7200 // (2 * len(naive)) * 1  # sanity: |H|/|H_f|
-    assert res.subdegree == 7200 // len(naive)
+        assert res.members == sorted(res.members, key=lambda u: (u[1], u[2], u[0]))
+        assert res.subdegree == 2 * T.order**2 // len(naive)
 
 
 def test_stabilizer_trivial_alpha(T7):
@@ -231,14 +266,40 @@ def test_coset_fn_p1_product(T7):
     assert set(res.members) == set(D.member_triples())
 
 
-def test_coset_fn_explicit_matches_structured(T4):
+def _explicit(D):
+    return wr.WreathSub2(D.T, "explicit", explicit=frozenset(D.member_triples()))
+
+
+def test_coset_fn_explicit_matches_structured(T4, T7):
     P1 = point_stabilizer(T4, 4)
     s = next(g for g in range(T4.order) if g not in P1.member_set)
     D = wr.product_sub(P1, P1)
-    a1 = wr.build_coset_fn(D, (0, s, 0))
-    Dx = wr.WreathSub2(T4, "explicit", explicit=frozenset(D.member_triples()))
-    a2 = wr.build_coset_fn(Dx, (0, s, 0))
-    assert a1 == a2
+    assert wr.build_coset_fn(D, (0, s, 0)) == wr.build_coset_fn(_explicit(D), (0, s, 0))
+    # the wreath kind: S4 wr S_2 at q = 7 with its witness shift and eta
+    K = atlas.find_named_subgroup(T7, "S4").subgroup
+    wit = wr.find_witness_t(T7, K, 2, label="S4")
+    D = wr.wreath_sub(K)
+    t = (0, wit.shift[0], 0)
+    a1 = wr.build_coset_fn(D, t, eta=wit.eta)
+    assert a1 == wr.build_coset_fn(_explicit(D), t, eta=wit.eta)
+    assert wr.stabilizer_subdegree(a1).subdegree == 49
+
+
+@pytest.mark.parametrize("q", [4, 7])
+def test_d_t_cap_L_explicit_matches_structured(q):
+    """Structured masks agree with the explicit member test, both before and
+    after the group has a mul table."""
+    T = psl_group(Field(*factor_prime_power(q)))  # fresh: no mul table yet
+    P1 = point_stabilizer(T, q)
+    K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
+    rng = np.random.default_rng(q)
+    shifts = [(0, 0)] + [tuple(int(s) for s in rng.integers(0, T.order, 2)) for _ in range(4)]
+    for with_table in (False, True):
+        assert (T._mul is not None) == with_table
+        for D in (wr.product_sub(P1, P1), wr.wreath_sub(K), wr.product_sub(P1, K)):
+            for t1, t2 in shifts:
+                assert wr.d_t_cap_L(D, (t1, t2, 0)) == wr.d_t_cap_L(_explicit(D), (t1, t2, 0))
+        T.ensure_mul_table()
 
 
 def test_coset_fn_bad_eta(T7):
