@@ -11,7 +11,9 @@ a certified negative and carries the scan cardinality.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 from dataclasses import dataclass
 from math import gcd, isqrt
 from pathlib import Path
@@ -119,14 +121,12 @@ def _first_two_generated(
     T: GroupTable, order_a: int, order_b: int, order_ab: int | None, size: int, fp: IsoFingerprint
 ) -> Subgroup | None:
     """First subgroup <a, b> in (index(a), index(b)) order matching a target."""
-    cand_a = T.elements_of_order(order_a)
     cand_b = T.elements_of_order(order_b)
-    for a in cand_a:
-        a = int(a)
-        for b in cand_b:
-            b = int(b)
-            if order_ab is not None and T.order_of(T.mul(a, b)) != order_ab:
-                continue
+    for a in T.elements_of_order(order_a).tolist():
+        bs = cand_b
+        if order_ab is not None:
+            bs = cand_b[T.orders[T.product(a, cand_b)] == order_ab]
+        for b in bs.tolist():
             S = generate(T, [a, b])
             if S.order == size and fingerprint(S) == fp:
                 return S
@@ -218,7 +218,7 @@ def coset_involution_check(T: GroupTable, P1: Subgroup) -> bool:
     for s in coset_representatives(T, P1):
         if s in P1.member_set:
             continue
-        if not any(orders[T.mul(int(m), s)] == 2 for m in P1.members):
+        if not (orders[T.product(P1.members, s)] == 2).any():
             return False
     return True
 
@@ -263,22 +263,46 @@ def witness_record(w: IntersectionWitness) -> dict:
     }
 
 
+class WitnessCacheError(ValueError):
+    """A witness cache file that is not a list of witness records."""
+
+
 def save_witness_cache(path: str | Path, witnesses: list[IntersectionWitness]) -> None:
-    records = [witness_record(w) for w in witnesses]
-    Path(path).write_text(json.dumps(records, indent=2) + "\n")
+    _write_records(Path(path), [witness_record(w) for w in witnesses])
 
 
 def append_witness_cache(path: str | Path, w: IntersectionWitness) -> None:
-    """Add one witness record to the cache file, keeping the records in it."""
-    records = load_witness_cache(path) + [witness_record(w)]
-    Path(path).write_text(json.dumps(records, indent=2) + "\n")
+    """Add one witness record to the cache file, keeping the records in it.
+
+    Writers merge under an exclusive lock on `<cache>.lock`, so concurrent
+    workers lose no record, and replace the file whole, so readers never
+    see a partial one.
+    """
+    with open(f"{path}.lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        _write_records(Path(path), load_witness_cache(path) + [witness_record(w)])
+
+
+def _write_records(p: Path, records: list[dict]) -> None:
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(records, indent=2) + "\n")
+    os.replace(tmp, p)
 
 
 def load_witness_cache(path: str | Path) -> list[dict]:
     p = Path(path)
     if not p.exists():
         return []
-    return json.loads(p.read_text())
+    try:
+        records = json.loads(p.read_text())
+    except ValueError as e:
+        raise WitnessCacheError(f"witness cache {p} is not JSON: {e}") from e
+    keys = {"q", "label", "lemma", "element_indices", "fingerprint"}
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and keys <= r.keys() for r in records
+    ):
+        raise WitnessCacheError(f"witness cache {p} is not a list of witness records")
+    return records
 
 
 def cached_witness(records: list[dict], q: int, kind: str, label: str) -> dict | None:

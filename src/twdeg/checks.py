@@ -727,14 +727,13 @@ def lm_wreath_conditions(p, cfg):
     alpha_h, _, _ = wreath.build_centralizer_fn(T, gamma, 2)
     C = engine.centralizer(T, gamma)
     # build_centralizer_fn has already asserted that its stabilizer is C wr S_2
-    ok1 = wreath.check_wreath_conditions(alpha_h, C, verify_stabilizer=False)
+    ok1 = wreath.check_wreath_conditions(alpha_h, C)
     ok2 = True
     if q % 4 != 1:
         # P1 wr S_2 stabilizers are ruled out only for q even or 3 mod 4
         alpha_g = ctx_p1_product(q)[1]
-        ok2 = not wreath.check_wreath_conditions(alpha_g, P1, verify_stabilizer=False)
-    ok3 = not wreath.check_wreath_conditions(wreath.identity_alpha(T), P1,
-                                             verify_stabilizer=False)
+        ok2 = not wreath.check_wreath_conditions(alpha_g, P1)
+    ok3 = not wreath.check_wreath_conditions(wreath.identity_alpha(T), P1)
     return True, ok1 and ok2 and ok3, None
 
 
@@ -754,7 +753,6 @@ def lm_obstruction(p, cfg):
 def lm_action_axiom(p, cfg):
     q, samples = p["q"], p["samples"]
     T = ctx_group(q)
-    T.ensure_mul_table()
     n = T.order
     rng = np.random.default_rng(12345)
     ok = True
@@ -762,7 +760,7 @@ def lm_action_axiom(p, cfg):
         alpha = wreath.random_alpha(T, rng)
         h1 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
         h2 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        lhs = wreath.act_alpha(alpha, wreath.w2_mul(T, h1, h2))
+        lhs = wreath.act_alpha(alpha, wreath.w2_product(T, h1, h2))
         rhs = wreath.act_alpha(wreath.act_alpha(alpha, h1), h2)
         if lhs != rhs:
             ok = False
@@ -774,7 +772,6 @@ def lm_action_axiom(p, cfg):
 def lm_roundtrip(p, cfg):
     """The alpha formula defines a twisted-equivariant function on all of H."""
     T = ctx_group(p["q"])
-    T.ensure_mul_table()
     n = T.order
     rng = np.random.default_rng(99)
     ok = True
@@ -789,7 +786,7 @@ def lm_roundtrip(p, cfg):
                     z = (a, b, k)
                     fz = alpha.evaluate(z)
                     for ell in ells:
-                        lhs = alpha.evaluate(wreath.w2_mul(T, z, ell))
+                        lhs = alpha.evaluate(wreath.w2_product(T, z, ell))
                         rhs = T.conj(fz, ell[0])
                         if lhs != rhs:
                             ok = False
@@ -798,7 +795,7 @@ def lm_roundtrip(p, cfg):
         alpha = wreath.random_alpha(T, rng)
         h = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
         direct = np.array(
-            [alpha.evaluate(wreath.w2_mul(T, h, (t, 0, 0))) for t in range(n)],
+            [alpha.evaluate(wreath.w2_product(T, h, (t, 0, 0))) for t in range(n)],
             dtype=np.int64,
         )
         if not np.array_equal(direct, wreath.act_alpha(alpha, h).values):
@@ -810,7 +807,6 @@ def lm_roundtrip(p, cfg):
 def lm_invariance(p, cfg):
     """Full two-sided invariance forces the identity function."""
     T = ctx_group(p["q"])
-    T.ensure_mul_table()
     Tfull = engine.Subgroup(T, range(T.order))
     rng = np.random.default_rng(7)
     ok = wreath.check_XY_conditions(wreath.identity_alpha(T), Tfull, Tfull)
@@ -830,15 +826,14 @@ def lm_invariance(p, cfg):
 # -- maximality censuses at q = 4 -------------------------------------------------
 
 def _embed_triples(T, H, triples):
-    return [H.index[wreath.wreath_perm(T, u)] for u in triples]
+    return H.index(np.array([wreath.wreath_perm(T, u) for u in triples]))
 
 
 def _frobenius_conj_index(T):
     from .psl import frobenius_perm
 
-    pi = frobenius_perm(T.field)
-    pii = engine.perm_inverse(pi)
-    return [T.index[engine.compose(engine.compose(pii, e), pi)] for e in T.elements]
+    pi = np.array(frobenius_perm(T.field))
+    return T.index(pi[T.elements[:, np.argsort(pi)]]).tolist()  # pi^-1 e pi over e
 
 
 def _h_maximal_types(T, H):
@@ -906,7 +901,7 @@ def lm_max_census_h(p, cfg):
         if M.member_set == t2_set:
             classified += 1
             continue
-        base = [wreath.wreath_triple(T, H.elements[i]) for i in M.members]
+        base = [wreath.wreath_triple(T, e) for e in H.elements[M.members].tolist()]
         straight = [u for u in base if u[2] == 0]
         if len(straight) * 2 != len(base):
             continue
@@ -936,9 +931,7 @@ def lm_max_census_t2(p, cfg):
     T2 = wreath.wreath_full_table(T, swap=False)
 
     def embed(pairs):
-        return engine.Subgroup(
-            T2, [T2.index[wreath.wreath_perm(T, (a, b, 0))] for (a, b) in pairs]
-        )
+        return engine.Subgroup(T2, _embed_triples(T, T2, [(a, b, 0) for (a, b) in pairs]))
 
     n = T.order
     full = list(range(n))
@@ -961,7 +954,7 @@ def lm_max_census_t2(p, cfg):
             S = engine.generate(T2, [g1, g2])
             if S.order < T2.order:
                 break
-        pairs = [wreath.wreath_triple(T, T2.elements[i])[:2] for i in S.members]
+        pairs = [wreath.wreath_triple(T, e)[:2] for e in T2.elements[S.members].tolist()]
         p1 = {a for a, _ in pairs}
         p2 = {b for _, b in pairs}
         if len(p1) < n or len(p2) < n:

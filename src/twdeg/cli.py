@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, checks
+from . import __version__, atlas, checks
 from .checks import CheckResult, RunConfig
 
 
@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("table1", "table2", "table4"):
         add_common(sub.add_parser(name))
     pl = sub.add_parser("lemma")
-    pl.add_argument("lemma_id", type=str, help=f"one of {', '.join(checks.LEMMA_IDS)}")
+    pl.add_argument("lemma_id", choices=checks.LEMMA_IDS, metavar="lemma_id",
+                    help=f"one of {', '.join(checks.LEMMA_IDS)}")
     pl.add_argument("--d", type=int, default=None,
                     help="restrict the dihedral census to one d")
     add_common(pl)
@@ -160,10 +161,20 @@ def _replay_result(rec: dict) -> CheckResult | None:
     return CheckResult(f"replay.{rec['check_id']}", "pass", "reproduced", "reproduced")
 
 
-def cmd_report(args) -> int:
-    merged: list[CheckResult] = []
-    for path in args.inputs:
+def read_report(path: str) -> dict:
+    """A prior JSON report; ValueError when the file holds none."""
+    try:
         data = json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"report {path} is not JSON: {e}") from e
+    if not isinstance(data, dict) or not isinstance(data.get("results", []), list):
+        raise ValueError(f"report {path} is not a twdeg report")
+    return data
+
+
+def cmd_report(args, reports: list[dict]) -> int:
+    merged: list[CheckResult] = []
+    for data in reports:
         for rec in data.get("results", []):
             merged.append(CheckResult(
                 rec["check_id"], rec["status"], rec.get("expected", ""),
@@ -185,10 +196,20 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # bad input ends here with a usage line and exit status 2
+    try:
+        if args.command == "report":
+            reports = [read_report(path) for path in args.inputs]
+        else:
+            cfg = config_from_args(args)
+            if cfg.cache:
+                atlas.load_witness_cache(cfg.cache)
+    except (OSError, ValueError) as e:
+        parser.error(str(e))
     if args.command == "report":
-        return cmd_report(args)
-    cfg = config_from_args(args)
+        return cmd_report(args, reports)
     if args.command == "table1":
         specs = checks.table1_specs(cfg)
     elif args.command == "table2":

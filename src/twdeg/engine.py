@@ -1,23 +1,28 @@
 """Generic algorithms on fully enumerated permutation groups.
 
-A GroupTable stores every element of a finite permutation group as a tuple
-of point images, in deterministic BFS order from a fixed generator list.
-Subgroups are sorted index lists into their parent table.  All operations
-are pure functions over this immutable data; scans over the element range
-can be partitioned freely without changing results.
+A GroupTable stores every element of a finite permutation group as a row of
+point images in a small-int (n, degree) array, in deterministic BFS order
+from a fixed generator list.  A base, a list of points whose images
+determine an element, is chosen greedily, and a dense lookup maps the code
+of an element's base images to its BFS index.  The product g h is then read
+off without a multiplication table: h's row carries g's base images to
+those of g h.  Products broadcast over index arrays, so the algorithms below
+work in batches: closures grow a whole BFS level at a time, and
+conjugations, coset labels and commutation tests cover many elements in one
+product.  Subgroups are sorted index lists into their parent table.  All
+operations are pure functions over this immutable data; scans over the
+element range can be partitioned freely without changing results.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 Perm = tuple[int, ...]
-
-MUL_TABLE_CAP = 8192
 
 
 class ParentMismatchError(ValueError):
@@ -48,58 +53,69 @@ def perm_inverse(g: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(g: Perm) -> int:
-    n = len(g)
-    seen = [False] * n
-    o = 1
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = g[j]
-                length += 1
-            o = lcm(o, length)
-    return o
+def _greedy_base(elements: np.ndarray) -> list[int]:
+    """Points, in order, each splitting some set of elements that agree on
+    the points before it, until the base images separate all elements.
+
+    For PSL(2,q) this gives three points (PGL(2,q) is sharply 3-transitive
+    on the projective line); for T wr S_2 and T x T, three points per block.
+    """
+    n, degree = elements.shape
+    labels, classes, base = np.zeros(n, dtype=np.int64), 1, []
+    for p in range(degree):
+        if classes == n:
+            break
+        _, refined = np.unique(labels * degree + elements[:, p], return_inverse=True)
+        count = int(refined.max()) + 1
+        if count > classes:
+            base.append(p)
+            labels, classes = refined.reshape(n), count
+    return base
 
 
 class GroupTable:
-    """A fully enumerated permutation group with index-based arithmetic."""
+    """A fully enumerated permutation group with base-image arithmetic."""
 
-    def __init__(self, degree: int, elements: list[Perm], generators: list[int]):
+    def __init__(self, degree: int, elements: np.ndarray, generators: list[int]):
         self.degree = degree
         self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
         self.generators = generators
         self.order = len(elements)
-        self._bfs_parent: list[tuple[int, int]] | None = None
+        self.base = _greedy_base(elements)
+        self._flat = elements.ravel()
+        self._base_columns = np.ascontiguousarray(elements[:, self.base].T)
+        # smallest signed dtype holding every index and the -1 of "no element"
+        self._code_index = np.full(
+            degree ** len(self.base), -1, dtype=np.min_scalar_type(-self.order)
+        )
+        self._code_index[self._code(self._base_columns)] = np.arange(self.order)
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._mul: np.ndarray | None = None
 
     @classmethod
     def from_generators(cls, degree: int, gens: tuple[Perm, ...]) -> "GroupTable":
-        """BFS closure from the identity; FIFO queue, generators in order."""
-        ident = identity_perm(degree)
-        elements = [ident]
-        index = {ident: 0}
-        parent = [(-1, -1)]
-        queue = deque([0])
-        gens = list(gens)
-        while queue:
-            i = queue.popleft()
-            e = elements[i]
-            for gi, g in enumerate(gens):
-                y = compose(e, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    parent.append((i, gi))
-                    queue.append(index[y])
-        table = cls(degree, elements, [index[g] for g in gens])
-        table._bfs_parent = parent
-        return table
+        """BFS closure from the identity; FIFO queue, generators in order.
+
+        A whole BFS level is expanded at once: its products with the
+        generators, row-major over (element, generator), come in the order
+        the FIFO queue visits them.
+        """
+        dtype = np.min_scalar_type(degree - 1)
+        gen_rows = np.array(gens, dtype=dtype).reshape(len(gens), degree)
+        frontier = np.arange(degree, dtype=dtype)[None]
+        seen = {frontier[0].tobytes(): 0}
+        levels = [frontier]
+        while len(frontier):
+            cand = gen_rows[np.arange(len(gens))[:, None], frontier[:, None, :]]
+            new = []
+            for row in cand.reshape(-1, degree):
+                key = row.tobytes()
+                if key not in seen:
+                    seen[key] = len(seen)
+                    new.append(row)
+            frontier = np.array(new, dtype=dtype).reshape(len(new), degree)
+            levels.append(frontier)
+        return cls(degree, np.concatenate(levels), [seen[g.tobytes()] for g in gen_rows])
 
     # -- element arithmetic
 
@@ -107,17 +123,46 @@ class GroupTable:
     def identity(self) -> int:
         return 0
 
+    def _code(self, images) -> np.ndarray:
+        """Code of the base images, one entry of `images` per base point."""
+        *rest, code = images
+        code = np.asarray(code, dtype=np.intp)
+        for img in reversed(rest):
+            code = code * self.degree + img
+        return code
+
+    def product(self, *factors) -> np.ndarray:
+        """The products f_0 f_1 ... f_k of ints and index arrays broadcast
+        together.  Each base point's image under f_0 is carried through the
+        later factors by one flat gather from their rows."""
+        first, *rest = factors
+        images = [column[first] for column in self._base_columns]
+        for f in rest:
+            rows = np.asarray(f, dtype=np.intp) * self.degree
+            images = [self._flat[rows + img] for img in images]
+        return self._code_index[self._code(images)].astype(np.int64)
+
     def mul(self, i: int, j: int) -> int:
-        if self._mul is not None:
-            return int(self._mul[i, j])
-        return self.index[compose(self.elements[i], self.elements[j])]
+        return int(self.product(i, j))
+
+    def commutes_with(self, x, ys) -> np.ndarray:
+        """Mask of the elements ys that commute with x."""
+        return self.product(x, ys) == self.product(ys, x)
+
+    def index(self, perms) -> np.ndarray:
+        """BFS indices of permutations given as rows of point images."""
+        rows = np.asarray(perms)
+        found = self._code_index[self._code(rows[..., b] for b in self.base)].astype(np.int64)
+        if not np.array_equal(self.elements[found], rows):
+            raise KeyError("permutation outside the group")
+        return found
 
     @property
     def inv(self) -> np.ndarray:
         if self._inv is None:
-            self._inv = np.array(
-                [self.index[perm_inverse(e)] for e in self.elements], dtype=np.int64
-            )
+            # g^-1 sends b to the point that g sends to b
+            images = [np.argmax(self.elements == b, axis=1) for b in self.base]
+            self._inv = self._code_index[self._code(images)].astype(np.int64)
         return self._inv
 
     def inverse(self, i: int) -> int:
@@ -125,13 +170,20 @@ class GroupTable:
 
     def conj(self, x: int, g: int) -> int:
         """x^g = g^-1 x g."""
-        gi = self.inverse(g)
-        return self.mul(self.mul(gi, x), g)
+        return int(self.product(self.inverse(g), x, g))
 
     @property
     def orders(self) -> np.ndarray:
         if self._orders is None:
-            self._orders = np.array([perm_order(e) for e in self.elements], dtype=np.int64)
+            everyone = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            power, k = everyone, 1
+            while True:
+                orders[(power == self.identity) & (orders == 0)] = k
+                if orders.all():
+                    break
+                power, k = self.product(power, everyone), k + 1
+            self._orders = orders
         return self._orders
 
     def order_of(self, i: int) -> int:
@@ -140,36 +192,10 @@ class GroupTable:
     def elements_of_order(self, k: int) -> np.ndarray:
         return np.nonzero(self.orders == k)[0]
 
-    # -- multiplication table (opt-in; hot paths only)
-
-    def ensure_mul_table(self) -> np.ndarray:
-        if self._mul is not None:
-            return self._mul
-        n = self.order
-        if n > MUL_TABLE_CAP:
-            raise MemoryError(f"mul table for order {n} exceeds cap {MUL_TABLE_CAP}")
-        if self._bfs_parent is None:
-            raise ValueError("mul table requires BFS construction metadata")
-        mul = np.zeros((n, n), dtype=np.int32)
-        mul[0] = np.arange(n, dtype=np.int32)
-        done = np.zeros(n, dtype=bool)
-        done[0] = True
-        for g in set(self.generators):
-            mul[g] = np.fromiter(
-                (self.index[compose(self.elements[g], e)] for e in self.elements),
-                dtype=np.int32,
-                count=n,
-            )
-            done[g] = True
-        # BFS order puts parents before children; row(y*g)[j] = row(y)[row(g)[j]]
-        for x in range(1, n):
-            if done[x]:
-                continue
-            p, gi = self._bfs_parent[x]
-            g = self.generators[gi]
-            mul[x] = mul[p][mul[g]]
-        self._mul = mul
-        return mul
+    def ensure_mul_table(self) -> None:
+        """Kept, uncalled, as a name only: the benchmark's trace hooks
+        (bench/tracing.py SPANS) still list it.  Products come from base
+        images; no multiplication table is built."""
 
     def __repr__(self):
         return f"GroupTable(order={self.order}, degree={self.degree})"
@@ -180,10 +206,11 @@ class Subgroup:
 
     def __init__(self, parent: GroupTable, members):
         self.parent = parent
-        arr = np.array(sorted(set(int(m) for m in members)), dtype=np.int64)
-        self.members = arr
-        self.member_set = frozenset(int(m) for m in arr)
-        self.order = len(arr)
+        if not isinstance(members, np.ndarray):
+            members = np.fromiter(members, dtype=np.int64)
+        self.members = np.unique(members.astype(np.int64))
+        self.member_set = frozenset(self.members.tolist())
+        self.order = len(self.members)
         self._gens: list[int] | None = None
 
     def __contains__(self, i: int) -> bool:
@@ -206,32 +233,23 @@ class Subgroup:
         """A small generating set, grown greedily in member-index order."""
         if self._gens is None:
             gens: list[int] = []
-            closed = {self.parent.identity}
-            for m in self.members:
-                m = int(m)
-                if m not in closed:
+            closed = _closure(self.parent, gens)
+            for m in self.members.tolist():
+                if not closed[m]:
                     gens.append(m)
-                    closed = _closure_indices(self.parent, gens)
-                    if len(closed) == self.order:
+                    closed = _closure(self.parent, gens)
+                    if np.count_nonzero(closed) == self.order:
                         break
             self._gens = gens
         return self._gens
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
-        gi = G.inverse(g)
-        if G._mul is not None:
-            mem = G._mul[G._mul[gi, self.members], g]
-        else:
-            mem = [G.conj(int(m), g) for m in self.members]
-        return Subgroup(G, mem)
+        return Subgroup(G, G.product(G.inverse(g), self.members, g))
 
     def conjugate_set(self, g: int) -> frozenset:
         G = self.parent
-        gi = G.inverse(g)
-        if G._mul is not None:
-            return frozenset(int(v) for v in G._mul[G._mul[gi, self.members], g])
-        return frozenset(G.conj(int(m), g) for m in self.members)
+        return frozenset(G.product(G.inverse(g), self.members, g).tolist())
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -291,32 +309,38 @@ class IsoFingerprint:
         return IsoFingerprint.dihedral(6)
 
 
-def _closure_indices(G: GroupTable, gens: list[int]) -> set[int]:
-    closed = {G.identity}
-    queue = deque([G.identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in closed:
-                closed.add(y)
-                queue.append(y)
-    return closed
+def _mark_orbit(G: GroupTable, seen: np.ndarray, frontier, gens, cap: int | None = None):
+    """Mark in the mask `seen` every element reached from `frontier` by
+    right multiplication with `gens`, a whole BFS level at a time.
+
+    With a cap, growth stops as soon as more than `cap` elements are marked.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    gens = np.concatenate([gens, G.inv[gens]])  # inverses shorten the BFS
+    seen[frontier] = True
+    size = np.count_nonzero(seen)
+    while len(frontier) and (cap is None or size <= cap):
+        new = np.zeros_like(seen)
+        new[G.product(frontier[:, None], gens)] = True
+        new &= ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+        size += len(frontier)
+    return seen
+
+
+def _closure(G: GroupTable, gens, cap: int | None = None) -> np.ndarray:
+    """Membership mask of <gens>; see _mark_orbit for the cap."""
+    return _mark_orbit(G, np.zeros(G.order, dtype=bool), np.array([G.identity]), gens, cap)
 
 
 def generate(parent: GroupTable, gens) -> Subgroup:
     """Closure of a set of element indices under multiplication/inverse."""
-    gens = [int(g) for g in gens]
-    return Subgroup(parent, _closure_indices(parent, gens))
+    return Subgroup(parent, np.flatnonzero(_closure(parent, list(gens))))
 
 
 def centralizer(G: GroupTable, g: int) -> Subgroup:
-    if G._mul is not None:
-        mask = G._mul[:, g] == G._mul[g, :]
-        return Subgroup(G, np.nonzero(mask)[0])
-    ge = G.elements[g]
-    members = [i for i, e in enumerate(G.elements) if compose(e, ge) == compose(ge, e)]
-    return Subgroup(G, members)
+    return Subgroup(G, np.flatnonzero(G.commutes_with(g, np.arange(G.order))))
 
 
 def normalizer(G: GroupTable, S: Subgroup) -> Subgroup:
@@ -326,21 +350,18 @@ def normalizer(G: GroupTable, S: Subgroup) -> Subgroup:
     gens = S.generating_set()
     if not gens:
         return Subgroup(G, range(G.order))
-    if G._mul is not None:
-        M = G._mul
-        inS = np.zeros(G.order, dtype=bool)
-        inS[S.members] = True
-        ok = np.ones(G.order, dtype=bool)
-        allx = np.arange(G.order)
-        for s in gens:
-            conj = M[M[G.inv, s], allx]  # x^-1 s x for every x
-            ok &= inS[conj]
-        return Subgroup(G, np.nonzero(ok)[0])
-    members = []
-    for x in range(G.order):
-        if all(G.conj(s, x) in S.member_set for s in gens):
-            members.append(x)
-    return Subgroup(G, members)
+    inS = member_mask(S)
+    ok = np.ones(G.order, dtype=bool)
+    everyone = np.arange(G.order)
+    for s in gens:
+        ok &= inS[G.product(G.inv, s, everyone)]  # x^-1 s x for every x
+    return Subgroup(G, np.flatnonzero(ok))
+
+
+def member_mask(S: Subgroup) -> np.ndarray:
+    mask = np.zeros(S.parent.order, dtype=bool)
+    mask[S.members] = True
+    return mask
 
 
 def conjugacy_class(G: GroupTable, g: int) -> np.ndarray:
@@ -365,27 +386,26 @@ def intersect(A: Subgroup, B: Subgroup) -> Subgroup:
 
 def center(S: Subgroup) -> Subgroup:
     G = S.parent
-    gens = S.generating_set()
-    members = [m for m in S if all(G.mul(m, s) == G.mul(s, m) for s in gens)]
-    return Subgroup(G, members)
+    central = np.ones(S.order, dtype=bool)
+    for s in S.generating_set():
+        central &= G.commutes_with(s, S.members)
+    return Subgroup(G, S.members[central])
 
 
 def fingerprint(S: Subgroup) -> IsoFingerprint:
     G = S.parent
-    cnt = Counter(int(G.orders[m]) for m in S.members)
-    gens = S.generating_set()
-    abelian = all(
-        G.mul(a, b) == G.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
-    )
+    cnt = Counter(G.orders[S.members].tolist())
+    gens = np.array(S.generating_set(), dtype=np.int64)
+    abelian = bool(G.commutes_with(gens[:, None], gens).all())
     return IsoFingerprint(S.order, tuple(sorted(cnt.items())), abelian)
 
 
 def is_maximal(G: GroupTable, M: Subgroup) -> bool:
     """True iff <M, g> = G for every g outside M.
 
-    Only one representative per coset Mg is tested: <M, g> depends on g only
-    through the double coset MgM, and every double coset meets every right
-    coset it covers, so coset reps suffice.
+    Only one representative per double coset MgM is tested: <M, g> depends
+    on g only through MgM, which is marked off whole by closing Mg under
+    right multiplication with the generators of M.
     """
     if M.parent is not G:
         raise ParentMismatchError("subgroup not over this table")
@@ -395,19 +415,12 @@ def is_maximal(G: GroupTable, M: Subgroup) -> bool:
     if cached is not None:
         return cached
     gens = M.generating_set()
-    visited = np.zeros(G.order, dtype=bool)
-    visited[M.members] = True
+    visited = member_mask(M)
     half = G.order // 2
-    mark_double = M.order * M.order <= 500_000
     for s in range(G.order):
         if visited[s]:
             continue
-        ms = [G.mul(int(m), s) for m in M.members]
-        visited[ms] = True
-        if mark_double:
-            for x in ms:
-                for m in M.members:
-                    visited[G.mul(x, int(m))] = True
+        _mark_orbit(G, visited, G.product(M.members, s), gens)  # the double coset M s M
         size = _closure_size_capped(G, gens + [s], half)
         if size <= half:
             M._maximal_cache = False
@@ -421,18 +434,7 @@ def _closure_size_capped(G: GroupTable, gens: list[int], half: int) -> int:
 
     A subgroup of size > |G|/2 has index < 2, hence equals G.
     """
-    closed = {G.identity}
-    queue = deque([G.identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in closed:
-                closed.add(y)
-                if len(closed) > half:
-                    return len(closed)
-                queue.append(y)
-    return len(closed)
+    return int(np.count_nonzero(_closure(G, gens, half)))
 
 
 def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
@@ -449,11 +451,7 @@ def coset_representatives(T: GroupTable, S: Subgroup) -> list[int]:
     for g in range(T.order):
         if not covered[g]:
             reps.append(g)
-            if T._mul is not None:
-                covered[T._mul[S.members, g]] = True
-            else:
-                for m in S.members:
-                    covered[T.mul(int(m), g)] = True
+            covered[T.product(S.members, g)] = True
     return reps
 
 
@@ -471,20 +469,23 @@ def count_conjugate_overgroups(T: GroupTable, K: Subgroup, R: Subgroup) -> int:
     NK = normalizer(T, K)
     if NK.member_set != K.member_set:
         raise AssertionError("normalizer of a maximal subgroup of a simple group is itself")
+    inK = member_mask(K)
     rgens = R.generating_set()
-    y = 0
+
+    def count_inside(gs) -> int:
+        """How many g in gs have g r g^-1 in K for every generator r of R."""
+        gs = np.asarray(gs, dtype=np.int64)
+        inside = np.ones(len(gs), dtype=bool)
+        for r in rgens:
+            inside &= inK[T.product(gs, r, T.inv[gs])]
+        return int(np.count_nonzero(inside))
+
     # conjugates K^g are in bijection with right cosets Kg; R <= K^g is
     # g r g^-1 in K for the generators r of R
-    for g in coset_representatives(T, K):
-        gi = T.inverse(g)
-        conj_in = all(T.conj(r, gi) in K.member_set for r in rgens) if rgens else True
-        if conj_in:
-            y += 1
+    y = count_inside(coset_representatives(T, K))
     NR = normalizer(T, R)
-    x = 0
-    for g in coset_representatives(T, NR):
-        if all(T.conj(r, g) in K.member_set for r in rgens) if rgens else True:
-            x += 1
+    # R^g lies in K when g^-1 r g does, one g per coset N_T(R) g
+    x = count_inside(T.inv[coset_representatives(T, NR)])
     lhs = y * K.order
     rhs = x * NR.order
     if lhs != rhs:
@@ -504,24 +505,14 @@ def dihedral_class_census(T: GroupTable, d: int) -> int:
     if d <= 2 or not any(t % d == 0 for t in tori):
         raise NoSuchSubgroupError(f"no dihedral subgroup of order {2*d} for q={q}")
     cyclics = {}
-    for c in T.elements_of_order(d):
-        c = int(c)
-        mem = []
-        x = T.identity
-        while True:
-            mem.append(x)
-            x = T.mul(x, c)
-            if x == T.identity:
-                break
-        cyclics.setdefault(frozenset(mem), c)
-    invs = [int(i) for i in T.elements_of_order(2)]
+    for c in T.elements_of_order(d).tolist():
+        cyclics.setdefault(generate(T, [c]).member_set, c)
+    invs = T.elements_of_order(2)
     dihedrals = set()
     for mem, c in cyclics.items():
-        cinv = T.inverse(c)
-        for j in invs:
-            if T.conj(c, j) == cinv:
-                full = set(mem) | {T.mul(m, j) for m in mem}
-                dihedrals.add(frozenset(full))
+        cyc = np.array(sorted(mem))
+        for j in invs[T.product(invs, c, invs) == T.inverse(c)].tolist():  # j c j = c^-1
+            dihedrals.add(mem | frozenset(T.product(cyc, j).tolist()))
     classes = 0
     remaining = set(dihedrals)
     while remaining:

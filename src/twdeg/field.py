@@ -115,7 +115,7 @@ class Field:
                 mul = np.zeros((q, q), dtype=np.int64)
                 for x in range(q):
                     for y in range(q):
-                        mul[x, y] = self._poly_mul(x, y)
+                        mul[x, y] = self._poly_product(x, y)
                 self.mul_table = mul
         else:
             self.add_table = None
@@ -142,7 +142,7 @@ class Field:
             v = v * self.p + c
         return v
 
-    def _poly_mul(self, x: int, y: int) -> int:
+    def _poly_product(self, x: int, y: int) -> int:
         p, f = self.p, self.f
         if f == 1:
             return (x * y) % p
@@ -184,7 +184,7 @@ class Field:
     def mul(self, x: int, y: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[x, y])
-        return self._poly_mul(x, y)
+        return self._poly_product(x, y)
 
     def neg(self, x: int) -> int:
         return int(self.neg_table[x])
@@ -216,8 +216,8 @@ def pow_elem(field: Field, x: int, e: int) -> int:
     b = x
     while e:
         if e & 1:
-            r = field._poly_mul(r, b) if field.mul_table is None else int(field.mul_table[r, b])
-        b = field._poly_mul(b, b) if field.mul_table is None else int(field.mul_table[b, b])
+            r = field.mul(r, b)
+        b = field.mul(b, b)
         e >>= 1
     return r
 

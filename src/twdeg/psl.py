@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
+
 from .field import Field
 from .engine import GroupTable, Perm, Subgroup
 
@@ -98,5 +100,4 @@ def point_stabilizer(T: GroupTable, pt: int) -> Subgroup:
     """Subgroup of all elements fixing the given point index."""
     if not 0 <= pt < T.degree:
         raise ValueError(f"point {pt} out of range")
-    members = [i for i, e in enumerate(T.elements) if e[pt] == pt]
-    return Subgroup(T, members)
+    return Subgroup(T, np.flatnonzero(T.elements[:, pt] == pt))

@@ -18,6 +18,7 @@ from computations inside L (|L| = |T| m!).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 from math import lcm
@@ -31,6 +32,7 @@ from .engine import (
     centralizer,
     compose,
     intersect,
+    member_mask,
 )
 from .atlas import coset_involution_check
 from . import engine
@@ -67,7 +69,7 @@ def w2_identity() -> tuple[int, int, int]:
     return (0, 0, 0)
 
 
-def w2_mul(T: GroupTable, u, v):
+def w2_product(T: GroupTable, u, v):
     a, b, k = u
     c, d, l = v
     if k == 0:
@@ -91,7 +93,7 @@ def w2_order(T: GroupTable, u) -> int:
 
 # -- general m: elements (tuple, sigma) with sigma a point-image tuple --------
 
-def wm_mul(T: GroupTable, u, v):
+def wm_product(T: GroupTable, u, v):
     (t, sig), (w, tau) = u, v
     parts = tuple(T.mul(t[j], w[sig[j]]) for j in range(len(t)))
     return (parts, compose(sig, tau))
@@ -114,7 +116,7 @@ def wreath_full_table(T: GroupTable, swap: bool = True) -> GroupTable:
         raise WreathTooLargeError(f"|H| = {n2} exceeds {FULL_ENUM_CAP}")
     d = T.degree
     gens = []
-    for g in (T.elements[i] for i in T.generators):
+    for g in T.elements[T.generators].tolist():
         gens.append(tuple(g) + tuple(d + p for p in range(d)))
         gens.append(tuple(range(d)) + tuple(d + p for p in g))
     if swap:
@@ -129,7 +131,7 @@ def wreath_perm(T: GroupTable, u) -> tuple[int, ...]:
     """Embed an m=2 triple into the block-permutation form of T wr S_2."""
     a, b, k = u
     d = T.degree
-    pa, pb = T.elements[a], T.elements[b]
+    pa, pb = T.elements[a].tolist(), T.elements[b].tolist()
     if k == 0:
         return tuple(pa) + tuple(d + p for p in pb)
     return tuple(d + p for p in pa) + tuple(pb)
@@ -145,7 +147,7 @@ def wreath_triple(T: GroupTable, perm) -> tuple[int, int, int]:
     else:
         pa = tuple(perm[p] - d for p in range(d))
         pb = tuple(perm[d + p] for p in range(d))
-    return (T.index[pa], T.index[pb], k)
+    return (int(T.index(pa)), int(T.index(pb)), k)
 
 
 # -- structured subgroups of H (m = 2) ----------------------------------------
@@ -230,7 +232,7 @@ def _triple_closure(T: GroupTable, gens) -> set:
         nxt = []
         for u in frontier:
             for g in gens:
-                v = w2_mul(T, u, g)
+                v = w2_product(T, u, g)
                 if v not in closed:
                     closed.add(v)
                     nxt.append(v)
@@ -246,7 +248,7 @@ def wreath_members_fingerprint(T: GroupTable, members) -> IsoFingerprint:
     cnt = Counter(w2_order(T, u) for u in members)
     gens = WreathSub2(T, "explicit", explicit=frozenset(members)).generators()
     abelian = all(
-        w2_mul(T, a, b) == w2_mul(T, b, a)
+        w2_product(T, a, b) == w2_product(T, b, a)
         for i, a in enumerate(gens)
         for b in gens[i + 1 :]
     )
@@ -297,21 +299,16 @@ def act_alpha(alpha: AlphaFn, h) -> AlphaFn:
     For h = (x, y) iota: alpha'(t) = alpha(x t^-1 y^-1) ^ (y t)
     """
     T = alpha.T
-    M = T.ensure_mul_table()
     inv = T.inv
     x, y, k = h
     yinv = int(inv[y])
     a = alpha.values
+    t = np.arange(T.order)
     if k == 0:
-        args = M[M[x], yinv]  # (x t) y^-1 over t
-        vals = a[args]
-        conj_y = M[M[yinv], y]  # g -> y^-1 g y
-        return AlphaFn(T, conj_y[vals])
-    args = M[M[x][inv], yinv]  # (x t^-1) y^-1 over t
-    vals = a[args]
-    yt = M[y]  # y t over t
-    out = M[M[inv[yt], vals], yt]
-    return AlphaFn(T, out)
+        vals = a[T.product(x, t, yinv)]  # alpha(x t y^-1) over t
+        return AlphaFn(T, T.product(yinv, vals, y))
+    vals = a[T.product(x, inv, yinv)]  # alpha(x t^-1 y^-1) over t
+    return AlphaFn(T, T.product(inv, yinv, vals, y, t))  # (y t)^-1 vals (y t)
 
 
 @dataclass
@@ -348,16 +345,16 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
     """
     T = alpha.T
     n = T.order
-    M = T.ensure_mul_table()
     inv = T.inv
     a = alpha.values
+    everyone = np.arange(n)
     if alpha.is_identity():
         return StabilizerResult(1, 2 * n * n, None)
     # anchor on the value class c minimizing |alpha^-1(c)| * |C_T(v)|
     cls = np.full(n, -1)
     for v in range(n):
         if cls[v] < 0:
-            cls[M[M[:, v], inv]] = v
+            cls[T.product(everyone, v, inv)] = v
     hits = np.bincount(cls[a], minlength=n)
     present = np.flatnonzero(hits)
     c = present[np.argmin(hits[present] * (n // np.bincount(cls, minlength=n)[present]))]
@@ -367,29 +364,29 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
 
     def exact(xs, ys, ks) -> list[tuple[int, int, int]]:
         for s in anchors:
-            u = np.where(ks == 0, ys, M[ys, s])  # y, resp. y s
-            w = M[M[xs, np.where(ks == 0, s, inv[s])], inv[ys]]
-            keep = a[w] == M[M[u, a[s]], inv[u]]
+            u = np.where(ks == 0, ys, T.product(ys, s))  # y, resp. y s
+            w = T.product(xs, np.where(ks == 0, s, inv[s]), inv[ys])
+            keep = a[w] == T.product(u, a[s], inv[u])
             xs, ys, ks = xs[keep], ys[keep], ks[keep]
         cand = zip(xs.tolist(), ys.tolist(), ks.tolist())
         return [h for h in cand if act_alpha(alpha, h) == alpha]
 
     fiber = np.flatnonzero(a == v0)
     zeros = np.zeros(len(fiber), dtype=np.int64)
-    lam = np.array(sorted(x for x, _, _ in exact(M[fiber, inv[s0]], zeros, zeros)))
+    lam = np.array(sorted(x for x, _, _ in exact(T.product(fiber, inv[s0]), zeros, zeros)))
     # one representative per coset Lambda p inside the fiber of class c
     reps = np.array(engine.coset_representatives(T, Subgroup(T, lam)))
     reps = reps[cls[a[reps]] == c]
     reps = reps[np.argsort(a[reps], kind="stable")]
     rv = a[reps]
-    want = M[M[:, v0], inv]  # y v0 y^-1 over y
+    want = T.product(everyone, v0, inv)  # y v0 y^-1 over y
     parts = []
-    for k, (need, shift) in enumerate(((want, int(inv[s0])), (want[M[:, s0]], s0))):
+    for k, (need, shift) in enumerate(((want, int(inv[s0])), (want[T.product(everyone, s0)], s0))):
         lo = np.searchsorted(rv, need, "left")
         cnt = np.searchsorted(rv, need, "right") - lo
         ys = np.repeat(np.arange(n), cnt)
         ps = reps[np.arange(len(ys)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)]
-        parts.append((M[M[ps, ys], shift], ys, np.full(len(ys), k)))
+        parts.append((T.product(ps, ys, shift), ys, np.full(len(ys), k)))
     found = sorted(exact(*(np.concatenate(z) for z in zip(*parts))), key=lambda h: h[1:])
     count = len(found) * len(lam)
     order_h = 2 * n * n
@@ -397,7 +394,7 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
         raise AssertionError("stabilizer order does not divide |H|")
     members = None
     if collect_members:
-        members = [(x, y, k) for x0, y, k in found for x in sorted(M[lam, x0].tolist())]
+        members = [(x, y, k) for x0, y, k in found for x in sorted(T.product(lam, x0).tolist())]
     return StabilizerResult(order_h // count, count, members)
 
 
@@ -416,32 +413,26 @@ def d_t_cap_L(D: WreathSub2, t) -> list[tuple[int, int]]:
         tinv = w2_inv(T, t)
         for k in (0, 1):
             for x in range(T.order):
-                if D.contains(w2_mul(T, w2_mul(T, t, (x, x, k)), tinv)):
+                if D.contains(w2_product(T, w2_product(T, t, (x, x, k)), tinv)):
                     out.append((x, k))
         return out
     t1, t2, _ = t
-    in1, in2 = _member_mask(D.K1), _member_mask(D.K2)
+    in1, in2 = member_mask(D.K1), member_mask(D.K2)
     shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
     for k, (u1, u2) in enumerate(shapes):
-        mask = in1[_conj_column(T, t1, u1, T._mul)] & in2[_conj_column(T, t2, u2, T._mul)]
+        mask = in1[_conj_column(T, t1, u1)] & in2[_conj_column(T, t2, u2)]
         out += [(int(x), k) for x in np.flatnonzero(mask)]
     return out
 
 
-def _member_mask(K: Subgroup) -> np.ndarray:
-    mask = np.zeros(K.parent.order, dtype=bool)
-    mask[K.members] = True
-    return mask
+def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
+    """u x v^-1 over all x in T."""
+    return T.product(u, np.arange(T.order), T.inv[v])
 
 
-def _conj_column(T: GroupTable, u: int, v: int, M: np.ndarray | None) -> np.ndarray:
-    """u x v^-1 over all x in T, through the mul table M when one is given."""
-    vi = int(T.inv[v])
-    if M is not None:
-        return M[M[u], vi]
-    return np.fromiter(
-        (T.mul(T.mul(u, x), vi) for x in range(T.order)), dtype=np.int64, count=T.order
-    )
+def _is_central(T: GroupTable, eta: int, mem) -> bool:
+    """True iff eta commutes with the T-part of every member (y, k)."""
+    return bool(T.commutes_with(eta, np.array([y for y, _ in mem], dtype=np.int64)).all())
 
 
 def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
@@ -449,7 +440,7 @@ def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
     k-major order; (x,k)(y,l) = (xy, k xor l), so only the T-parts
     constrain commutation."""
     for x, k in sorted(mem, key=lambda u: (u[1], u[0])):
-        if x != T.identity and all(T.mul(x, y) == T.mul(y, x) for (y, _) in mem):
+        if x != T.identity and _is_central(T, x, mem):
             return (x, k)
     return None
 
@@ -465,7 +456,6 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     T = D.T
     if t[2] != 0:
         raise ValueError("use a representative t with trivial swap part")
-    M = T.ensure_mul_table()
     mem = d_t_cap_L(D, t)
     if eta is None:
         found = first_central_eta(T, mem)
@@ -475,7 +465,7 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     elif (
         eta == T.identity
         or not any((eta, k) in set(mem) for k in (0, 1))
-        or not all(T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem)
+        or not _is_central(T, eta, mem)
     ):
         raise NotCentralError("supplied eta is not a central member part")
     inv = T.inv
@@ -488,9 +478,9 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
         # swapped shape gives x in t1^-1 K2 and a = k1 t2 x
         points, vals = [], []
         for u1, u2 in [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]:
-            xs = M[int(inv[u2]), D.K2.members]
-            points.append(M[np.ix_(D.K1.members, M[u1, xs])].ravel())
-            vals.append(np.tile(M[M[inv[xs], eta], xs], D.K1.order))  # x^-1 eta x
+            xs = T.product(inv[u2], D.K2.members)
+            points.append(T.product(D.K1.members[:, None], u1, xs).ravel())
+            vals.append(np.tile(T.product(inv[xs], eta, xs), D.K1.order))  # x^-1 eta x
         points, vals = np.concatenate(points), np.concatenate(vals)
         values[points] = vals
         clash = values[points] != vals
@@ -499,14 +489,14 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
                 f"conflicting values at point {int(points[clash][0])}"
             )
     else:
-        conj_eta = M[M[inv, eta], np.arange(n)]  # x -> x^-1 eta x
+        conj_eta = T.product(inv, eta, np.arange(n))  # x -> x^-1 eta x
         tinv = w2_inv(T, t)
         for a_el in range(n):
             got = set()
             for k in (0, 1):
                 for x in range(n):
                     xi_ = T.inverse(x)
-                    z = w2_mul(T, w2_mul(T, (a_el, 0, 0), (xi_, xi_, k)), tinv)
+                    z = w2_product(T, w2_product(T, (a_el, 0, 0), (xi_, xi_, k)), tinv)
                     if D.contains(z):
                         got.add(int(conj_eta[x]))
             if len(got) > 1:
@@ -656,39 +646,39 @@ def find_witness_t(
 
 def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tuple]]:
     """Members (x, sigma) of (K wr S_m)^t cap L for t = (t_1,...,t_m)."""
-    n = T.order
-    m = len(t_tuple)
-    M = T.ensure_mul_table() if n <= engine.MUL_TABLE_CAP else None
-    inK = _member_mask(K)
+    inK = member_mask(K)
+
+    @functools.cache
+    def in_K(u: int, v: int) -> np.ndarray:
+        # one column per distinct pair: a t-tuple has at most 3 distinct entries
+        return inK[_conj_column(T, u, v)]
+
     out = []
-    for sig in permutations(range(m)):
-        mask = np.ones(n, dtype=bool)
-        for j in range(m):
-            mask &= inK[_conj_column(T, t_tuple[j], t_tuple[sig[j]], M)]
+    for sig in permutations(range(len(t_tuple))):
+        mask = np.ones(T.order, dtype=bool)
+        for j, sj in enumerate(sig):
+            mask &= in_K(t_tuple[j], t_tuple[sj])
             if not mask.any():
                 break
-        for x in np.nonzero(mask)[0]:
-            out.append((int(x), sig))
+        out += [(int(x), sig) for x in np.flatnonzero(mask)]
     return out
 
 
 def _witness_from_tuple(T, K, m, t_tuple, label, index, shift):
     mem = filter_L_members(T, K, t_tuple)
-    # center: (x, sig) commuting with every member in both coordinates
-    cen = []
-    for x, sig in mem:
-        if x == T.identity:
-            continue
-        ok = all(
-            T.mul(x, y) == T.mul(y, x) and compose(sig, tau) == compose(tau, sig)
-            for (y, tau) in mem
-        )
-        if ok:
-            cen.append((x, sig))
-    if not cen:
+    taus = set(tau for _, tau in mem)
+    # the first central (x, sig) in (sig, x) order: it commutes with every
+    # member in both coordinates
+    central = (
+        (x, sig) for x, sig in sorted(mem, key=lambda u: (u[1], u[0]))
+        if x != T.identity
+        and all(compose(sig, tau) == compose(tau, sig) for tau in taus)
+        and _is_central(T, x, mem)
+    )
+    found = next(central, None)
+    if found is None:
         return None
-    cen.sort(key=lambda u: (u[1], u[0]))
-    eta, sig = cen[0]
+    eta, sig = found
     q = T.degree - 1
     cert = SubdegreeCertificate(
         q, m, "lemma-2.6-witness", index**m,
@@ -710,51 +700,32 @@ def check_XY_conditions(
     full scan is kept for cross-validation.
     """
     T = alpha.T
-    M = T.ensure_mul_table()
     a = alpha.values
+    t = np.arange(T.order)
     xs = X.members if full_scan else X.generating_set()
     ys = Y.members if full_scan else Y.generating_set()
     for x in xs:
-        if not np.array_equal(a[M[int(x)]], a):
+        if not np.array_equal(a[T.product(x, t)], a):
             return False
     inv = T.inv
     for y in ys:
-        y = int(y)
-        conj_y = M[M[int(inv[y])], y]
-        if not np.array_equal(a[M[:, y]], conj_y[a]):
+        if not np.array_equal(a[T.product(t, y)], T.product(inv[y], a, y)):
             return False
     return True
 
 
-def check_wreath_conditions(
-    alpha: AlphaFn, K: Subgroup, verify_stabilizer: bool = True
-) -> bool:
+def check_wreath_conditions(alpha: AlphaFn, K: Subgroup) -> bool:
     """True iff alpha is left K-invariant, satisfies the swap symmetry
-    alpha(t) = alpha(t^-1)^t, and is not identically 1.
-
-    When true and K is maximal, the exact stabilizer is cross-checked to be
-    K wr S_2.
-    """
+    alpha(t) = alpha(t^-1)^t, and is not identically 1."""
     T = alpha.T
-    M = T.ensure_mul_table()
-    inv = T.inv
     a = alpha.values
+    t = np.arange(T.order)
     for k in K.generating_set():
-        if not np.array_equal(a[M[int(k)]], a):
+        if not np.array_equal(a[T.product(k, t)], a):
             return False
-    vals = a[inv]
-    arange = np.arange(T.order)
-    rhs = M[M[inv[arange], vals], arange]
-    if not np.array_equal(rhs, a):
+    if not np.array_equal(T.product(T.inv, a[T.inv], t), a):
         return False
-    if alpha.is_identity():
-        return False
-    if verify_stabilizer and engine.is_maximal(T, K):
-        res = stabilizer_subdegree(alpha)
-        expected = set(wreath_sub(K).member_triples())
-        if set(res.members) != expected:
-            raise AssertionError("conditions hold but stabilizer is not K wr S_2")
-    return True
+    return not alpha.is_identity()
 
 
 def propagate_full_invariance(alpha: AlphaFn) -> bool:
@@ -858,9 +829,7 @@ def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
             t_tuple = tuple([T.identity] * (m - 3) + [shift[0], shift[0], shift[1]])
         mem = filter_L_members(T, K, t_tuple)
         eta = int(w["eta"])
-        if eta == T.identity or all(x != eta for (x, _) in mem) or not all(
-            T.mul(eta, y) == T.mul(y, eta) for (y, _) in mem
-        ):
+        if eta == T.identity or all(x != eta for (x, _) in mem) or not _is_central(T, eta, mem):
             raise AssertionError("stored eta is no longer central")
         return index**m
     raise ValueError(f"unknown certificate witness {w!r}")

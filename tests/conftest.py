@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
+from twdeg.engine import compose
 from twdeg.field import Field
 from twdeg.psl import psl_group
 
 _GROUPS = {}
+_TABLES = {}
 
 
 def group_for(q: int):
@@ -14,6 +17,23 @@ def group_for(q: int):
         p, f = factor_prime_power(q)
         _GROUPS[q] = psl_group(Field(p, f))
     return _GROUPS[q]
+
+
+def compose_index(T, i: int, j: int) -> int:
+    """The product of elements i and j by composing their permutation
+    tuples and looking the result up: the reference for T.product."""
+    g, h = (tuple(T.elements[k].tolist()) for k in (i, j))
+    return int(T.index(compose(g, h)))
+
+
+def reference_table(T) -> np.ndarray:
+    """The brute-force n x n multiplication table of a small group, from
+    compose_index; cached per table."""
+    if id(T) not in _TABLES:
+        n = T.order
+        _TABLES[id(T)] = (T, np.array([[compose_index(T, i, j) for j in range(n)]
+                                       for i in range(n)]))
+    return _TABLES[id(T)][1]
 
 
 @pytest.fixture

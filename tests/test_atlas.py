@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import group_for
@@ -38,7 +44,6 @@ def test_named_orders_q8(T8):
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
 def test_maximal_flags_agree(q):
     T = group_for(q)
-    T.ensure_mul_table()
     for label in atlas.LABELS:
         if not atlas.label_exists(q, label):
             continue
@@ -147,6 +152,45 @@ def test_witness_cache_roundtrip(tmp_path, T7):
     with pytest.raises(AssertionError):
         atlas.replay_witness(T7, K, rec_bad)
     assert atlas.cached_witness(records, 7, "3.4", "S4") is None
+
+
+@pytest.mark.parametrize("text", [
+    '[{"q": 7, "label": "S4", "lemma": "3.5a", "element_',  # truncated
+    '{"results": []}\n',  # a report, not a cache
+    '[{"q": 7, "label": "S4"}]\n',  # records without their fields
+])
+def test_witness_cache_rejects_foreign_files(tmp_path, text):
+    path = tmp_path / "cache.json"
+    path.write_text(text)
+    with pytest.raises(atlas.WitnessCacheError, match=str(path)):
+        atlas.load_witness_cache(path)
+
+
+WRITER = """
+import sys
+from twdeg import atlas
+from twdeg.engine import IsoFingerprint
+path, k = sys.argv[1], int(sys.argv[2])
+for i in range(25):
+    w = atlas.IntersectionWitness("3.4", 7, f"w{k}", (i,), IsoFingerprint.cyclic(2), 0)
+    atlas.append_witness_cache(path, w)
+"""
+
+
+def test_witness_cache_concurrent_writers(tmp_path):
+    """Four processes appending 25 records each lose none of them."""
+    path = tmp_path / "cache.json"
+    src = str(Path(atlas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    writers = [subprocess.Popen([sys.executable, "-c", WRITER, str(path), str(k)], env=env)
+               for k in range(4)]
+    for p in writers:
+        assert p.wait(timeout=120) == 0
+    records = atlas.load_witness_cache(path)
+    assert sorted((r["label"], r["element_indices"][0]) for r in records) == sorted(
+        (f"w{k}", i) for k in range(4) for i in range(25)
+    )
+    assert json.loads(path.read_text()) == records
 
 
 def test_deterministic_witness(T7):

@@ -58,16 +58,46 @@ def test_q5_aliased(tmp_path):
     assert any("aliased" in n for n in data["config"]["notes"])
 
 
-def test_bad_q_rejected():
-    with pytest.raises(ValueError):
-        run_cli(["table1", "--q", "6"])
-    with pytest.raises(ValueError):
-        run_cli(["table1", "--q", "3"])
+def assert_usage_error(capsys, argv, message):
+    """The CLI rejects argv with a usage line, status 2 and the message."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: twdeg") and message in err
+    assert "Traceback" not in err
 
 
-def test_unknown_lemma():
-    with pytest.raises(checks.UnknownLemmaError):
-        run_cli(["lemma", "9.99"])
+def test_bad_q_rejected(capsys):
+    assert_usage_error(capsys, ["table1", "--q", "6"], "prime powers >= 4; got [6]")
+    assert_usage_error(capsys, ["table4", "--q", "3"], "prime powers >= 4; got [3]")
+
+
+def test_bad_m_rejected(capsys):
+    assert_usage_error(capsys, ["table1", "--m", "1"], "m values must be >= 2")
+
+
+def test_unknown_lemma(capsys):
+    assert_usage_error(capsys, ["lemma", "9.99"], "invalid choice: '9.99'")
+
+
+def test_unreadable_report_rejected(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert_usage_error(capsys, ["report", "--in", str(missing)], "No such file")
+    text = tmp_path / "text.json"
+    text.write_text("not json\n")
+    assert_usage_error(capsys, ["report", "--in", str(text)], f"report {text} is not JSON")
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]\n")
+    assert_usage_error(capsys, ["report", "--in", str(listing)], "is not a twdeg report")
+
+
+def test_bad_cache_rejected_before_any_check(tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('[{"q": 7, "label": "S4", ')
+    assert_usage_error(capsys, ["lemma", "3.5", "--q", "7", "--cache", str(truncated)],
+                       f"witness cache {truncated} is not JSON")
+    assert "lemma3.5" not in capsys.readouterr().out
 
 
 def test_census_d_filter(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import group_for
+from conftest import compose_index, group_for
 from twdeg import atlas, engine as eng
 from twdeg.engine import IsoFingerprint
 from twdeg.psl import point_stabilizer
@@ -59,7 +59,6 @@ def test_conjugacy_class_sizes(T7, T13):
 def test_class_size_times_centralizer(q):
     """|g^T| * |C_T(g)| = |T| for every element."""
     T = group_for(q)
-    T.ensure_mul_table()
     seen = set()
     for g in range(T.order):
         if g in seen:
@@ -196,7 +195,6 @@ CENSUS_TRUTH = [
 @pytest.mark.parametrize("q,d,expected", CENSUS_TRUTH)
 def test_dihedral_class_census(q, d, expected):
     T = group_for(q)
-    T.ensure_mul_table()
     assert eng.dihedral_class_census(T, d) == expected
 
 
@@ -221,14 +219,76 @@ def test_lagrange_and_closure(T7):
                 assert T7.mul(a, b) in S.member_set
 
 
-def test_mul_table_consistency(T7):
-    M = T7.ensure_mul_table()
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        i, j = int(rng.integers(T7.order)), int(rng.integers(T7.order))
-        assert M[i, j] == T7.index[
-            eng.compose(T7.elements[i], T7.elements[j])
-        ]
+def _check_products(T, i, j):
+    """Scalar, batch and chained products of the pairs (i, j) agree with
+    composing permutation tuples and looking the result up."""
+    ref = np.array([compose_index(T, a, b) for a, b in zip(i.tolist(), j.tolist())])
+    assert np.array_equal(T.product(i, j), ref)
+    pairs = zip(i[:2000].tolist(), j[:2000].tolist())
+    assert [T.mul(a, b) for a, b in pairs] == ref[:2000].tolist()
+    k = np.roll(i, 1)
+    chained = [compose_index(T, ab, c) for ab, c in zip(ref.tolist(), k.tolist())]
+    assert np.array_equal(T.product(i, j, k), chained)
+    # x t y^-1 over all t, the shape of act_alpha
+    x, y = int(i[0]), int(j[0])
+    xty = [compose_index(T, compose_index(T, x, t), T.inverse(y)) for t in range(T.order)]
+    assert np.array_equal(T.product(x, np.arange(T.order), T.inv[y]), xty)
+
+
+def _check_lookup(T):
+    """The base-code lookup maps every element back to its BFS index."""
+    assert np.array_equal(T.index(T.elements), np.arange(T.order))
+    assert np.array_equal(T.product(T.inv, np.arange(T.order)), np.zeros(T.order))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_products_match_reference_all_pairs(q):
+    T = group_for(q)
+    _check_lookup(T)
+    assert len(T.base) == 3
+    i, j = np.divmod(np.arange(T.order**2), T.order)
+    _check_products(T, i, j)
+
+
+def test_products_match_reference_q23():
+    T = group_for(23)
+    _check_lookup(T)
+    rng = np.random.default_rng(23)
+    _check_products(T, rng.integers(0, T.order, 20_000), rng.integers(0, T.order, 20_000))
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_products_match_reference_wreath_q4(T4, swap):
+    """T wr S_2 and T x T at q = 4: three base points per block, and the
+    10^6-entry code lookup in the smallest dtype that holds the indices."""
+    from twdeg import wreath as wr
+
+    H = wr.wreath_full_table(T4, swap=swap)
+    _check_lookup(H)
+    assert len(H.base) == 6 and H._code_index.size == 10**6
+    assert H._code_index.dtype == np.int16
+    rng = np.random.default_rng(7)
+    _check_products(H, rng.integers(0, H.order, 20_000), rng.integers(0, H.order, 20_000))
+
+
+def test_p1_product_memory_q23(monkeypatch):
+    """PSL(2,23) and its P1 x P1 coset function, built and scanned exactly,
+    stay far below an n x n table (147 MB at n = 6072)."""
+    import tracemalloc
+
+    from twdeg import checks
+    from twdeg.field import Field
+    from twdeg.psl import psl_group
+
+    monkeypatch.setattr(checks, "_CTX", {})
+    tracemalloc.start()
+    try:
+        psl_group(Field(23, 1))
+        assert checks.ctx_p1_product(23)[3] == 2 * 24**2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_subgroup_conjugates(T7):

@@ -19,7 +19,6 @@ from twdeg.engine import IsoFingerprint
 
 def all_proper_subgroups(T):
     """The full subgroup lattice, by closing cyclic joins."""
-    T.ensure_mul_table()
     cyclics = {}
     for g in range(1, T.order):
         S = eng.generate(T, [g])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import group_for
@@ -64,8 +65,8 @@ def test_inversion_perm_gf4():
 def test_bfs_determinism():
     a = psl_group(Field(7, 1))
     b = psl_group(Field(7, 1))
-    assert a.elements == b.elements
-    assert a.elements[0] == eng.identity_perm(8)
+    assert np.array_equal(a.elements, b.elements)
+    assert tuple(a.elements[0].tolist()) == eng.identity_perm(8)
 
 
 @pytest.mark.parametrize("q", ALL_Q)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import group_for
+from conftest import group_for, reference_table
 from twdeg import atlas, engine as eng, wreath as wr
-from twdeg.checks import factor_prime_power
 from twdeg.engine import IsoFingerprint
-from twdeg.field import Field
-from twdeg.psl import point_stabilizer, psl_group
+from twdeg.psl import point_stabilizer
 
 
 # -- multiplication conventions ---------------------------------------------------
@@ -15,7 +13,7 @@ from twdeg.psl import point_stabilizer, psl_group
 def test_swap_conjugation(T4):
     c, d = 3, 7
     iota = (0, 0, 1)
-    out = wr.w2_mul(T4, wr.w2_mul(T4, iota, (c, d, 0)), iota)
+    out = wr.w2_product(T4, wr.w2_product(T4, iota, (c, d, 0)), iota)
     assert out == (d, c, 0)
 
 
@@ -27,8 +25,8 @@ def test_w2_associative_random(T4):
             (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
             for _ in range(3)
         )
-        lhs = wr.w2_mul(T4, wr.w2_mul(T4, u, v), w)
-        rhs = wr.w2_mul(T4, u, wr.w2_mul(T4, v, w))
+        lhs = wr.w2_product(T4, wr.w2_product(T4, u, v), w)
+        rhs = wr.w2_product(T4, u, wr.w2_product(T4, v, w))
         assert lhs == rhs
 
 
@@ -37,7 +35,7 @@ def test_w2_inverse(T4):
     n = T4.order
     for _ in range(100):
         u = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        assert wr.w2_mul(T4, u, wr.w2_inv(T4, u)) == wr.w2_identity()
+        assert wr.w2_product(T4, u, wr.w2_inv(T4, u)) == wr.w2_identity()
 
 
 def test_wm_matches_w2(T4):
@@ -48,8 +46,8 @@ def test_wm_matches_w2(T4):
     for _ in range(100):
         a, b, c, d = (int(x) for x in rng.integers(0, n, 4))
         k, l = int(rng.integers(2)), int(rng.integers(2))
-        u2 = wr.w2_mul(T4, (a, b, k), (c, d, l))
-        um = wr.wm_mul(T4, ((a, b), swap if k else ident), ((c, d), swap if l else ident))
+        u2 = wr.w2_product(T4, (a, b, k), (c, d, l))
+        um = wr.wm_product(T4, ((a, b), swap if k else ident), ((c, d), swap if l else ident))
         assert um[0] == (u2[0], u2[1])
         assert (um[1] == swap) == (u2[2] == 1)
 
@@ -65,8 +63,9 @@ def test_wm_associative_m3(T4):
             parts = tuple(int(x) for x in rng.integers(0, n, 3))
             els.append((parts, sigmas[int(rng.integers(6))]))
         u, v, w = els
-        assert wr.wm_mul(T4, wr.wm_mul(T4, u, v), w) == wr.wm_mul(T4, u, wr.wm_mul(T4, v, w))
-        assert wr.wm_mul(T4, u, wr.wm_inv(T4, u))[0] == (0, 0, 0)
+        lhs = wr.wm_product(T4, wr.wm_product(T4, u, v), w)
+        assert lhs == wr.wm_product(T4, u, wr.wm_product(T4, v, w))
+        assert wr.wm_product(T4, u, wr.wm_inv(T4, u))[0] == (0, 0, 0)
 
 
 def test_full_table_guard():
@@ -88,7 +87,6 @@ def test_full_table_q4(T4):
 def test_conjugate_structure_m3(T4):
     """(K wr S_3)^t cap L for t = (1,1,s) is (K cap K^s) x S_2 shaped."""
     K = point_stabilizer(T4, 4)
-    T4.ensure_mul_table()
     s = next(g for g in range(T4.order) if g not in K.member_set)
     mem = wr.filter_L_members(T4, K, (0, 0, s))
     I = eng.intersect(K, K.conjugate(s))
@@ -100,14 +98,13 @@ def test_conjugate_structure_m3(T4):
 # -- the alpha action ---------------------------------------------------------------
 
 def direct_act(T, alpha, h):
-    vals = [alpha.evaluate(wr.w2_mul(T, h, (t, 0, 0))) for t in range(T.order)]
+    vals = [alpha.evaluate(wr.w2_product(T, h, (t, 0, 0))) for t in range(T.order)]
     return wr.AlphaFn(T, np.array(vals, dtype=np.int64))
 
 
 @pytest.mark.parametrize("q", [4, 5])
 def test_act_matches_direct(q):
     T = group_for(q)
-    T.ensure_mul_table()
     rng = np.random.default_rng(q)
     n = T.order
     for _ in range(25):
@@ -129,7 +126,6 @@ def test_act_identity_and_trivial(T7):
 @given(st.data())
 def test_action_axiom_hypothesis(data):
     T = group_for(4)
-    T.ensure_mul_table()
     n = T.order
     seed = data.draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
@@ -138,7 +134,7 @@ def test_action_axiom_hypothesis(data):
           data.draw(st.integers(0, 1)))
     h2 = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)),
           data.draw(st.integers(0, 1)))
-    lhs = wr.act_alpha(alpha, wr.w2_mul(T, h1, h2))
+    lhs = wr.act_alpha(alpha, wr.w2_product(T, h1, h2))
     rhs = wr.act_alpha(wr.act_alpha(alpha, h1), h2)
     assert lhs == rhs
 
@@ -147,7 +143,6 @@ def test_action_axiom_hypothesis(data):
 def test_twisted_equivariance(q):
     """f built from alpha satisfies f(z*ell) = f(z)^phi(ell) across H x L."""
     T = group_for(q)
-    T.ensure_mul_table()
     rng = np.random.default_rng(q + 100)
     n = T.order
     alpha = wr.random_alpha(T, rng)
@@ -158,15 +153,16 @@ def test_twisted_equivariance(q):
             z = (a, b, k)
             fz = alpha.evaluate(z)
             for ell in ells:
-                assert alpha.evaluate(wr.w2_mul(T, z, ell)) == T.conj(fz, ell[0])
+                assert alpha.evaluate(wr.w2_product(T, z, ell)) == T.conj(fz, ell[0])
 
 
 # -- stabilizers --------------------------------------------------------------------
 
 def naive_stab(T, alpha):
     """Every h = (x, y, k) of H with f^h = f: the two formulas of act_alpha
-    evaluated for all x at once, over all y and k."""
-    M = T.ensure_mul_table()
+    evaluated for all x at once, over all y and k, through the brute-force
+    multiplication table."""
+    M = reference_table(T)
     inv = T.inv
     a = alpha.values
     members = []
@@ -287,19 +283,15 @@ def test_coset_fn_explicit_matches_structured(T4, T7):
 
 @pytest.mark.parametrize("q", [4, 7])
 def test_d_t_cap_L_explicit_matches_structured(q):
-    """Structured masks agree with the explicit member test, both before and
-    after the group has a mul table."""
-    T = psl_group(Field(*factor_prime_power(q)))  # fresh: no mul table yet
+    """Structured masks agree with the explicit member test."""
+    T = group_for(q)
     P1 = point_stabilizer(T, q)
     K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
     rng = np.random.default_rng(q)
     shifts = [(0, 0)] + [tuple(int(s) for s in rng.integers(0, T.order, 2)) for _ in range(4)]
-    for with_table in (False, True):
-        assert (T._mul is not None) == with_table
-        for D in (wr.product_sub(P1, P1), wr.wreath_sub(K), wr.product_sub(P1, K)):
-            for t1, t2 in shifts:
-                assert wr.d_t_cap_L(D, (t1, t2, 0)) == wr.d_t_cap_L(_explicit(D), (t1, t2, 0))
-        T.ensure_mul_table()
+    for D in (wr.product_sub(P1, P1), wr.wreath_sub(K), wr.product_sub(P1, K)):
+        for t1, t2 in shifts:
+            assert wr.d_t_cap_L(D, (t1, t2, 0)) == wr.d_t_cap_L(_explicit(D), (t1, t2, 0))
 
 
 def test_coset_fn_bad_eta(T7):
@@ -389,11 +381,14 @@ def test_check_wreath_conditions(T7):
     alpha_h, _, _ = wr.build_centralizer_fn(T7, gamma, 2)
     C = eng.centralizer(T7, gamma)
     assert wr.check_wreath_conditions(alpha_h, C)
-    assert not wr.check_wreath_conditions(wr.identity_alpha(T7), C, verify_stabilizer=False)
+    # the conditions hold and the exact stabilizer is C wr S_2
+    members = wr.stabilizer_subdegree(alpha_h).members
+    assert set(members) == set(wr.wreath_sub(C).member_triples())
+    assert not wr.check_wreath_conditions(wr.identity_alpha(T7), C)
     P1 = point_stabilizer(T7, 7)
     s = next(g for g in range(T7.order) if g not in P1.member_set)
     alpha_g = wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))
-    assert not wr.check_wreath_conditions(alpha_g, P1, verify_stabilizer=False)
+    assert not wr.check_wreath_conditions(alpha_g, P1)
 
 
 def test_propagate_full_invariance(T4):
@@ -470,7 +465,6 @@ def test_p1_product_stabilizer_exact(q):
     """For q even or q = 3 mod 4, every function built over P1 x P1 has
     stabilizer exactly P1 x P1 (checked across several shift choices)."""
     T = group_for(q)
-    T.ensure_mul_table()
     P1 = point_stabilizer(T, q)
     D = wr.product_sub(P1, P1)
     expected = set(D.member_triples())
@@ -506,14 +500,14 @@ def test_w2_associative_exhaustive_tiny(T4):
     for u in subset:
         for v in subset:
             for w in subset:
-                assert wr.w2_mul(T4, wr.w2_mul(T4, u, v), w) == wr.w2_mul(
-                    T4, u, wr.w2_mul(T4, v, w)
+                assert wr.w2_product(T4, wr.w2_product(T4, u, v), w) == wr.w2_product(
+                    T4, u, wr.w2_product(T4, v, w)
                 )
     # closure sanity: products stay inside
     tset = set(triples)
     for u in triples:
         for v in triples[::7]:
-            assert wr.w2_mul(T4, u, v) in tset
+            assert wr.w2_product(T4, u, v) in tset
 
 
 def test_replay_p1_product_certificate(T7):
