@@ -46,13 +46,6 @@ def compose(g: Perm, h: Perm) -> Perm:
     return tuple(h[x] for x in g)
 
 
-def perm_inverse(g: Perm) -> Perm:
-    out = [0] * len(g)
-    for i, x in enumerate(g):
-        out[x] = i
-    return tuple(out)
-
-
 def _greedy_base(elements: np.ndarray) -> list[int]:
     """Points, in order, each splitting some set of elements that agree on
     the points before it, until the base images separate all elements.
@@ -84,11 +77,12 @@ class GroupTable:
         self.base = _greedy_base(elements)
         self._flat = elements.ravel()
         self._base_columns = np.ascontiguousarray(elements[:, self.base].T)
-        # smallest signed dtype holding every index and the -1 of "no element"
-        self._code_index = np.full(
-            degree ** len(self.base), -1, dtype=np.min_scalar_type(-self.order)
+        # BFS index by base images, one axis per base point, in the smallest
+        # signed dtype holding every index and the -1 of "no element"
+        self._lookup = np.full(
+            (degree,) * len(self.base), -1, dtype=np.min_scalar_type(-self.order)
         )
-        self._code_index[self._code(self._base_columns)] = np.arange(self.order)
+        self._lookup[tuple(self._base_columns)] = np.arange(self.order)
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
 
@@ -123,14 +117,6 @@ class GroupTable:
     def identity(self) -> int:
         return 0
 
-    def _code(self, images) -> np.ndarray:
-        """Code of the base images, one entry of `images` per base point."""
-        *rest, code = images
-        code = np.asarray(code, dtype=np.intp)
-        for img in reversed(rest):
-            code = code * self.degree + img
-        return code
-
     def product(self, *factors) -> np.ndarray:
         """The products f_0 f_1 ... f_k of ints and index arrays broadcast
         together.  Each base point's image under f_0 is carried through the
@@ -140,7 +126,7 @@ class GroupTable:
         for f in rest:
             rows = np.asarray(f, dtype=np.intp) * self.degree
             images = [self._flat[rows + img] for img in images]
-        return self._code_index[self._code(images)].astype(np.int64)
+        return self._lookup[tuple(images)].astype(np.int64)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.product(i, j))
@@ -152,7 +138,7 @@ class GroupTable:
     def index(self, perms) -> np.ndarray:
         """BFS indices of permutations given as rows of point images."""
         rows = np.asarray(perms)
-        found = self._code_index[self._code(rows[..., b] for b in self.base)].astype(np.int64)
+        found = self._lookup[tuple(rows[..., b] for b in self.base)].astype(np.int64)
         if not np.array_equal(self.elements[found], rows):
             raise KeyError("permutation outside the group")
         return found
@@ -162,7 +148,7 @@ class GroupTable:
         if self._inv is None:
             # g^-1 sends b to the point that g sends to b
             images = [np.argmax(self.elements == b, axis=1) for b in self.base]
-            self._inv = self._code_index[self._code(images)].astype(np.int64)
+            self._inv = self._lookup[tuple(images)].astype(np.int64)
         return self._inv
 
     def inverse(self, i: int) -> int:

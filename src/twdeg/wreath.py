@@ -267,9 +267,6 @@ class AlphaFn:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.int64)
 
-    def copy(self) -> "AlphaFn":
-        return AlphaFn(self.T, self.values.copy())
-
     def __eq__(self, other):
         return isinstance(other, AlphaFn) and np.array_equal(self.values, other.values)
 
@@ -432,15 +429,16 @@ def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
 
 def _is_central(T: GroupTable, eta: int, mem) -> bool:
     """True iff eta commutes with the T-part of every member (y, k)."""
-    return bool(T.commutes_with(eta, np.array([y for y, _ in mem], dtype=np.int64)).all())
+    return bool(T.commutes_with(eta, np.unique([y for y, _ in mem])).all())
 
 
 def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
     """First central element (eta, k) of a subgroup of L with eta != 1, in
     k-major order; (x,k)(y,l) = (xy, k xor l), so only the T-parts
     constrain commutation."""
+    parts = np.unique([y for y, _ in mem])
     for x, k in sorted(mem, key=lambda u: (u[1], u[0])):
-        if x != T.identity and _is_central(T, x, mem):
+        if x != T.identity and T.commutes_with(x, parts).all():
             return (x, k)
     return None
 
@@ -666,14 +664,22 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tup
 
 def _witness_from_tuple(T, K, m, t_tuple, label, index, shift):
     mem = filter_L_members(T, K, t_tuple)
-    taus = set(tau for _, tau in mem)
+    parts = np.unique([x for x, _ in mem])
+    taus = sorted({tau for _, tau in mem})
+
+    @functools.cache
+    def central_x(x: int) -> bool:
+        return bool(T.commutes_with(x, parts).all())
+
+    @functools.cache
+    def central_sig(sig: tuple) -> bool:
+        return all(compose(sig, tau) == compose(tau, sig) for tau in taus)
+
     # the first central (x, sig) in (sig, x) order: it commutes with every
     # member in both coordinates
     central = (
         (x, sig) for x, sig in sorted(mem, key=lambda u: (u[1], u[0]))
-        if x != T.identity
-        and all(compose(sig, tau) == compose(tau, sig) for tau in taus)
-        and _is_central(T, x, mem)
+        if x != T.identity and central_sig(sig) and central_x(x)
     )
     found = next(central, None)
     if found is None:

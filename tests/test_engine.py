@@ -265,8 +265,8 @@ def test_products_match_reference_wreath_q4(T4, swap):
 
     H = wr.wreath_full_table(T4, swap=swap)
     _check_lookup(H)
-    assert len(H.base) == 6 and H._code_index.size == 10**6
-    assert H._code_index.dtype == np.int16
+    assert len(H.base) == 6 and H._lookup.size == 10**6
+    assert H._lookup.dtype == np.int16
     rng = np.random.default_rng(7)
     _check_products(H, rng.integers(0, H.order, 20_000), rng.integers(0, H.order, 20_000))
 
