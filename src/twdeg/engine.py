@@ -3,10 +3,10 @@
 A GroupTable stores every element of a finite permutation group as a row of
 point images in a small-int (n, degree) array, in deterministic BFS order
 from a fixed generator list.  A base, a list of points whose images
-determine an element, is chosen greedily, and a dense lookup maps the code
-of an element's base images to its BFS index.  The product g h is then read
-off without a multiplication table: h's row carries g's base images to
-those of g h.  Products broadcast over index arrays, so the algorithms below
+determine an element, is chosen greedily, and a dense lookup with one axis
+per base point maps an element's base images to its BFS index.  The
+product g h is then read off without a multiplication table: h's row
+carries g's base images to those of g h.  Products broadcast over index arrays, so the algorithms below
 work in batches: closures grow a whole BFS level at a time, and
 conjugations, coset labels and commutation tests cover many elements in one
 product.  Subgroups are sorted index lists into their parent table.  All
@@ -76,13 +76,13 @@ class GroupTable:
         self.order = len(elements)
         self.base = _greedy_base(elements)
         self._flat = elements.ravel()
-        self._base_columns = np.ascontiguousarray(elements[:, self.base].T)
+        self._base_columns = tuple(np.ascontiguousarray(elements[:, b]) for b in self.base)
         # BFS index by base images, one axis per base point, in the smallest
         # signed dtype holding every index and the -1 of "no element"
         self._lookup = np.full(
             (degree,) * len(self.base), -1, dtype=np.min_scalar_type(-self.order)
         )
-        self._lookup[tuple(self._base_columns)] = np.arange(self.order)
+        self._lookup[self._base_columns] = np.arange(self.order)
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
 
@@ -121,15 +121,16 @@ class GroupTable:
         """The products f_0 f_1 ... f_k of ints and index arrays broadcast
         together.  Each base point's image under f_0 is carried through the
         later factors by one flat gather from their rows."""
-        first, *rest = factors
-        images = [column[first] for column in self._base_columns]
-        for f in rest:
+        images = [column[factors[0]] for column in self._base_columns]
+        for f in factors[1:]:
             rows = np.asarray(f, dtype=np.intp) * self.degree
             images = [self._flat[rows + img] for img in images]
         return self._lookup[tuple(images)].astype(np.int64)
 
     def mul(self, i: int, j: int) -> int:
-        return int(self.product(i, j))
+        """product(i, j) for two elements, in fewer numpy calls."""
+        row = int(j) * self.degree
+        return int(self._lookup[tuple(self._flat[row + int(c[i])] for c in self._base_columns)])
 
     def commutes_with(self, x, ys) -> np.ndarray:
         """Mask of the elements ys that commute with x."""
@@ -306,11 +307,11 @@ def _mark_orbit(G: GroupTable, seen: np.ndarray, frontier, gens, cap: int | None
     seen[frontier] = True
     size = np.count_nonzero(seen)
     while len(frontier) and (cap is None or size <= cap):
-        new = np.zeros_like(seen)
+        new = np.zeros(G.order, dtype=bool)
         new[G.product(frontier[:, None], gens)] = True
         new &= ~seen
         seen |= new
-        frontier = np.flatnonzero(new)
+        frontier = new.nonzero()[0]
         size += len(frontier)
     return seen
 

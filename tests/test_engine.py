@@ -236,7 +236,7 @@ def _check_products(T, i, j):
 
 
 def _check_lookup(T):
-    """The base-code lookup maps every element back to its BFS index."""
+    """The base-image lookup maps every element back to its BFS index."""
     assert np.array_equal(T.index(T.elements), np.arange(T.order))
     assert np.array_equal(T.product(T.inv, np.arange(T.order)), np.zeros(T.order))
 
@@ -260,7 +260,7 @@ def test_products_match_reference_q23():
 @pytest.mark.parametrize("swap", [True, False])
 def test_products_match_reference_wreath_q4(T4, swap):
     """T wr S_2 and T x T at q = 4: three base points per block, and the
-    10^6-entry code lookup in the smallest dtype that holds the indices."""
+    10^6-entry lookup in the smallest dtype that holds the indices."""
     from twdeg import wreath as wr
 
     H = wr.wreath_full_table(T4, swap=swap)
