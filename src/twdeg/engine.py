@@ -6,12 +6,13 @@ from a fixed generator list.  A base, a list of points whose images
 determine an element, is chosen greedily, and a dense lookup with one axis
 per base point maps an element's base images to its BFS index.  The
 product g h is then read off without a multiplication table: h's row
-carries g's base images to those of g h.  Products broadcast over index arrays, so the algorithms below
-work in batches: closures grow a whole BFS level at a time, and
-conjugations, coset labels and commutation tests cover many elements in one
-product.  Subgroups are sorted index lists into their parent table.  All
-operations are pure functions over this immutable data; scans over the
-element range can be partitioned freely without changing results.
+carries g's base images to those of g h.  Products broadcast over index
+arrays, so the algorithms below work in batches: closures grow a whole BFS
+level at a time, and conjugations, coset labels and commutation tests cover
+many elements in one product.  Subgroups are sorted index lists into their
+parent table.  All operations are pure functions over this immutable data;
+scans over the element range can be partitioned freely without changing
+results.
 """
 
 from __future__ import annotations
@@ -317,8 +318,11 @@ def _mark_orbit(G: GroupTable, seen: np.ndarray, frontier, gens, cap: int | None
 
 
 def _closure(G: GroupTable, gens, cap: int | None = None) -> np.ndarray:
-    """Membership mask of <gens>; see _mark_orbit for the cap."""
-    return _mark_orbit(G, np.zeros(G.order, dtype=bool), np.array([G.identity]), gens, cap)
+    """Membership mask of <gens>, grown from the identity, the generators and
+    their inverses; see _mark_orbit for the cap."""
+    gens = np.asarray(gens, dtype=np.int64)
+    start = np.concatenate([[G.identity], gens, G.inv[gens]])
+    return _mark_orbit(G, np.zeros(G.order, dtype=bool), start, gens, cap)
 
 
 def generate(parent: GroupTable, gens) -> Subgroup:
