@@ -3,7 +3,7 @@
 Point indexing: i < q is the point [i : 1] (i the field-element encoding),
 index q is the point at infinity [1 : 0].
 
-Elements of T are permutation tuples of the q+1 point indices.  The group is
+Elements of T are permutations of the q+1 point indices.  The group is
 enumerated by breadth-first closure from a fixed generator list, so element
 indices are deterministic: index 0 is the identity, and the BFS visits
 generators in a fixed order with a FIFO queue.

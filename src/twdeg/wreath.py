@@ -432,15 +432,23 @@ def _is_central(T: GroupTable, eta: int, mem) -> bool:
     return bool(T.commutes_with(eta, np.unique([y for y, _ in mem])).all())
 
 
+def _first_central(T: GroupTable, mem, central_sig) -> tuple | None:
+    """First member (x, s) of a subgroup of L, in (s, x) order, with x != 1
+    commuting with every T-part and central_sig(s): (x, s)(y, t) = (xy, st)."""
+    parts = np.unique([y for y, _ in mem])
+    central_x = functools.cache(lambda x: bool(T.commutes_with(x, parts).all()))
+    central = (
+        (x, s) for x, s in sorted(mem, key=lambda u: (u[1], u[0]))
+        if x != T.identity and central_sig(s) and central_x(x)
+    )
+    return next(central, None)
+
+
 def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
     """First central element (eta, k) of a subgroup of L with eta != 1, in
-    k-major order; (x,k)(y,l) = (xy, k xor l), so only the T-parts
-    constrain commutation."""
-    parts = np.unique([y for y, _ in mem])
-    for x, k in sorted(mem, key=lambda u: (u[1], u[0])):
-        if x != T.identity and T.commutes_with(x, parts).all():
-            return (x, k)
-    return None
+    k-major order; the swap bits commute, so only the T-parts constrain
+    commutation."""
+    return _first_central(T, mem, lambda k: True)
 
 
 def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
@@ -664,24 +672,13 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tup
 
 def _witness_from_tuple(T, K, m, t_tuple, label, index, shift):
     mem = filter_L_members(T, K, t_tuple)
-    parts = np.unique([x for x, _ in mem])
     taus = sorted({tau for _, tau in mem})
-
-    @functools.cache
-    def central_x(x: int) -> bool:
-        return bool(T.commutes_with(x, parts).all())
 
     @functools.cache
     def central_sig(sig: tuple) -> bool:
         return all(compose(sig, tau) == compose(tau, sig) for tau in taus)
 
-    # the first central (x, sig) in (sig, x) order: it commutes with every
-    # member in both coordinates
-    central = (
-        (x, sig) for x, sig in sorted(mem, key=lambda u: (u[1], u[0]))
-        if x != T.identity and central_sig(sig) and central_x(x)
-    )
-    found = next(central, None)
+    found = _first_central(T, mem, central_sig)
     if found is None:
         return None
     eta, sig = found

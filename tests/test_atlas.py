@@ -184,8 +184,12 @@ def test_witness_cache_concurrent_writers(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     writers = [subprocess.Popen([sys.executable, "-c", WRITER, str(path), str(k)], env=env)
                for k in range(4)]
-    for p in writers:
-        assert p.wait(timeout=120) == 0
+    try:
+        for p in writers:
+            assert p.wait(timeout=120) == 0
+    finally:
+        for p in writers:
+            p.kill()
     records = atlas.load_witness_cache(path)
     assert sorted((r["label"], r["element_indices"][0]) for r in records) == sorted(
         (f"w{k}", i) for k in range(4) for i in range(25)
