@@ -180,6 +180,8 @@ def ctx_group(q: int) -> engine.GroupTable:
     key = ("T", q)
     if key not in _CTX:
         p, f = factor_prime_power(q)
+        if p**f != q:
+            raise ValueError(f"q = {q} is not a prime power")
         _CTX[key] = psl_group(Field(p, f))
     return _CTX[key]
 
@@ -248,36 +250,25 @@ def class_subdegree(q: int, m: int, gamma_order: int, exact: bool) -> SubdegreeC
 
 
 def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> SubdegreeCertificate:
-    """Certificate from a conjugate-shift witness for K wr S_m; for m = 2 the
+    """Certificate from the Lemma 2.6 witness for K wr S_m; for m = 2 the
     exact stabilizer is computed and asserted to be K wr S_2 when requested.
-    `shifts` restricts the m = 2 witness scan to candidate shifts."""
+    `shifts` restricts the single-shift candidates of the witness search."""
     T = ctx_group(q)
     entry = ctx_atlas(q, label)
     K = entry.subgroup
-    wit = wreath.find_witness_t(T, K, m, label=label, maximal=entry.maximal, shifts=shifts)
-    if wit is None and m == 3:
-        wit = _general_pair_witness(T, K, m, label)
-    if wit is None and m >= 4:
-        trip = atlas.search_triple_intersection(
-            T, K, IsoFingerprint.cyclic(2), kind="4.2", label=label
-        )
-        if isinstance(trip, atlas.IntersectionWitness):
-            wit = wreath.find_witness_t(
-                T, K, m, label=label, maximal=entry.maximal, pair=tuple(trip.elements)
-            )
-    if wit is None:
+    cert = wreath.find_witness_t(T, K, m, label=label, maximal=entry.maximal, shifts=shifts)
+    if cert is None:
         raise atlas.NoWitnessError(f"no central witness for {label} wr S_{m} at q={q}")
     if m == 2 and exact:
         D = wreath.wreath_sub(K)
+        w = cert.witness
         res = wreath.stabilizer_subdegree(
-            wreath.build_coset_fn(D, (0, wit.shift[0], 0), eta=wit.eta)
+            wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
         )
         if set(res.members) != set(D.member_triples()):
             raise AssertionError(f"stabilizer is not {label} wr S_2")
-        return SubdegreeCertificate(
-            q, m, "exact-stabilizer", res.subdegree, dict(wit.certificate.witness)
-        )
-    return wit.certificate
+        return SubdegreeCertificate(q, m, "exact-stabilizer", res.subdegree, dict(w))
+    return cert
 
 
 def subject_subdegree(q: int, m: int, subject, exact: bool) -> SubdegreeCertificate:
@@ -286,19 +277,6 @@ def subject_subdegree(q: int, m: int, subject, exact: bool) -> SubdegreeCertific
     if isinstance(subject, int):
         return class_subdegree(q, m, subject, exact)
     return witness_subdegree(q, m, subject, exact)
-
-
-def _general_pair_witness(T, K, m, label):
-    """Shapes t = (1,...,1,a,b) over coset-representative pairs (m = 3)."""
-    reps = engine.coset_representatives(T, K)
-    index = T.order // K.order
-    for a in reps:
-        for b in reps:
-            t_tuple = tuple([T.identity] * (m - 2) + [a, b])
-            wit = wreath._witness_from_tuple(T, K, m, t_tuple, label, index, (a, b))
-            if wit is not None:
-                return wit
-    return None
 
 
 def _p1_shift(q: int) -> int:
@@ -313,11 +291,9 @@ def p1_product_subdegree(q: int, exact: bool) -> SubdegreeCertificate:
     if exact:
         return ctx_p1_product(q)[2]
     s = _p1_shift(q)
-    mem = wreath.d_t_cap_L(wreath.product_sub(ctx_p1(q), ctx_p1(q)), (0, s, 0))
-    if wreath.first_central_eta(ctx_group(q), mem) is None:
-        raise atlas.NoWitnessError("no central element over P1 x P1")
     return SubdegreeCertificate(
-        q, 2, "lemma-4.3-divisor", 2 * (q + 1) ** 2, {"construction": "p1-product", "shift": [s]}
+        q, 2, "lemma-4.3-divisor", wreath.p1_product_divisor(ctx_p1(q), s),
+        {"construction": "p1-product", "shift": [s]},
     )
 
 
@@ -528,16 +504,16 @@ def t4_q11_a4(p, cfg):
     T = ctx_group(q)
     f_cert = p1_product_subdegree(q, True)
     A4 = ctx_atlas(q, "A4").subgroup
-    wit = wreath.find_witness_t(T, A4, 2, label="A4", maximal=False)
-    if wit is None:
+    cert = wreath.find_witness_t(T, A4, 2, label="A4", maximal=False)
+    if cert is None:
         return "witness", "error: no central element over A4 wr S_2", None
+    w = cert.witness
     D = wreath.wreath_sub(A4)
-    g_res = wreath.stabilizer_subdegree(wreath.build_coset_fn(D, (0, wit.shift[0], 0), eta=wit.eta))
+    alpha = wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
+    g_res = wreath.stabilizer_subdegree(alpha)
     g_cert = SubdegreeCertificate(
         q, 2, "exact-stabilizer", g_res.subdegree,
-        {"construction": "coset-fn", "label": "A4", "shift": list(wit.shift),
-         "eta": wit.eta, "index": T.order // A4.order,
-         "stabilizer_is_wreath": set(g_res.members) == set(D.member_triples())},
+        {**w, "stabilizer_is_wreath": set(g_res.members) == set(D.member_triples())},
     )
     return _pair_result(2 * 12**2, 55**2, f_cert, g_cert)
 

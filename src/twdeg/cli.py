@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, atlas, checks
+from . import __version__, atlas, checks, wreath
 from .checks import CheckResult, RunConfig
 
 
@@ -101,10 +101,13 @@ def write_report(path: str, cfg: RunConfig | None, results: list[CheckResult], f
         p.write_text(json.dumps(results_to_report(cfg, results), indent=2) + "\n")
 
 
+STATUS_TAGS = {"pass": "PASS", "fail": "FAIL", "skipped-long": "SKIP"}
+
+
 def print_results(results: list[CheckResult], stream=None):
     stream = stream or sys.stdout
     for r in results:
-        tag = {"pass": "PASS", "fail": "FAIL", "skipped-long": "SKIP"}[r.status]
+        tag = STATUS_TAGS[r.status]
         line = f"{tag}  {r.check_id}"
         if r.status != "skipped-long":
             line += f"  expected={r.expected}  actual={r.actual}"
@@ -121,54 +124,50 @@ def exit_code(results: list[CheckResult]) -> int:
 
 
 def _replay_result(rec: dict) -> CheckResult | None:
-    """Re-verify any replayable certificate attached to a stored result."""
-    from . import atlas, wreath
-
+    """Re-verify any replayable certificate attached to a stored result; a
+    certificate that does not replay, malformed or not, gives a fail record."""
     wit = rec.get("witness")
     if not isinstance(wit, dict):
         return None
-    certs = []
-    if "kind" in wit and "witness" in wit:
-        certs.append(wit)
-    for key in ("r", "d", "f", "g"):
-        sub = wit.get(key)
-        if isinstance(sub, dict) and "kind" in sub and "witness" in sub:
-            certs.append(sub)
-    if not certs and "element_indices" in wit and "label" in wit:
-        q = int(wit["q"])
-        T = checks.ctx_group(q)
-        K = checks.ctx_atlas(q, wit["label"]).subgroup
-        try:
-            atlas.replay_witness(T, K, wit)
-            return CheckResult(f"replay.{rec['check_id']}", "pass", "reproduced",
-                               "reproduced")
-        except Exception as e:  # noqa: BLE001
-            return CheckResult(f"replay.{rec['check_id']}", "fail", "reproduced",
-                               f"error: {e}")
-    if not certs:
+    certs = [c for c in [wit] + [wit.get(key) for key in ("r", "d", "f", "g")]
+             if isinstance(c, dict) and "kind" in c and "witness" in c]
+    if not certs and not ("element_indices" in wit and "label" in wit):
         return None
-    for c in certs:
-        cert = wreath.SubdegreeCertificate.from_record(c)
-        T = checks.ctx_group(cert.q)
-        try:
-            value = wreath.replay_certificate(cert, T)
-        except Exception as e:  # noqa: BLE001
-            return CheckResult(f"replay.{rec['check_id']}", "fail", str(cert.value),
-                               f"error: {e}")
-        if value != cert.value:
-            return CheckResult(f"replay.{rec['check_id']}", "fail", str(cert.value),
-                               str(value))
-    return CheckResult(f"replay.{rec['check_id']}", "pass", "reproduced", "reproduced")
+    check_id = f"replay.{rec['check_id']}"
+    expected = "reproduced"
+    try:
+        if not certs:
+            q = int(wit["q"])
+            K = checks.ctx_atlas(q, wit["label"]).subgroup
+            atlas.replay_witness(checks.ctx_group(q), K, wit)
+        for c in certs:
+            expected = str(c.get("value"))
+            cert = wreath.SubdegreeCertificate.from_record(c)
+            value = wreath.replay_certificate(cert, checks.ctx_group(cert.q))
+            if value != cert.value:
+                return CheckResult(check_id, "fail", expected, str(value))
+    except Exception as e:  # noqa: BLE001 -- a certificate that does not replay is a record
+        return CheckResult(check_id, "fail", expected, f"error: {e}")
+    return CheckResult(check_id, "pass", "reproduced", "reproduced")
 
 
 def read_report(path: str) -> dict:
-    """A prior JSON report; ValueError when the file holds none."""
+    """A prior JSON report; ValueError when the file holds none, or when a
+    result is not an object with a check id and a known status."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as e:
         raise ValueError(f"report {path} is not JSON: {e}") from e
     if not isinstance(data, dict) or not isinstance(data.get("results", []), list):
         raise ValueError(f"report {path} is not a twdeg report")
+    for rec in data.get("results", []):
+        if not (
+            isinstance(rec, dict)
+            and isinstance(rec.get("check_id"), str)
+            and rec.get("status") in STATUS_TAGS
+            and isinstance(rec.get("runtime_ms", 0.0), (int, float))
+        ):
+            raise ValueError(f"report {path} has a malformed result: {rec!r:.200}")
     return data
 
 

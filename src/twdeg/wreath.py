@@ -14,13 +14,20 @@ names the candidate cosets, so none is missed, and every counted member is
 a product of two elements checked with act_alpha.  The orbit space N is
 never materialized.  For m >= 3 only subdegree certificates are produced,
 from computations inside L (|L| = |T| m!).
+
+The Lemma 2.6 witness for K wr S_m comes from one search for every m,
+find_witness_t, over one candidate order of t: (1,...,1,s) over the coset
+representatives s of K; for m = 3, (1,a,b) over pairs of them; for m >= 6,
+(1,...,1,r,r,s) over pairs; for m >= 4, (1,...,1,r,r,s) from the C2 triple
+intersection.  The first t whose D^t cap L has a central (eta,...,eta)sigma
+with eta != 1 is kept, and replay rebuilds t from the certificate alone.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 
 import numpy as np
@@ -34,7 +41,13 @@ from .engine import (
     intersect,
     member_mask,
 )
-from .atlas import coset_involution_check
+from .atlas import (
+    IntersectionWitness,
+    coset_involution_check,
+    find_named_subgroup,
+    label_maximal,
+    search_triple_intersection,
+)
 from . import engine
 
 FULL_ENUM_CAP = 3_000_000
@@ -427,28 +440,28 @@ def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
     return T.product(u, np.arange(T.order), T.inv[v])
 
 
-def _is_central(T: GroupTable, eta: int, mem) -> bool:
-    """True iff eta commutes with the T-part of every member (y, k)."""
-    return bool(T.commutes_with(eta, np.unique([y for y, _ in mem])).all())
-
-
-def _first_central(T: GroupTable, mem, central_sig) -> tuple | None:
-    """First member (x, s) of a subgroup of L, in (s, x) order, with x != 1
+def _central_members(T: GroupTable, mem, central_sig=lambda s: True):
+    """The members (x, s) of a subgroup of L, in (s, x) order, with x != 1
     commuting with every T-part and central_sig(s): (x, s)(y, t) = (xy, st)."""
     parts = np.unique([y for y, _ in mem])
     central_x = functools.cache(lambda x: bool(T.commutes_with(x, parts).all()))
-    central = (
+    return (
         (x, s) for x, s in sorted(mem, key=lambda u: (u[1], u[0]))
         if x != T.identity and central_sig(s) and central_x(x)
     )
-    return next(central, None)
+
+
+def _central_sigma(mem):
+    """sigma -> whether sigma commutes with the S_m-part of every member."""
+    taus = sorted({tau for _, tau in mem})
+    return functools.cache(lambda sig: all(compose(sig, tau) == compose(tau, sig) for tau in taus))
 
 
 def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
     """First central element (eta, k) of a subgroup of L with eta != 1, in
     k-major order; the swap bits commute, so only the T-parts constrain
     commutation."""
-    return _first_central(T, mem, lambda k: True)
+    return next(_central_members(T, mem), None)
 
 
 def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
@@ -468,11 +481,7 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
         if found is None:
             raise NotCentralError("Z(D^t cap L) has no element with nontrivial part")
         eta = found[0]
-    elif (
-        eta == T.identity
-        or not any((eta, k) in set(mem) for k in (0, 1))
-        or not _is_central(T, eta, mem)
-    ):
+    elif all(x != eta for x, _ in _central_members(T, mem)):
         raise NotCentralError("supplied eta is not a central member part")
     inv = T.inv
     n = T.order
@@ -516,6 +525,16 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
         if act_alpha(alpha, g) != alpha:
             raise AssertionError("D is not contained in the stabilizer")
     return alpha
+
+
+def p1_product_divisor(P1: Subgroup, s: int) -> int:
+    """2|T : P1|^2, which the subdegree of the coset function over P1 x P1
+    at t = (1, s) divides; raises NotCentralError when Z(D^t cap L) gives
+    no such function."""
+    T = P1.parent
+    if first_central_eta(T, d_t_cap_L(product_sub(P1, P1), (0, s, 0))) is None:
+        raise NotCentralError("no central element over P1 x P1")
+    return 2 * (T.order // P1.order) ** 2
 
 
 def build_centralizer_fn(T: GroupTable, gamma: int, m: int = 2):
@@ -580,17 +599,32 @@ class SubdegreeCertificate:
         )
 
 
-@dataclass
-class WitnessT:
-    """A conjugating tuple t with a usable central element in D^t cap L."""
+def witness_candidates(T: GroupTable, K: Subgroup, m: int, shifts=None):
+    """The candidates (shift, t) of the witness search, in order:
+    1. t = (1,...,1,s) over the coset representatives s of K, or `shifts`;
+    2. m = 3: t = (1,a,b) over all pairs of representatives;
+    3. m >= 6: t = (1,...,1,r,r,s) over all pairs of representatives;
+    4. m >= 4: t = (1,...,1,r,r,s) with K cap K^r cap K^s = C2 (Theorem 4.2).
+    `shift` holds the free entries of the shape.  Candidates are made lazily,
+    so a witness found early skips the later searches.
+    """
 
-    q: int
-    m: int
-    label: str
-    shift: tuple[int, ...]  # the nontrivial entries of t = (1,...,1,*)
-    eta: int
-    swap: int | tuple
-    certificate: SubdegreeCertificate
+    def t(*tail):
+        return (T.identity,) * (m - len(tail)) + tail
+
+    for s in engine.coset_representatives(T, K) if shifts is None else shifts:
+        yield (s,), t(s)
+    if m == 3:
+        for a, b in product(engine.coset_representatives(T, K), repeat=2):
+            yield (a, b), t(a, b)
+    if m >= 6:
+        for r, s in product(engine.coset_representatives(T, K), repeat=2):
+            yield (r, s), t(r, r, s)
+    if m >= 4:
+        trip = search_triple_intersection(T, K, IsoFingerprint.cyclic(2))
+        if isinstance(trip, IntersectionWitness):
+            r, s = trip.elements
+            yield (r, s), t(r, r, s)
 
 
 def find_witness_t(
@@ -599,55 +633,25 @@ def find_witness_t(
     m: int,
     label: str = "",
     maximal: bool = True,
-    pair: tuple[int, int] | None = None,
     shifts: list[int] | None = None,
-) -> WitnessT | None:
-    """Scan t = (1,...,1,s) over coset representatives of K for a central
-    element (eta,...,eta)sigma with eta != 1 in Z(D^t cap L), D = K wr S_m.
-    For m = 2 `shifts`, when given, replaces the coset representatives.
-
-    For m >= 6 a pair shape t = (1,...,1,r,r,s) is tried when the single
-    shape fails (or verified directly when the pair is supplied).  Returns
-    None if every candidate is exhausted.
+) -> SubdegreeCertificate | None:
+    """The Lemma 2.6 certificate |T : K|^m from the first candidate t of
+    `witness_candidates` for which D^t cap L, D = K wr S_m, has a central
+    element (eta,...,eta)sigma with eta != 1; None if every candidate fails.
     """
     if maximal and not engine.is_maximal(T, K):
         raise engine.NotMaximalError("K must be maximal in T")
-    q = T.degree - 1
     index = T.order // K.order
-    if m == 2:
-        D = wreath_sub(K)
-        for s in engine.coset_representatives(T, K) if shifts is None else shifts:
-            mem = d_t_cap_L(D, (0, s, 0))
-            found = first_central_eta(T, mem)
-            if found is not None:
-                eta, k = found
-                cert = SubdegreeCertificate(
-                    q, m, "lemma-2.6-witness", index**m,
-                    {"construction": "coset-fn", "label": label, "shift": [s],
-                     "eta": eta, "index": index},
-                )
-                return WitnessT(q, m, label, (s,), eta, k, cert)
-        return None
-    # m >= 3: filter L by vectorized masks per sigma
-    if pair is None:
-        for s in engine.coset_representatives(T, K):
-            t_tuple = tuple([T.identity] * (m - 1) + [s])
-            wit = _witness_from_tuple(T, K, m, t_tuple, label, index, (s,))
-            if wit is not None:
-                return wit
-        if m < 6:
-            return None
-        reps = engine.coset_representatives(T, K)
-        for r in reps:
-            for s in reps:
-                t_tuple = tuple([T.identity] * (m - 3) + [r, r, s])
-                wit = _witness_from_tuple(T, K, m, t_tuple, label, index, (r, s))
-                if wit is not None:
-                    return wit
-        return None
-    r, s = pair
-    t_tuple = tuple([T.identity] * (m - 3) + [r, r, s])
-    return _witness_from_tuple(T, K, m, t_tuple, label, index, (r, s))
+    for shift, t_tuple in witness_candidates(T, K, m, shifts):
+        mem = filter_L_members(T, K, t_tuple)
+        found = next(_central_members(T, mem, _central_sigma(mem)), None)
+        if found is not None:
+            witness = {"construction": "coset-fn", "label": label, "shift": list(shift)}
+            if m > 2:
+                witness["t_tuple"] = list(t_tuple)
+            witness |= {"eta": found[0], "index": index}
+            return SubdegreeCertificate(T.degree - 1, m, "lemma-2.6-witness", index**m, witness)
+    return None
 
 
 def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tuple]]:
@@ -668,27 +672,6 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tup
                 break
         out += [(int(x), sig) for x in np.flatnonzero(mask)]
     return out
-
-
-def _witness_from_tuple(T, K, m, t_tuple, label, index, shift):
-    mem = filter_L_members(T, K, t_tuple)
-    taus = sorted({tau for _, tau in mem})
-
-    @functools.cache
-    def central_sig(sig: tuple) -> bool:
-        return all(compose(sig, tau) == compose(tau, sig) for tau in taus)
-
-    found = _first_central(T, mem, central_sig)
-    if found is None:
-        return None
-    eta, sig = found
-    q = T.degree - 1
-    cert = SubdegreeCertificate(
-        q, m, "lemma-2.6-witness", index**m,
-        {"construction": "coset-fn", "label": label, "shift": list(shift),
-         "t_tuple": list(t_tuple), "eta": eta, "index": index},
-    )
-    return WitnessT(q, m, label, tuple(shift), eta, sig, cert)
 
 
 # -- condition checkers ---------------------------------------------------------
@@ -799,40 +782,29 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
 
 def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
     """Recompute the certified value from the stored witness data."""
-    from .atlas import find_named_subgroup, label_maximal
-
     w = cert.witness
-    if w.get("construction") == "centralizer":
+    construction = w.get("construction")
+    if construction == "centralizer":
         gamma = int(w["gamma"])
         if cert.kind == "exact-stabilizer":
             return build_centralizer_fn(T, gamma, 2)[1].subdegree
         return (T.order // centralizer(T, gamma).order) ** cert.m
-    construction = w.get("construction")
     if construction in ("coset-fn", "p1-product"):
         K = find_named_subgroup(T, w.get("label", "P1")).subgroup
-        index = T.order // K.order
         shift = [int(s) for s in w["shift"]]
         D = wreath_sub(K) if construction == "coset-fn" else product_sub(K, K)
         if cert.kind == "exact-stabilizer":
             alpha = build_coset_fn(D, (0, shift[0], 0), eta=w.get("eta"))
             return stabilizer_subdegree(alpha, collect_members=False).subdegree
         if construction == "p1-product":
-            # divisor certificate: the coset function over P1 x P1 exists
-            if first_central_eta(T, d_t_cap_L(D, (0, shift[0], 0))) is None:
-                raise AssertionError("stored shift no longer yields a central element")
-            return 2 * index**2
+            return p1_product_divisor(K, shift[0])
         if not label_maximal(cert.q, w["label"]):
             raise AssertionError(f"Lemma 2.6 needs {w['label']} maximal at q = {cert.q}")
         m = cert.m
-        if "t_tuple" in w:
-            t_tuple = tuple(int(x) for x in w["t_tuple"])
-        elif len(shift) == 1:
-            t_tuple = tuple([T.identity] * (m - 1) + [shift[0]])
-        else:
-            t_tuple = tuple([T.identity] * (m - 3) + [shift[0], shift[0], shift[1]])
+        t_tuple = tuple(int(x) for x in w["t_tuple"]) if m > 2 else (T.identity, shift[0])
         mem = filter_L_members(T, K, t_tuple)
         eta = int(w["eta"])
-        if eta == T.identity or all(x != eta for (x, _) in mem) or not _is_central(T, eta, mem):
+        if all(x != eta for x, _ in _central_members(T, mem, _central_sigma(mem))):
             raise AssertionError("stored eta is no longer central")
-        return index**m
+        return (T.order // K.order) ** m
     raise ValueError(f"unknown certificate witness {w!r}")

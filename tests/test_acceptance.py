@@ -74,8 +74,8 @@ def test_criterion_3_exact_subdegrees_q7():
     D = wr.product_sub(P1, P1)
     res_g = wr.stabilizer_subdegree(wr.build_coset_fn(D, (0, s, 0)))
     S4 = atlas.find_named_subgroup(T, "S4").subgroup
-    wit = wr.find_witness_t(T, S4, 2, label="S4")
-    alpha = wr.build_coset_fn(wr.wreath_sub(S4), (0, wit.shift[0], 0), eta=wit.eta)
+    wit = wr.find_witness_t(T, S4, 2, label="S4").witness
+    alpha = wr.build_coset_fn(wr.wreath_sub(S4), (0, wit["shift"][0], 0), eta=wit["eta"])
     res_s4 = wr.stabilizer_subdegree(alpha)
     ok = (
         res_inv.subdegree == 441
@@ -97,8 +97,8 @@ def test_criterion_4_exact_subdegrees_q11():
     T = group_for(11)
     P1 = point_stabilizer(T, 11)
     A5 = atlas.find_named_subgroup(T, "A5").subgroup
-    wit = wr.find_witness_t(T, A5, 2, label="A5")
-    alpha = wr.build_coset_fn(wr.wreath_sub(A5), (0, wit.shift[0], 0), eta=wit.eta)
+    wit = wr.find_witness_t(T, A5, 2, label="A5").witness
+    alpha = wr.build_coset_fn(wr.wreath_sub(A5), (0, wit["shift"][0], 0), eta=wit["eta"])
     r1 = wr.stabilizer_subdegree(alpha).subdegree
     _, res11, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(11)[0]), 2)
     s = next(g for g in range(T.order) if g not in P1.member_set)

@@ -292,3 +292,62 @@ def test_report_replay_rejects_lemma_2_6_over_non_maximal(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["report", "--in", str(out), "--replay"]) == 1
     assert "FAIL  replay.table4.q11.pair3" in capsys.readouterr().out
+
+
+def _replay_results(tmp_path, capsys, *results):
+    """(exit status, stdout) of `report --replay` over a report holding
+    the given result records."""
+    path = tmp_path / "synthetic.json"
+    path.write_text(json.dumps({"version": "0.1.0", "config": {}, "results": list(results)}))
+    capsys.readouterr()
+    rc = run_cli(["report", "--in", str(path), "--replay"])
+    return rc, capsys.readouterr().out
+
+
+def test_report_replay_fails_witness_for_absent_label(tmp_path, capsys):
+    """A5 does not occur in PSL(2,7): the stored intersection witness fails."""
+    rec = {"check_id": "lemma3.4.q7", "status": "pass", "expected": "witness",
+           "actual": "witness",
+           "witness": {"q": 7, "label": "A5", "lemma": "3.4", "element_indices": [1],
+                       "fingerprint": "C2"}}
+    rc, out = _replay_results(tmp_path, capsys, rec)
+    assert rc == 1
+    assert "FAIL  replay.lemma3.4.q7  expected=reproduced  actual=error: A5 does not occur" in out
+
+
+def test_report_replay_fails_non_decimal_value(tmp_path, capsys):
+    cert = {"q": 7, "m": 2, "kind": "lemma-2.10-class", "value": "abc",
+            "witness": {"construction": "centralizer", "gamma": 1}}
+    rec = {"check_id": "synthetic.class", "status": "pass", "witness": cert}
+    rc, out = _replay_results(tmp_path, capsys, rec)
+    assert rc == 1
+    assert "FAIL  replay.synthetic.class  expected=abc  actual=error: invalid literal" in out
+
+
+def test_report_rejects_malformed_result(tmp_path, capsys):
+    """A result that is not an object with a check id and a known status is
+    a usage error, not a traceback."""
+    for bad in ({"status": "pass"}, {"check_id": "x"}, {"check_id": "x", "status": "ok"},
+                {"check_id": "x", "status": "pass", "runtime_ms": "abc"}, 5):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"results": [bad]}))
+        assert_usage_error(capsys, ["report", "--in", str(path), "--replay"],
+                           f"report {path} has a malformed result")
+
+
+def test_ctx_group_rejects_non_prime_power(tmp_path, capsys):
+    """q = 12 would factor as 2^2 and replay against PSL(2,4), where the
+    forged class power 225 = 15^2 would pass."""
+    with pytest.raises(ValueError, match="q = 12 is not a prime power"):
+        checks.ctx_group(12)
+    gamma = int(checks.ctx_group(4).elements_of_order(2)[0])
+    cert = {"q": 12, "m": 2, "kind": "lemma-2.10-class", "value": "225",
+            "witness": {"construction": "centralizer", "gamma": gamma}}
+    rc, out = _replay_results(tmp_path, capsys,
+                              {"check_id": "synthetic.q12", "status": "pass", "witness": cert})
+    assert rc == 1
+    assert "FAIL  replay.synthetic.q12  expected=225  actual=error: q = 12 is not a prime power" in out
+    cert["q"] = 4  # the same record at q = 4 replays
+    rc, out = _replay_results(tmp_path, capsys,
+                              {"check_id": "synthetic.q4", "status": "pass", "witness": cert})
+    assert rc == 0 and "PASS  replay.synthetic.q4" in out

@@ -205,8 +205,8 @@ def _stabilizer_cases(T, q):
     s = next(g for g in range(T.order) if g not in P1.member_set)
     cases.append(wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0)))
     K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
-    wit = wr.find_witness_t(T, K, 2, maximal=False)
-    cases.append(wr.build_coset_fn(wr.wreath_sub(K), (0, wit.shift[0], 0), eta=wit.eta))
+    wit = wr.find_witness_t(T, K, 2, maximal=False).witness
+    cases.append(wr.build_coset_fn(wr.wreath_sub(K), (0, wit["shift"][0], 0), eta=wit["eta"]))
     return cases
 
 
@@ -273,11 +273,11 @@ def test_coset_fn_explicit_matches_structured(T4, T7):
     assert wr.build_coset_fn(D, (0, s, 0)) == wr.build_coset_fn(_explicit(D), (0, s, 0))
     # the wreath kind: S4 wr S_2 at q = 7 with its witness shift and eta
     K = atlas.find_named_subgroup(T7, "S4").subgroup
-    wit = wr.find_witness_t(T7, K, 2, label="S4")
+    wit = wr.find_witness_t(T7, K, 2, label="S4").witness
     D = wr.wreath_sub(K)
-    t = (0, wit.shift[0], 0)
-    a1 = wr.build_coset_fn(D, t, eta=wit.eta)
-    assert a1 == wr.build_coset_fn(_explicit(D), t, eta=wit.eta)
+    t = (0, wit["shift"][0], 0)
+    a1 = wr.build_coset_fn(D, t, eta=wit["eta"])
+    assert a1 == wr.build_coset_fn(_explicit(D), t, eta=wit["eta"])
     assert wr.stabilizer_subdegree(a1).subdegree == 49
 
 
@@ -311,10 +311,11 @@ def test_coset_fn_bad_eta(T7):
 
 def test_find_witness_s4_q7(T7):
     K = atlas.find_named_subgroup(T7, "S4").subgroup
-    wit = wr.find_witness_t(T7, K, 2, label="S4")
-    assert wit is not None
-    assert wit.certificate.value == 49
-    alpha = wr.build_coset_fn(wr.wreath_sub(K), (0, wit.shift[0], 0), eta=wit.eta)
+    cert = wr.find_witness_t(T7, K, 2, label="S4")
+    assert cert is not None
+    assert cert.value == 49
+    wit = cert.witness
+    alpha = wr.build_coset_fn(wr.wreath_sub(K), (0, wit["shift"][0], 0), eta=wit["eta"])
     res = wr.stabilizer_subdegree(alpha)
     assert res.subdegree == 49
     assert set(res.members) == set(wr.wreath_sub(K).member_triples())
@@ -329,23 +330,28 @@ def test_find_witness_requires_maximal(T7):
 
 def test_find_witness_p1_m3_q7(T7):
     P1 = point_stabilizer(T7, 7)
-    wit = wr.find_witness_t(T7, P1, 3, label="P1")
-    assert wit is not None and wit.certificate.value == 8**3
+    cert = wr.find_witness_t(T7, P1, 3, label="P1")
+    assert cert is not None and cert.value == 8**3
 
 
 def test_find_witness_a5_q11_m6_pair(T11):
     K = atlas.find_named_subgroup(T11, "A5").subgroup
     trip = atlas.search_triple_intersection(T11, K, IsoFingerprint.cyclic(2))
-    wit = wr.find_witness_t(T11, K, 6, label="A5", pair=tuple(trip.elements))
-    assert wit is not None
-    assert wit.certificate.value == 11**6
+    cert = wr.find_witness_t(T11, K, 6, label="A5")
+    assert cert is not None
+    assert cert.value == 11**6
+    assert cert.witness["shift"] == list(trip.elements)
 
 
 def test_find_witness_a5_q11_m3_singles_fail(T11):
-    """Single-shift scans fail at q=11 (all pairwise intersections are
-    centerless), so the plain search returns nothing for m=3."""
+    """Single-shift candidates fail at q=11 (all pairwise intersections are
+    centerless), so the m=3 witness has the shape t = (1,a,b): a single-shift
+    witness would have been returned first."""
     K = atlas.find_named_subgroup(T11, "A5").subgroup
-    assert wr.find_witness_t(T11, K, 3, label="A5") is None
+    cert = wr.find_witness_t(T11, K, 3, label="A5")
+    assert cert is not None and cert.value == 11**3
+    a, b = cert.witness["shift"]
+    assert cert.witness["t_tuple"] == [T11.identity, a, b]
 
 
 def test_check_xy_conditions(T7):
@@ -431,8 +437,8 @@ def test_subdegree_divisible_by_maximal_index(T7):
         wr.build_centralizer_fn(T7, int(T7.elements_of_order(7)[0]), 2)[1].subdegree,
     ]
     K = atlas.find_named_subgroup(T7, "S4").subgroup
-    wit = wr.find_witness_t(T7, K, 2, label="S4")
-    alpha = wr.build_coset_fn(wr.wreath_sub(K), (0, wit.shift[0], 0), eta=wit.eta)
+    wit = wr.find_witness_t(T7, K, 2, label="S4").witness
+    alpha = wr.build_coset_fn(wr.wreath_sub(K), (0, wit["shift"][0], 0), eta=wit["eta"])
     subdegrees.append(wr.stabilizer_subdegree(alpha).subdegree)
     for d in subdegrees:
         assert any(d % ix == 0 for ix in indices), (d, indices)
@@ -450,11 +456,11 @@ def test_certificate_roundtrip(T7):
 
 def test_certificate_replay_witness(T11):
     K = atlas.find_named_subgroup(T11, "A5").subgroup
-    wit = wr.find_witness_t(T11, K, 2, label="A5")
-    val = wr.replay_certificate(wit.certificate, T11)
+    cert = wr.find_witness_t(T11, K, 2, label="A5")
+    val = wr.replay_certificate(cert, T11)
     assert val == 121
     # corrupting the stored central element breaks the replay
-    bad = wr.SubdegreeCertificate.from_record(wit.certificate.to_record())
+    bad = wr.SubdegreeCertificate.from_record(cert.to_record())
     bad.witness["eta"] = 0
     with pytest.raises(AssertionError):
         wr.replay_certificate(bad, T11)
@@ -526,5 +532,34 @@ def test_find_witness_a5_q11_m45(T11, m, value):
     """The repeated-shift shape also succeeds for the intermediate arities."""
     K = atlas.find_named_subgroup(T11, "A5").subgroup
     trip = atlas.search_triple_intersection(T11, K, eng.IsoFingerprint.cyclic(2))
-    wit = wr.find_witness_t(T11, K, m, label="A5", pair=tuple(trip.elements))
-    assert wit is not None and wit.certificate.value == value
+    cert = wr.find_witness_t(T11, K, m, label="A5")
+    assert cert is not None and cert.value == value
+    assert cert.witness["shift"] == list(trip.elements)
+
+
+@pytest.mark.parametrize("q", [4, 7, 11])
+def test_m2_witness_equivalence(q):
+    """At m = 2 the general search equals the d_t_cap_L scan: for every
+    maximal atlas label and coset representative s, filter_L_members at
+    t = (1, s) with sigma mapped to its swap bit gives the members of
+    d_t_cap_L, and find_witness_t picks the (shift, eta) of a scan over
+    d_t_cap_L and first_central_eta, or finds nothing when that scan does."""
+    T = group_for(q)
+    swap_bit = {(0, 1): 0, (1, 0): 1}
+    labels = [lb for lb in atlas.LABELS
+              if atlas.label_exists(q, lb) and atlas.label_maximal(q, lb)]
+    assert labels
+    for label in labels:
+        K = atlas.find_named_subgroup(T, label).subgroup
+        D = wr.wreath_sub(K)
+        reference = None
+        for s in eng.coset_representatives(T, K):
+            mem = wr.d_t_cap_L(D, (0, s, 0))
+            general = wr.filter_L_members(T, K, (T.identity, s))
+            assert sorted((x, swap_bit[sig]) for x, sig in general) == sorted(mem), (label, s)
+            found = wr.first_central_eta(T, mem)
+            if reference is None and found is not None:
+                reference = ([s], found[0])
+        cert = wr.find_witness_t(T, K, 2, label=label)
+        got = None if cert is None else (cert.witness["shift"], cert.witness["eta"])
+        assert got == reference, label
