@@ -34,6 +34,10 @@ TABLE4_LONG_Q = [29, 59]
 # the long flag (table4 runs its stated default range exactly regardless)
 EXACT_DEFAULT_MAX_Q = 11
 
+# alpha rows acted on or tested at once by the Lemma 5 checks; bounds the
+# (rows, |T|) temporaries of a batch
+ALPHA_CHUNK = 256
+
 LEMMA_IDS = (
     "3.1", "3.3", "3.4", "3.5", "3.6", "4.2-triple", "5-properties",
     "6.1", "6.2", "7.4", "7.8", "obstruction", "dickson-census",
@@ -686,11 +690,9 @@ def lm_xy_conditions(p, cfg):
     full = wreath.check_XY_conditions(alpha, P1, P1, full_scan=True)
     rng = np.random.default_rng(q)
     Tfull = engine.Subgroup(T, range(T.order))
-    none_pass = True
-    for _ in range(50):
-        a = wreath.random_alpha(T, rng)
-        if not a.is_identity() and wreath.check_XY_conditions(a, Tfull, Tfull):
-            none_pass = False
+    alphas = _alpha_rows(T, rng, 50)
+    passing = wreath.check_XY_conditions(alphas, Tfull, Tfull)
+    none_pass = not (passing & (alphas != T.identity).any(axis=1)).any()
     return True, ok and (ok == full) and none_pass, None
 
 
@@ -725,20 +727,41 @@ def lm_obstruction(p, cfg):
     return True, rep.all_pass, witness
 
 
+def _alpha_rows(T: engine.GroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` random alpha value rows, drawn one function at a time."""
+    return np.array([wreath.random_alpha(T, rng).values for _ in range(size)])
+
+
+def _action_samples(T: engine.GroupTable, rng: np.random.Generator, size: int):
+    """`size` samples (alpha, h1, h2) drawn one at a time, each as alpha and
+    then the six ints of h1 and h2: the alpha rows and the two elements as
+    triples of index arrays."""
+    n = T.order
+    alphas = np.empty((size, n), dtype=np.int64)
+    ints = np.empty((size, 6), dtype=np.int64)
+    for i in range(size):
+        alphas[i] = wreath.random_alpha(T, rng).values
+        ints[i] = [rng.integers(n), rng.integers(n), rng.integers(2),
+                   rng.integers(n), rng.integers(n), rng.integers(2)]
+    return alphas, tuple(ints[:, :3].T), tuple(ints[:, 3:].T)
+
+
+def _chunk_sizes(samples: int):
+    """Row counts of the chunks, ALPHA_CHUNK rows at most, covering `samples`."""
+    return (min(ALPHA_CHUNK, samples - start) for start in range(0, samples, ALPHA_CHUNK))
+
+
 @check("lemma5.action-axiom.q{q}", error="True")
 def lm_action_axiom(p, cfg):
     q, samples = p["q"], p["samples"]
     T = ctx_group(q)
-    n = T.order
     rng = np.random.default_rng(12345)
     ok = True
-    for _ in range(samples):
-        alpha = wreath.random_alpha(T, rng)
-        h1 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        h2 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        lhs = wreath.act_alpha(alpha, wreath.w2_product(T, h1, h2))
-        rhs = wreath.act_alpha(wreath.act_alpha(alpha, h1), h2)
-        if lhs != rhs:
+    for size in _chunk_sizes(samples):
+        alphas, h1, h2 = _action_samples(T, rng, size)
+        lhs = wreath.act_alpha_batch(T, alphas, wreath.w2_product(T, h1, h2))
+        rhs = wreath.act_alpha_batch(T, wreath.act_alpha_batch(T, alphas, h1), h2)
+        if not np.array_equal(lhs, rhs):
             ok = False
             break
     return True, ok, {"samples": samples}
@@ -749,33 +772,27 @@ def lm_roundtrip(p, cfg):
     """The alpha formula defines a twisted-equivariant function on all of H."""
     T = ctx_group(p["q"])
     n = T.order
+    inv = T.inv
     rng = np.random.default_rng(99)
     ok = True
     for _ in range(3):
         alpha = wreath.random_alpha(T, rng)
-        ells = [(int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-                for _ in range(8)]
-        ells = [(x, x, k) for (x, _, k) in ells]
-        for a in range(n):
-            for b in (0, int(rng.integers(n))):
-                for k in (0, 1):
-                    z = (a, b, k)
-                    fz = alpha.evaluate(z)
-                    for ell in ells:
-                        lhs = alpha.evaluate(wreath.w2_product(T, z, ell))
-                        rhs = T.conj(fz, ell[0])
-                        if lhs != rhs:
-                            ok = False
+        ells = np.array([(rng.integers(n), rng.integers(n), rng.integers(2)) for _ in range(8)])
+        xs, ks = ells[:, :1], ells[:, 2:]  # ell = (x, x, k), one row each
+        # z = (a, b, k) over a, b in (1, one random b per a), k in (0, 1)
+        bs = np.array([(0, rng.integers(n)) for _ in range(n)])
+        z = (np.repeat(np.arange(n), 4), np.repeat(bs.ravel(), 2), np.tile([0, 1], 2 * n))
+        lhs = alpha.evaluate(wreath.w2_product(T, z, (xs, xs, ks)))
+        ok &= np.array_equal(lhs, T.product(inv[xs], alpha.evaluate(z), xs))
     # direct-action agreement on random group elements
+    alphas, hs = [], []
     for _ in range(20):
-        alpha = wreath.random_alpha(T, rng)
-        h = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        direct = np.array(
-            [alpha.evaluate(wreath.w2_product(T, h, (t, 0, 0))) for t in range(n)],
-            dtype=np.int64,
-        )
-        if not np.array_equal(direct, wreath.act_alpha(alpha, h).values):
-            ok = False
+        alphas.append(wreath.random_alpha(T, rng))
+        hs.append((rng.integers(n), rng.integers(n), rng.integers(2)))
+    acted = wreath.act_alpha_batch(T, np.array([a.values for a in alphas]), np.array(hs).T)
+    t = np.arange(n)
+    for alpha, h, row in zip(alphas, hs, acted):
+        ok &= np.array_equal(alpha.evaluate(wreath.w2_product(T, h, (t, 0, 0))), row)
     return True, ok, None
 
 
@@ -783,19 +800,18 @@ def lm_roundtrip(p, cfg):
 def lm_invariance(p, cfg):
     """Full two-sided invariance forces the identity function."""
     T = ctx_group(p["q"])
-    Tfull = engine.Subgroup(T, range(T.order))
+    n = T.order
+    Tfull = engine.Subgroup(T, range(n))
     rng = np.random.default_rng(7)
     ok = wreath.check_XY_conditions(wreath.identity_alpha(T), Tfull, Tfull)
     ok = ok and wreath.propagate_full_invariance(wreath.identity_alpha(T))
-    for c in range(1, T.order):
-        alpha = wreath.AlphaFn(T, np.full(T.order, c, dtype=np.int64))
-        if wreath.check_XY_conditions(alpha, Tfull, Tfull):
-            ok = False
-    for _ in range(10000):
-        alpha = wreath.random_alpha(T, rng)
-        if wreath.check_XY_conditions(alpha, Tfull, Tfull):
-            if not (wreath.propagate_full_invariance(alpha) and alpha.is_identity()):
-                ok = False
+    constants = np.repeat(np.arange(1, n)[:, None], n, axis=1)
+    ok &= not wreath.check_XY_conditions(constants, Tfull, Tfull).any()
+    for size in _chunk_sizes(10000):
+        alphas = _alpha_rows(T, rng, size)
+        for row in alphas[wreath.check_XY_conditions(alphas, Tfull, Tfull)]:
+            alpha = wreath.AlphaFn(T, row)
+            ok &= wreath.propagate_full_invariance(alpha) and alpha.is_identity()
     return True, ok, None
 
 

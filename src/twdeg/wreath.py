@@ -7,12 +7,17 @@ For m = 2 an element is the compact triple (a, b, k) with k the swap bit.
 A function f in the twisted function space N is represented for m = 2 by
 the array alpha with alpha(t) = f((t, 1)); then
 f((t1,t2)iota^k) = alpha(t1 t2^-1) conjugated by t2, and the H-action
-becomes an action on alpha arrays.  Point stabilizers H_f are computed
-exactly for m = 2 by anchoring on the values of alpha: the members with a
-given (y, k) form one coset of the left stabilizer or none, an anchor value
-names the candidate cosets, so none is missed, and every counted member is
-a product of two elements checked with act_alpha.  The orbit space N is
-never materialized.  For m >= 3 only subdegree certificates are produced,
+becomes an action on alpha arrays, one formula per swap bit.  act_alpha
+applies it to one function; act_alpha_batch applies the same two formulas
+to a (B, n) array of functions, one element per row, and w2_product,
+AlphaFn.evaluate and check_XY_conditions accept index arrays or rows the
+same way.  Point stabilizers H_f are computed exactly for m = 2 by
+anchoring on the values of alpha: the members with a given (y, k) form one
+coset of the left stabilizer or none, an anchor value names the candidate
+cosets, so none is missed, and every counted member is a product of two
+elements checked with act_alpha, one element at a time (at large n a batch
+of survivors costs more time and memory than it saves).  The orbit space N
+is never materialized.  For m >= 3 only subdegree certificates are produced,
 from computations inside L (|L| = |T| m!).
 
 The Lemma 2.6 witness for K wr S_m comes from one search for every m,
@@ -26,8 +31,9 @@ with eta != 1 is kept, and replay rebuilds t from the certificate alone.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import lcm
 
 import numpy as np
@@ -83,11 +89,17 @@ def w2_identity() -> tuple[int, int, int]:
 
 
 def w2_product(T: GroupTable, u, v):
+    """u v for triples of ints, or of ints and index arrays broadcast
+    together."""
     a, b, k = u
     c, d, l = v
-    if k == 0:
-        return (T.mul(a, c), T.mul(b, d), l)
-    return (T.mul(a, d), T.mul(b, c), 1 - l)
+    if not any(isinstance(z, np.ndarray) for z in (*u, *v)):
+        if k == 0:
+            return (T.mul(a, c), T.mul(b, d), l)
+        return (T.mul(a, d), T.mul(b, c), 1 - l)
+    swap = np.asarray(k) == 1
+    return (T.product(a, np.where(swap, d, c)), T.product(b, np.where(swap, c, d)),
+            np.where(swap, 1 - np.asarray(l), l))
 
 
 def w2_inv(T: GroupTable, u):
@@ -256,8 +268,6 @@ def _triple_closure(T: GroupTable, gens) -> set:
 def wreath_members_fingerprint(T: GroupTable, members) -> IsoFingerprint:
     """Fingerprint of a subgroup of T wr S_2 given as a set of triples."""
     members = sorted(members)
-    from collections import Counter
-
     cnt = Counter(w2_order(T, u) for u in members)
     gens = WreathSub2(T, "explicit", explicit=frozenset(members)).generators()
     abelian = all(
@@ -286,10 +296,14 @@ class AlphaFn:
     def is_identity(self) -> bool:
         return bool(np.all(self.values == self.T.identity))
 
-    def evaluate(self, u) -> int:
-        """f at an arbitrary wreath element (a, b, k)."""
+    def evaluate(self, u):
+        """f at a wreath element (a, b, k): alpha(a b^-1) conjugated by b.
+        With index arrays for a and b, f at each of their pairs."""
         T = self.T
-        a, b, k = u
+        a, b, _ = u
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            binv = T.inv[b]
+            return T.product(binv, self.values[T.product(a, binv)], b)
         v = int(self.values[T.mul(a, T.inverse(b))])
         return T.conj(v, b)
 
@@ -307,18 +321,42 @@ def act_alpha(alpha: AlphaFn, h) -> AlphaFn:
 
     For h = (x, y):      alpha'(t) = alpha(x t y^-1) ^ y
     For h = (x, y) iota: alpha'(t) = alpha(x t^-1 y^-1) ^ (y t)
+
+    One element at a time; act_alpha_batch acts on many functions at once
+    through the same two formulas.
     """
-    T = alpha.T
-    inv = T.inv
     x, y, k = h
-    yinv = int(inv[y])
-    a = alpha.values
+    return AlphaFn(alpha.T, _act(alpha.T, alpha.values, x, y, k))
+
+
+def act_alpha_batch(T: GroupTable, values: np.ndarray, h) -> np.ndarray:
+    """act_alpha over a batch: row i of the (B, n) alpha values under the
+    element (x_i, y_i, k_i), with h = (xs, ys, ks) three length-B index
+    arrays.  The rows of each swap bit go through act_alpha's formula."""
+    xs, ys, ks = (np.asarray(z) for z in h)
+    out = np.empty_like(values)
+    for k in (0, 1):
+        rows = np.flatnonzero(ks == k)
+        out[rows] = _act(T, values[rows], xs[rows, None], ys[rows, None], k)
+    return out
+
+
+def _act(T: GroupTable, a: np.ndarray, x, y, k) -> np.ndarray:
+    """The alpha values a, of shape (n,) or (B, n), under (x, y, k): one swap
+    bit k, with x and y ints or (B, 1) columns."""
+    inv = T.inv
+    yinv = inv[y]
     t = np.arange(T.order)
     if k == 0:
-        vals = a[T.product(x, t, yinv)]  # alpha(x t y^-1) over t
-        return AlphaFn(T, T.product(yinv, vals, y))
-    vals = a[T.product(x, inv, yinv)]  # alpha(x t^-1 y^-1) over t
-    return AlphaFn(T, T.product(inv, yinv, vals, y, t))  # (y t)^-1 vals (y t)
+        vals = _gather(a, T.product(x, t, yinv))  # alpha(x t y^-1) over t
+        return T.product(yinv, vals, y)
+    vals = _gather(a, T.product(x, inv, yinv))  # alpha(x t^-1 y^-1) over t
+    return T.product(inv, yinv, vals, y, t)  # (y t)^-1 vals (y t)
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx] for one function; row by row for a batch."""
+    return a[idx] if a.ndim == 1 else np.take_along_axis(a, idx, axis=1)
 
 
 @dataclass
@@ -676,28 +714,30 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tup
 
 # -- condition checkers ---------------------------------------------------------
 
-def check_XY_conditions(
-    alpha: AlphaFn, X: Subgroup, Y: Subgroup, full_scan: bool = False
-) -> bool:
+def check_XY_conditions(alpha, X: Subgroup, Y: Subgroup, full_scan: bool = False):
     """True iff alpha(x t) = alpha(t) for x in X and alpha(t y) = alpha(t)^y
-    for y in Y, i.e. X x Y is inside the stabilizer.
+    for y in Y, i.e. X x Y is inside the stabilizer.  For a (B, n) array of
+    alpha values in place of an AlphaFn, the mask of the rows that qualify.
 
     Generator checks suffice: both conditions compose along products.  The
     full scan is kept for cross-validation.
     """
-    T = alpha.T
-    a = alpha.values
+    T = X.parent
+    a = alpha.values if isinstance(alpha, AlphaFn) else alpha
     t = np.arange(T.order)
     xs = X.members if full_scan else X.generating_set()
     ys = Y.members if full_scan else Y.generating_set()
-    for x in xs:
-        if not np.array_equal(a[T.product(x, t)], a):
-            return False
     inv = T.inv
-    for y in ys:
-        if not np.array_equal(a[T.product(t, y)], T.product(inv[y], a, y)):
-            return False
-    return True
+    conditions = chain(  # (points p, values that alpha must take at p)
+        ((T.product(x, t), a) for x in xs),
+        ((T.product(t, y), T.product(inv[y], a, y)) for y in ys),
+    )
+    ok = np.ones(a.shape[:-1], dtype=bool)
+    for points, values in conditions:
+        ok &= (a[..., points] == values).all(axis=-1)
+        if not ok.any():
+            break
+    return bool(ok) if a.ndim == 1 else ok
 
 
 def check_wreath_conditions(alpha: AlphaFn, K: Subgroup) -> bool:

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from twdeg import checks, cli
+from twdeg import checks, cli, engine, wreath
 from twdeg.checks import RunConfig
 
 
@@ -351,3 +352,93 @@ def test_ctx_group_rejects_non_prime_power(tmp_path, capsys):
     rc, out = _replay_results(tmp_path, capsys,
                               {"check_id": "synthetic.q4", "status": "pass", "witness": cert})
     assert rc == 0 and "PASS  replay.synthetic.q4" in out
+
+
+# -- the Lemma 5 checks cannot pass vacuously -----------------------------------------
+
+def _act_without_conjugation(T, a, x, y, k):
+    """The alpha action with the final conjugation by y (or y t) dropped."""
+    inv = T.inv
+    points = T.product(x, np.arange(T.order), inv[y]) if k == 0 else T.product(x, inv, inv[y])
+    return wreath._gather(a, points)
+
+
+def _unswapped_product(real):
+    """w2_product that multiplies coordinatewise, as if no factor swapped."""
+
+    def product(T, u, v):
+        (a, b, k), (c, d, l) = u, v
+        return real(T, (a, b, 0 * np.asarray(k)), (c, d, l))[:2] + ((np.asarray(k) + l) % 2,)
+
+    return product
+
+
+@pytest.mark.parametrize("fault", ["unswapped-product", "straight-only-batch"])
+def test_action_axiom_fails_on_broken_action(monkeypatch, fault):
+    if fault == "unswapped-product":
+        monkeypatch.setattr(wreath, "w2_product", _unswapped_product(wreath.w2_product))
+    else:
+        real = wreath.act_alpha_batch
+        monkeypatch.setattr(wreath, "act_alpha_batch",
+                            lambda T, v, h: real(T, v, (h[0], h[1], np.zeros_like(h[2]))))
+    res = checks.lm_action_axiom({"q": 7, "samples": 300}, RunConfig())
+    assert (res.status, res.actual) == ("fail", "False")
+
+
+@pytest.mark.parametrize("fault", ["no-conjugation", "unswapped-product"])
+def test_roundtrip_fails_on_broken_action(monkeypatch, fault):
+    if fault == "no-conjugation":
+        monkeypatch.setattr(wreath, "_act", _act_without_conjugation)
+    else:
+        monkeypatch.setattr(wreath, "w2_product", _unswapped_product(wreath.w2_product))
+    res = checks.lm_roundtrip({"q": 4}, RunConfig())
+    assert (res.status, res.actual) == ("fail", "False")
+
+
+def test_roundtrip_fails_on_untwisted_evaluation(monkeypatch):
+    """f((a, b)) = alpha(a b^-1) without the conjugation by b is not
+    twisted-equivariant."""
+    monkeypatch.setattr(wreath.AlphaFn, "evaluate",
+                        lambda self, u: self.values[self.T.product(u[0], self.T.inv[u[1]])])
+    res = checks.lm_roundtrip({"q": 4}, RunConfig())
+    assert (res.status, res.actual) == ("fail", "False")
+
+
+def test_invariance_fails_when_conjugation_rule_dropped(monkeypatch):
+    """Without the condition alpha(t y) = alpha(t)^y every constant function
+    is invariant, and the check must see it."""
+    real = wreath.check_XY_conditions
+    monkeypatch.setattr(wreath, "check_XY_conditions",
+                        lambda alpha, X, Y, full_scan=False: real(
+                            alpha, X, engine.Subgroup(X.parent, [0]), full_scan))
+    res = checks.lm_invariance({"q": 4}, RunConfig())
+    assert (res.status, res.actual) == ("fail", "False")
+
+
+def test_action_axiom_draws_replay_one_at_a_time(monkeypatch):
+    """The chunked draws of the action-axiom check are the samples a scalar
+    loop draws: per sample alpha, then the six ints of h1 and h2."""
+    calls = []
+    real = wreath.act_alpha_batch
+
+    def recording(T, values, h):
+        calls.append((values.copy(), tuple(np.asarray(z).copy() for z in h)))
+        return real(T, values, h)
+
+    monkeypatch.setattr(wreath, "act_alpha_batch", recording)
+    res = checks.lm_action_axiom({"q": 7, "samples": 300}, RunConfig())
+    assert res.status == "pass"
+    assert len(calls) == 3 * 2  # three batch actions per chunk, chunks of 256 and 44
+    # per chunk: alpha under h1 h2, alpha under h1, then alpha^h1 under h2
+    alphas = np.vstack([calls[i + 1][0] for i in (0, 3)])
+    h1 = np.hstack([np.stack(calls[i + 1][1]) for i in (0, 3)]).T
+    h2 = np.hstack([np.stack(calls[i + 2][1]) for i in (0, 3)]).T
+    T = checks.ctx_group(7)
+    n = T.order
+    rng = np.random.default_rng(12345)
+    for i in range(300):
+        alpha = wreath.random_alpha(T, rng)
+        r1 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
+        r2 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
+        assert np.array_equal(alphas[i], alpha.values)
+        assert tuple(h1[i].tolist()) == r1 and tuple(h2[i].tolist()) == r2

@@ -122,6 +122,77 @@ def test_act_identity_and_trivial(T7):
     assert wr.act_alpha(triv, h) == triv
 
 
+def _random_elements(rng, n, size, ks=None):
+    """`size` wreath elements as a triple of index arrays; swap bits `ks`
+    when given, random otherwise."""
+    ks = rng.integers(0, 2, size) if ks is None else np.asarray(ks)
+    return rng.integers(0, n, size), rng.integers(0, n, size), ks
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_act_alpha_batch_matches_scalar(q):
+    """Row by row, the batch action equals act_alpha: mixed swap bits, one
+    row, and batches with one swap bit only, where the other selection is
+    empty."""
+    T = group_for(q)
+    n = T.order
+    rng = np.random.default_rng(q + 40)
+    for size, ks in ((37, None), (1, None), (1, [1]), (9, [0] * 9), (9, [1] * 9)):
+        values = rng.integers(0, n, (size, n))
+        h = _random_elements(rng, n, size, ks)
+        acted = wr.act_alpha_batch(T, values, h)
+        assert acted.shape == (size, n)
+        for i in range(size):
+            hi = tuple(int(z[i]) for z in h)
+            assert np.array_equal(acted[i], wr.act_alpha(wr.AlphaFn(T, values[i]), hi).values)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_w2_product_and_evaluate_arrays_match_scalar(q):
+    T = group_for(q)
+    n = T.order
+    rng = np.random.default_rng(q + 50)
+    u, v = _random_elements(rng, n, 64), _random_elements(rng, n, 64)
+    uv = wr.w2_product(T, u, v)
+    alpha = wr.random_alpha(T, rng)
+    fu = alpha.evaluate(u)
+    for i in range(64):
+        ui, vi = tuple(int(z[i]) for z in u), tuple(int(z[i]) for z in v)
+        assert tuple(int(z[i]) for z in uv) == wr.w2_product(T, ui, vi)
+        assert int(fu[i]) == alpha.evaluate(ui)
+    # a scalar element against index arrays, broadcast to a grid
+    h = (3, 5, 1)
+    grid = wr.w2_product(T, h, (u[0][:, None], u[1][None, :], 0))
+    assert grid[0].shape == (64, 64)
+    assert int(grid[1][2, 7]) == wr.w2_product(T, h, (int(u[0][2]), int(u[1][7]), 0))[1]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_check_xy_batch_matches_rows(q):
+    """The batch mask equals the per-row answers, over T x T and over
+    P1 x P1, with rows that pass (the identity, a P1 x P1 coset function)
+    and rows that fail (random and constant functions)."""
+    T = group_for(q)
+    n = T.order
+    rng = np.random.default_rng(q + 60)
+    P1 = point_stabilizer(T, q)
+    s = next(g for g in range(n) if g not in P1.member_set)
+    coset_fn = wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))
+    rows = np.vstack([
+        wr.identity_alpha(T).values, coset_fn.values, rng.integers(0, n, (5, n)),
+        np.repeat(np.arange(1, n)[:, None], n, axis=1),
+    ])
+    Tfull = eng.Subgroup(T, range(n))
+    for X, Y in ((Tfull, Tfull), (P1, P1)):
+        for full_scan in (False, True):
+            mask = wr.check_XY_conditions(rows, X, Y, full_scan)
+            assert mask.shape == (len(rows),)
+            assert mask.tolist() == [
+                wr.check_XY_conditions(wr.AlphaFn(T, r), X, Y, full_scan) for r in rows
+            ]
+    assert wr.check_XY_conditions(rows, P1, P1)[:2].all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_action_axiom_hypothesis(data):
