@@ -17,7 +17,7 @@ results.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -297,19 +297,24 @@ class IsoFingerprint:
         return IsoFingerprint.dihedral(6)
 
 
-def _mark_orbit(G: GroupTable, seen: np.ndarray, frontier, gens, cap: int | None = None):
+def _mark_orbit(
+    G: GroupTable, seen: np.ndarray, frontier, gens, cap: int | None = None,
+    conjugate: bool = False,
+):
     """Mark in the mask `seen` every element reached from `frontier` by
-    right multiplication with `gens`, a whole BFS level at a time.
+    right multiplication with `gens` (by conjugation x -> g^-1 x g if
+    `conjugate`), a whole BFS level at a time.
 
     With a cap, growth stops as soon as more than `cap` elements are marked.
     """
     gens = np.asarray(gens, dtype=np.int64)
     gens = np.concatenate([gens, G.inv[gens]])  # inverses shorten the BFS
+    left = (G.inv[gens],) if conjugate else ()
     seen[frontier] = True
     size = np.count_nonzero(seen)
     while len(frontier) and (cap is None or size <= cap):
         new = np.zeros(G.order, dtype=bool)
-        new[G.product(frontier[:, None], gens)] = True
+        new[G.product(*left, frontier[:, None], gens)] = True
         new &= ~seen
         seen |= new
         frontier = new.nonzero()[0]
@@ -355,18 +360,41 @@ def member_mask(S: Subgroup) -> np.ndarray:
     return mask
 
 
+def _conjugation_orbit(G: GroupTable, x: int, gens) -> np.ndarray:
+    """Sorted orbit of x under conjugation by <gens>."""
+    start = np.array([int(x)], dtype=np.int64)
+    return np.flatnonzero(
+        _mark_orbit(G, np.zeros(G.order, dtype=bool), start, gens, conjugate=True)
+    )
+
+
 def conjugacy_class(G: GroupTable, g: int) -> np.ndarray:
     """Orbit of g under conjugation by G (closure over generators)."""
-    seen = {int(g)}
-    queue = deque([int(g)])
-    while queue:
-        x = queue.popleft()
-        for h in G.generators:
-            y = G.conj(x, h)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return np.array(sorted(seen), dtype=np.int64)
+    return _conjugation_orbit(G, g, G.generators)
+
+
+def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
+    """Orbits of <gens> acting by conjugation on `points`, a set of element
+    indices closed under that action.
+
+    Each orbit is a sorted index array grown by a batched BFS from the
+    smallest point not yet covered, so its first entry is its smallest
+    index; the orbits come in the order of those representatives.
+    """
+    points = np.unique(np.asarray(points, dtype=np.int64))
+    inside = np.zeros(G.order, dtype=bool)
+    inside[points] = True
+    covered = np.zeros(G.order, dtype=bool)
+    orbits = []
+    for p in points.tolist():
+        if covered[p]:
+            continue
+        orbit = _conjugation_orbit(G, p, gens)
+        if not inside[orbit].all():
+            raise ValueError("points are not closed under conjugation by gens")
+        covered[orbit] = True
+        orbits.append(orbit)
+    return orbits
 
 
 def intersect(A: Subgroup, B: Subgroup) -> Subgroup:

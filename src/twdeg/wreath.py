@@ -793,6 +793,14 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
     (c) for every involution t outside P1, the group generated by
         P1 cap P1^t and t has trivial center.
     Only q even or q = 3 mod 4 qualify.
+
+    (c) is tested on one t per orbit of P1 acting by conjugation on the
+    involutions outside P1, the orbit's smallest index.  This is exact: for
+    p in P1, P1^p = P1, so P1 cap P1^(t^p) = (P1 cap P1^t)^p and the group
+    for t^p is the p-conjugate of the group for t, with the same
+    fingerprint and the same center order; and t^p lies outside P1 exactly
+    when t does.  The verdict and the fingerprint set are those of the
+    every-involution loop.
     """
     q = T.degree - 1
     if q % 2 == 1 and q % 4 != 3:
@@ -806,10 +814,10 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
     b_ok = coset_involution_check(T, P1)
     c_ok = True
     fps = []
-    for t in T.elements_of_order(2):
-        t = int(t)
-        if t in P1.member_set:
-            continue
+    invs = T.elements_of_order(2)
+    outside = invs[~member_mask(P1)[invs]]
+    for orbit in engine.conjugation_orbits(T, outside, gens):
+        t = int(orbit[0])
         I = intersect(P1, P1.conjugate(t))
         X = engine.generate(T, list(I.members) + [t])
         fps.append(str(engine.fingerprint(X)))

@@ -55,6 +55,31 @@ def test_conjugacy_class_sizes(T7, T13):
     assert len(eng.conjugacy_class(T7, T7.identity)) == 1
 
 
+def test_conjugation_orbits_of_involutions_outside_p1(T11):
+    """The P1-orbits on the involutions outside P1 at q = 11 partition that
+    set, are closed under conjugation by every member of P1, and each starts
+    at its smallest index."""
+    P1 = point_stabilizer(T11, 11)
+    invs = T11.elements_of_order(2)
+    outside = invs[~eng.member_mask(P1)[invs]]
+    orbits = eng.conjugation_orbits(T11, outside, P1.generating_set())
+    joined = np.concatenate(orbits)
+    assert len(joined) == len(set(joined.tolist())) == len(outside)
+    assert set(joined.tolist()) == set(outside.tolist())
+    for orbit in orbits:
+        images = T11.product(T11.inv[P1.members], orbit[:, None], P1.members)
+        assert set(images.ravel().tolist()) == set(orbit.tolist())
+        assert orbit[0] == orbit.min()
+    reps = [int(orbit[0]) for orbit in orbits]
+    assert reps == sorted(reps)
+
+
+def test_conjugation_orbits_reject_open_points(T7):
+    g = int(T7.elements_of_order(2)[0])
+    with pytest.raises(ValueError):
+        eng.conjugation_orbits(T7, [g], T7.generators)
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
 def test_class_size_times_centralizer(q):
     """|g^T| * |C_T(g)| = |T| for every element."""

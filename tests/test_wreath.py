@@ -474,7 +474,7 @@ def test_propagate_full_invariance(T4):
     assert not wr.propagate_full_invariance(alpha)
 
 
-@pytest.mark.parametrize("q", [7, 8, 11])
+@pytest.mark.parametrize("q", [4, 7, 8, 11, 16, 19, 23])
 def test_obstructions_pass(q):
     T = group_for(q)
     rep = wr.obstruction_checks(T, point_stabilizer(T, q))
@@ -491,6 +491,67 @@ def test_obstruction_wrong_congruence(T9, T13):
         wr.obstruction_checks(T9, point_stabilizer(T9, 9))
     with pytest.raises(wr.WrongCongruenceError):
         wr.obstruction_checks(T13, point_stabilizer(T13, 13))
+
+
+def obstruction_reference(T, K) -> wr.ObstructionReport:
+    """The obstruction ingredients with (c) tested on every involution
+    outside K, as before the reduction to one involution per K-orbit."""
+    fixed = None
+    for g in K.generating_set():
+        C = eng.centralizer(T, g)
+        fixed = C if fixed is None else eng.intersect(fixed, C)
+    c_ok, fps = True, []
+    for t in T.elements_of_order(2).tolist():
+        if t in K.member_set:
+            continue
+        X = eng.generate(T, list(eng.intersect(K, K.conjugate(t)).members) + [t])
+        fps.append(str(eng.fingerprint(X)))
+        c_ok = c_ok and eng.center(X).order == 1
+    return wr.ObstructionReport(
+        T.degree - 1, fixed.order == 1, atlas.coset_involution_check(T, K), c_ok,
+        sorted(set(fps)),
+    )
+
+
+@pytest.mark.parametrize(
+    "q,label",
+    [(q, "P1") for q in (4, 7, 8, 11, 16, 19, 23)] + [(7, "S4"), (7, "A4"), (11, "A4")],
+)
+def test_obstruction_orbits_match_every_involution(q, label):
+    """One involution per orbit gives the report of the every-involution
+    loop, field for field; S4 and A4 fail (c) with 1, 2 and 4 fingerprints."""
+    T = group_for(q)
+    if label == "P1":
+        K = point_stabilizer(T, q)
+    else:
+        K = atlas.find_named_subgroup(T, label).subgroup
+    rep = wr.obstruction_checks(T, K)
+    assert rep == obstruction_reference(T, K)
+    if label != "P1":
+        assert not rep.dihedral_centers_trivial
+        assert len(rep.dihedral_fingerprints) == {"S4": 1, "A4": 2 if q == 7 else 4}[label]
+
+
+def test_obstruction_builds_one_closure_per_orbit(monkeypatch):
+    """At q = 23 the 253 involutions outside P1 form one P1-orbit, and (c)
+    generates exactly one group <P1 cap P1^t, t>, for the orbit's smallest t."""
+    T = group_for(23)
+    P1 = point_stabilizer(T, 23)
+    invs = T.elements_of_order(2)
+    outside = invs[~eng.member_mask(P1)[invs]]
+    orbits = eng.conjugation_orbits(T, outside, P1.generating_set())
+    assert len(outside) == 253 and len(orbits) == 1
+    built = []
+    generate = wr.engine.generate
+
+    def recording_generate(parent, gens):
+        gens = list(gens)
+        built.append(gens[-1])
+        return generate(parent, gens)
+
+    monkeypatch.setattr(wr.engine, "generate", recording_generate)
+    assert wr.obstruction_checks(T, P1).all_pass
+    assert built == [int(orbit[0]) for orbit in orbits]
 
 
 def test_subdegree_divisible_by_maximal_index(T7):
