@@ -223,22 +223,6 @@ def coset_involution_check(T: GroupTable, P1: Subgroup) -> bool:
     return True
 
 
-def klein_subgroups(K: Subgroup) -> list[Subgroup]:
-    """All Klein four subgroups of K, in deterministic order."""
-    T = K.parent
-    invs = [int(m) for m in K.members if T.order_of(int(m)) == 2]
-    seen = set()
-    out = []
-    for i, a in enumerate(invs):
-        for b in invs[i + 1 :]:
-            if T.mul(a, b) == T.mul(b, a):
-                mem = frozenset({T.identity, a, b, T.mul(a, b)})
-                if mem not in seen:
-                    seen.add(mem)
-                    out.append(Subgroup(T, mem))
-    return out
-
-
 def subgroup_of(K: Subgroup, target: IsoFingerprint) -> Subgroup:
     """First subgroup of K with the given fingerprint; raises if absent."""
     S = first_subgroup_with_fingerprint(K, target)

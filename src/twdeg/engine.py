@@ -368,11 +368,6 @@ def _conjugation_orbit(G: GroupTable, x: int, gens) -> np.ndarray:
     )
 
 
-def conjugacy_class(G: GroupTable, g: int) -> np.ndarray:
-    """Orbit of g under conjugation by G (closure over generators)."""
-    return _conjugation_orbit(G, g, G.generators)
-
-
 def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
     """Orbits of <gens> acting by conjugation on `points`, a set of element
     indices closed under that action.

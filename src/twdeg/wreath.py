@@ -26,6 +26,12 @@ representatives s of K; for m = 3, (1,a,b) over pairs of them; for m >= 6,
 (1,...,1,r,r,s) over pairs; for m >= 4, (1,...,1,r,r,s) from the C2 triple
 intersection.  The first t whose D^t cap L has a central (eta,...,eta)sigma
 with eta != 1 is kept, and replay rebuilds t from the certificate alone.
+The members of D^t cap L never form a per-member list: filter_L_members
+(and d_t_cap_L for m = 2) groups them as (sigma, xs), one sorted index array
+per sigma, computed once per distinct set of pairs (t_j, t_(j sigma)), and
+central_members makes one centrality pass over the groups: one product for
+the T-parts, one array pass for the sigmas that hold a central T-part.
+Search, replay, build_coset_fn and p1_product_divisor share it.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .engine import (
     IsoFingerprint,
     Subgroup,
     centralizer,
-    compose,
     intersect,
     member_mask,
 )
@@ -114,23 +119,6 @@ def w2_order(T: GroupTable, u) -> int:
     if k == 0:
         return lcm(T.order_of(a), T.order_of(b))
     return 2 * T.order_of(T.mul(a, b))
-
-
-# -- general m: elements (tuple, sigma) with sigma a point-image tuple --------
-
-def wm_product(T: GroupTable, u, v):
-    (t, sig), (w, tau) = u, v
-    parts = tuple(T.mul(t[j], w[sig[j]]) for j in range(len(t)))
-    return (parts, compose(sig, tau))
-
-
-def wm_inv(T: GroupTable, u):
-    t, sig = u
-    m = len(t)
-    inv_sig = tuple(sorted(range(m), key=lambda j: sig[j]))
-    # (t sigma)^-1 = (s tau) with tau = sigma^-1 and s_j = t_{j^tau}^-1
-    parts = tuple(T.inverse(t[inv_sig[j]]) for j in range(m))
-    return (parts, inv_sig)
 
 
 def wreath_full_table(T: GroupTable, swap: bool = True) -> GroupTable:
@@ -448,29 +436,28 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
 
 # -- coset functions (the explicit orbit representatives) ----------------------
 
-def d_t_cap_L(D: WreathSub2, t) -> list[tuple[int, int]]:
-    """Members (x, k) of D^t cap L, filtering L by conjugation into D.
+def d_t_cap_L(D: WreathSub2, t) -> list[tuple[tuple, np.ndarray]]:
+    """Members of D^t cap L grouped as in filter_L_members: (sigma, xs) with
+    sigma = (0, 1) for the swap bit k = 0 and (1, 0) for k = 1.
 
     For t = (t1, t2, 0), t (x, x, k) t^-1 is (t1 x t1^-1, t2 x t2^-1, 0) for
     k = 0 and (t1 x t2^-1, t2 x t1^-1, 1) for k = 1; the structured kinds
     test both coordinates with one membership mask each.
     """
     T = D.T
-    out = []
     if D.kind == "explicit":
         tinv = w2_inv(T, t)
-        for k in (0, 1):
-            for x in range(T.order):
-                if D.contains(w2_product(T, w2_product(T, t, (x, x, k)), tinv)):
-                    out.append((x, k))
-        return out
-    t1, t2, _ = t
-    in1, in2 = member_mask(D.K1), member_mask(D.K2)
-    shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
-    for k, (u1, u2) in enumerate(shapes):
-        mask = in1[_conj_column(T, t1, u1)] & in2[_conj_column(T, t2, u2)]
-        out += [(int(x), k) for x in np.flatnonzero(mask)]
-    return out
+        masks = [
+            [D.contains(w2_product(T, w2_product(T, t, (x, x, k)), tinv)) for x in range(T.order)]
+            for k in (0, 1)
+        ]
+    else:
+        t1, t2, _ = t
+        in1, in2 = member_mask(D.K1), member_mask(D.K2)
+        shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
+        masks = [in1[_conj_column(T, t1, u1)] & in2[_conj_column(T, t2, u2)] for u1, u2 in shapes]
+    groups = zip(permutations(range(2)), (np.flatnonzero(mask) for mask in masks))
+    return [(sig, xs) for sig, xs in groups if len(xs)]
 
 
 def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
@@ -478,28 +465,40 @@ def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
     return T.product(u, np.arange(T.order), T.inv[v])
 
 
-def _central_members(T: GroupTable, mem, central_sig=lambda s: True):
-    """The members (x, s) of a subgroup of L, in (s, x) order, with x != 1
-    commuting with every T-part and central_sig(s): (x, s)(y, t) = (xy, st)."""
-    parts = np.unique([y for y, _ in mem])
-    central_x = functools.cache(lambda x: bool(T.commutes_with(x, parts).all()))
-    return (
-        (x, s) for x, s in sorted(mem, key=lambda u: (u[1], u[0]))
-        if x != T.identity and central_sig(s) and central_x(x)
+def central_members(T: GroupTable, groups) -> list[tuple[tuple, np.ndarray]]:
+    """The central members of a subgroup of L, given and returned grouped as
+    (sigma, xs) in (sigma, x) order: L is T x S_m, so (x, sigma) is central
+    iff x commutes with every T-part and sigma with every S_m-part.  Only
+    x != 1 is kept, and groups left empty are dropped.
+
+    The T-parts form a subgroup P, and each x in P is tested against all of
+    P in one |P| x |P| product; sigma is tested, all candidates in one array
+    pass, only when its group holds a central x.
+    """
+    parts = np.unique(np.concatenate([xs for _, xs in groups]))
+    central = np.zeros(T.order, dtype=bool)
+    central[parts[_row_test(
+        lambda xs: T.commutes_with(xs[:, None], parts).all(axis=1), parts, len(parts)
+    )]] = True
+    central[T.identity] = False
+    found = [(sig, xs[central[xs]]) for sig, xs in groups]
+    found = [(sig, xs) for sig, xs in found if len(xs)]
+    if not found:
+        return []
+    sigmas = np.array([sig for sig, _ in found], dtype=np.int8)
+    taus = np.array([tau for tau, _ in groups], dtype=np.int8)
+    # sigma tau and tau sigma as point-image rows, one (sigma, tau) pair each
+    commute = _row_test(
+        lambda s: (taus[:, s].transpose(1, 0, 2) == s[:, taus]).all(axis=(1, 2)), sigmas, taus.size
     )
+    return [g for g, ok in zip(found, commute) if ok]
 
 
-def _central_sigma(mem):
-    """sigma -> whether sigma commutes with the S_m-part of every member."""
-    taus = sorted({tau for _, tau in mem})
-    return functools.cache(lambda sig: all(compose(sig, tau) == compose(tau, sig) for tau in taus))
-
-
-def first_central_eta(T: GroupTable, mem) -> tuple[int, int] | None:
-    """First central element (eta, k) of a subgroup of L with eta != 1, in
-    k-major order; the swap bits commute, so only the T-parts constrain
-    commutation."""
-    return next(_central_members(T, mem), None)
+def _row_test(test, rows: np.ndarray, width: int) -> np.ndarray:
+    """test(chunk) over consecutive chunks of rows, concatenated; a chunk
+    holds at most 2^18 / width rows, which bounds the temporaries."""
+    step = max(1, (1 << 18) // width)
+    return np.concatenate([test(rows[i : i + step]) for i in range(0, len(rows), step)])
 
 
 def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
@@ -513,13 +512,12 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     T = D.T
     if t[2] != 0:
         raise ValueError("use a representative t with trivial swap part")
-    mem = d_t_cap_L(D, t)
+    found = central_members(T, d_t_cap_L(D, t))
     if eta is None:
-        found = first_central_eta(T, mem)
-        if found is None:
+        if not found:
             raise NotCentralError("Z(D^t cap L) has no element with nontrivial part")
-        eta = found[0]
-    elif all(x != eta for x, _ in _central_members(T, mem)):
+        eta = int(found[0][1][0])
+    elif not any(eta in xs for _, xs in found):
         raise NotCentralError("supplied eta is not a central member part")
     inv = T.inv
     n = T.order
@@ -570,7 +568,7 @@ def p1_product_divisor(P1: Subgroup, s: int) -> int:
     at t = (1, s) divides; raises NotCentralError when Z(D^t cap L) gives
     no such function."""
     T = P1.parent
-    if first_central_eta(T, d_t_cap_L(product_sub(P1, P1), (0, s, 0))) is None:
+    if not central_members(T, d_t_cap_L(product_sub(P1, P1), (0, s, 0))):
         raise NotCentralError("no central element over P1 x P1")
     return 2 * (T.order // P1.order) ** 2
 
@@ -681,35 +679,48 @@ def find_witness_t(
         raise engine.NotMaximalError("K must be maximal in T")
     index = T.order // K.order
     for shift, t_tuple in witness_candidates(T, K, m, shifts):
-        mem = filter_L_members(T, K, t_tuple)
-        found = next(_central_members(T, mem, _central_sigma(mem)), None)
-        if found is not None:
+        found = central_members(T, filter_L_members(T, K, t_tuple))
+        if found:
             witness = {"construction": "coset-fn", "label": label, "shift": list(shift)}
             if m > 2:
                 witness["t_tuple"] = list(t_tuple)
-            witness |= {"eta": found[0], "index": index}
+            witness |= {"eta": int(found[0][1][0]), "index": index}
             return SubdegreeCertificate(T.degree - 1, m, "lemma-2.6-witness", index**m, witness)
     return None
 
 
-def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tuple]]:
-    """Members (x, sigma) of (K wr S_m)^t cap L for t = (t_1,...,t_m)."""
+def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[tuple, np.ndarray]]:
+    """Members of (K wr S_m)^t cap L for t = (t_1,...,t_m), grouped as
+    (sigma, xs): sigma in lexicographic order, xs the sorted x with
+    (x,...,x)sigma a member; a sigma without members is left out.
+
+    (x,...,x)sigma is a member iff t_j x t_(j sigma)^-1 lies in K for every
+    j, so its xs depend only on the set of pairs (t_j, t_(j sigma)).  A
+    t-tuple has at most 3 distinct entries, so the m! permutations share a
+    handful of pair sets; each is computed once, and its sigmas share one
+    xs array.
+    """
     inK = member_mask(K)
+    values = sorted(set(t_tuple))
+    c = np.array([values.index(u) for u in t_tuple])
+    sigmas, perms = _permutations(len(t_tuple))
+    # the pair set of each sigma as a bitset: bit 3a + b for (values[a], values[b])
+    keys, which = np.unique(np.bitwise_or.reduce(1 << (3 * c + c[perms]), axis=1),
+                            return_inverse=True)
+    in_K = functools.cache(lambda bit: inK[_conj_column(T, values[bit // 3], values[bit % 3])])
+    xs_of = [
+        np.flatnonzero(np.logical_and.reduce([in_K(b) for b in range(9) if key >> b & 1]))
+        for key in keys.tolist()
+    ]
+    return [(sig, xs_of[i]) for sig, i in zip(sigmas, which.tolist()) if len(xs_of[i])]
 
-    @functools.cache
-    def in_K(u: int, v: int) -> np.ndarray:
-        # one column per distinct pair: a t-tuple has at most 3 distinct entries
-        return inK[_conj_column(T, u, v)]
 
-    out = []
-    for sig in permutations(range(len(t_tuple))):
-        mask = np.ones(T.order, dtype=bool)
-        for j, sj in enumerate(sig):
-            mask &= in_K(t_tuple[j], t_tuple[sj])
-            if not mask.any():
-                break
-        out += [(int(x), sig) for x in np.flatnonzero(mask)]
-    return out
+@functools.cache
+def _permutations(m: int) -> tuple[list[tuple], np.ndarray]:
+    """The permutations of range(m) in lexicographic order, as tuples and as
+    the rows of one array."""
+    sigmas = list(permutations(range(m)))
+    return sigmas, np.array(sigmas, dtype=np.int64).reshape(len(sigmas), m)
 
 
 # -- condition checkers ---------------------------------------------------------
@@ -850,9 +861,10 @@ def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
             raise AssertionError(f"Lemma 2.6 needs {w['label']} maximal at q = {cert.q}")
         m = cert.m
         t_tuple = tuple(int(x) for x in w["t_tuple"]) if m > 2 else (T.identity, shift[0])
-        mem = filter_L_members(T, K, t_tuple)
+        if len(t_tuple) != m or not all(0 <= x < T.order for x in t_tuple):
+            raise AssertionError(f"t_tuple must hold m = {m} elements of T")
         eta = int(w["eta"])
-        if all(x != eta for x, _ in _central_members(T, mem, _central_sigma(mem))):
+        if not any(eta in xs for _, xs in central_members(T, filter_L_members(T, K, t_tuple))):
             raise AssertionError("stored eta is no longer central")
         return (T.order // K.order) ** m
     raise ValueError(f"unknown certificate witness {w!r}")

@@ -354,6 +354,77 @@ def test_ctx_group_rejects_non_prime_power(tmp_path, capsys):
     assert rc == 0 and "PASS  replay.synthetic.q4" in out
 
 
+def _table1_q11_report(tmp_path):
+    """(path, report, results by check id) of table1 at q = 11, m = 3..6."""
+    out = tmp_path / "t1.json"
+    assert run_cli(["table1", "--q", "11", "--m", "3", "4", "5", "6", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    return out, data, {r["check_id"]: r for r in data["results"]}
+
+
+def _replay_lines(out, capsys):
+    """(exit status, stdout line per replay check id) of `report --replay`."""
+    capsys.readouterr()
+    rc = run_cli(["report", "--in", str(out), "--replay"])
+    lines = capsys.readouterr().out.splitlines()
+    return rc, {line.split()[1]: line for line in lines if " replay." in line}
+
+
+def test_report_replay_rejects_t_tuple_of_wrong_length(tmp_path, capsys):
+    """A Lemma 2.6 record needs m entries of T in t_tuple: the m = 6 tuple
+    and eta stored at m = 4 used to replay as a pass."""
+    out, data, recs = _table1_q11_report(tmp_path)
+    wit = {cid: rec["witness"]["witness"] for cid, rec in recs.items()}
+    m4, m6 = wit["table1.row1.q11.m4"], wit["table1.row1.q11.m6"]
+    m4["t_tuple"], m4["eta"] = m6["t_tuple"], m6["eta"]
+    wit["table1.row7.q11.m5"]["t_tuple"][-1] = 660  # |T|
+    wit["table1.row7.q11.m3"]["t_tuple"][0] = -1
+    out.write_text(json.dumps(data))
+    rc, lines = _replay_lines(out, capsys)
+    assert rc == 1
+    for cid, m in (("row1.q11.m4", 4), ("row7.q11.m5", 5), ("row7.q11.m3", 3)):
+        line = lines[f"replay.table1.{cid}"]
+        assert line.startswith("FAIL") and f"t_tuple must hold m = {m} elements of T" in line
+    assert lines["replay.table1.row1.q11.m6"].startswith("PASS")
+
+
+@pytest.mark.parametrize("forgery", ["identity", "non-central"])
+def test_report_replay_rejects_forged_eta_m3_to_m6(tmp_path, capsys, forgery):
+    """A stored eta that is 1, or not the T-part of a central member, fails
+    the replay of every Lemma 2.6 record at m = 3..6.  The non-central eta is
+    a member's T-part where one exists (the A5 records at m = 3 and m = 5);
+    elsewhere every member's T-part is central and it is a non-member."""
+    import reference
+
+    out, data, recs = _table1_q11_report(tmp_path)
+    T = checks.ctx_group(11)
+    forged, from_members = [], []
+    for cid, rec in recs.items():
+        if rec["witness"]["kind"] != "lemma-2.6-witness":
+            continue
+        w = rec["witness"]["witness"]
+        forged.append((cid, w["t_tuple"]))
+        if forgery == "identity":
+            w["eta"] = T.identity
+            continue
+        K = checks.ctx_atlas(11, w["label"]).subgroup
+        members = reference.filter_L_members(T, K, tuple(w["t_tuple"]))
+        central = {x for x, _ in reference.all_central(T, members)} | {T.identity}
+        outside = [x for x, _ in members if x not in central]
+        if outside:
+            from_members.append(cid)
+        w["eta"] = (outside or [x for x in range(T.order) if x not in central])[0]
+    assert sorted(len(t) for _, t in forged) == [3, 3, 4, 4, 5, 5, 6, 6]
+    if forgery == "non-central":
+        assert from_members == ["table1.row7.q11.m3", "table1.row7.q11.m5"]
+    out.write_text(json.dumps(data))
+    rc, lines = _replay_lines(out, capsys)
+    assert rc == 1
+    for cid, _ in forged:
+        line = lines[f"replay.{cid}"]
+        assert line.startswith("FAIL") and "stored eta is no longer central" in line, line
+
+
 # -- the Lemma 5 checks cannot pass vacuously -----------------------------------------
 
 def _act_without_conjugation(T, a, x, y, k):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import group_for, reference_table
+from reference import flatten, wm_inv, wm_product
 from twdeg import atlas, engine as eng, wreath as wr
 from twdeg.engine import IsoFingerprint
 from twdeg.psl import point_stabilizer
@@ -47,7 +49,7 @@ def test_wm_matches_w2(T4):
         a, b, c, d = (int(x) for x in rng.integers(0, n, 4))
         k, l = int(rng.integers(2)), int(rng.integers(2))
         u2 = wr.w2_product(T4, (a, b, k), (c, d, l))
-        um = wr.wm_product(T4, ((a, b), swap if k else ident), ((c, d), swap if l else ident))
+        um = wm_product(T4, ((a, b), swap if k else ident), ((c, d), swap if l else ident))
         assert um[0] == (u2[0], u2[1])
         assert (um[1] == swap) == (u2[2] == 1)
 
@@ -63,9 +65,9 @@ def test_wm_associative_m3(T4):
             parts = tuple(int(x) for x in rng.integers(0, n, 3))
             els.append((parts, sigmas[int(rng.integers(6))]))
         u, v, w = els
-        lhs = wr.wm_product(T4, wr.wm_product(T4, u, v), w)
-        assert lhs == wr.wm_product(T4, u, wr.wm_product(T4, v, w))
-        assert wr.wm_product(T4, u, wr.wm_inv(T4, u))[0] == (0, 0, 0)
+        lhs = wm_product(T4, wm_product(T4, u, v), w)
+        assert lhs == wm_product(T4, u, wm_product(T4, v, w))
+        assert wm_product(T4, u, wm_inv(T4, u))[0] == (0, 0, 0)
 
 
 def test_full_table_guard():
@@ -88,7 +90,7 @@ def test_conjugate_structure_m3(T4):
     """(K wr S_3)^t cap L for t = (1,1,s) is (K cap K^s) x S_2 shaped."""
     K = point_stabilizer(T4, 4)
     s = next(g for g in range(T4.order) if g not in K.member_set)
-    mem = wr.filter_L_members(T4, K, (0, 0, s))
+    mem = flatten(wr.filter_L_members(T4, K, (0, 0, s)))
     I = eng.intersect(K, K.conjugate(s))
     assert len(mem) == I.order * 2  # sigma fixes the last coordinate
     assert all(sig[2] == 2 for _, sig in mem)
@@ -362,7 +364,8 @@ def test_d_t_cap_L_explicit_matches_structured(q):
     shifts = [(0, 0)] + [tuple(int(s) for s in rng.integers(0, T.order, 2)) for _ in range(4)]
     for D in (wr.product_sub(P1, P1), wr.wreath_sub(K), wr.product_sub(P1, K)):
         for t1, t2 in shifts:
-            assert wr.d_t_cap_L(D, (t1, t2, 0)) == wr.d_t_cap_L(_explicit(D), (t1, t2, 0))
+            structured = flatten(wr.d_t_cap_L(D, (t1, t2, 0)))
+            assert structured == flatten(wr.d_t_cap_L(_explicit(D), (t1, t2, 0)))
 
 
 def test_coset_fn_bad_eta(T7):
@@ -374,7 +377,7 @@ def test_coset_fn_bad_eta(T7):
     # an element outside the centralizing set fails too
     bad = next(
         g for g in range(1, T7.order)
-        if not all(T7.mul(g, y) == T7.mul(y, g) for (y, _) in wr.d_t_cap_L(D, (0, s, 0)))
+        if not all(T7.mul(g, y) == T7.mul(y, g) for y, _ in flatten(wr.d_t_cap_L(D, (0, s, 0))))
     )
     with pytest.raises(wr.NotCentralError):
         wr.build_coset_fn(D, (0, s, 0), eta=bad)
@@ -673,25 +676,65 @@ def test_find_witness_a5_q11_m45(T11, m, value):
 def test_m2_witness_equivalence(q):
     """At m = 2 the general search equals the d_t_cap_L scan: for every
     maximal atlas label and coset representative s, filter_L_members at
-    t = (1, s) with sigma mapped to its swap bit gives the members of
-    d_t_cap_L, and find_witness_t picks the (shift, eta) of a scan over
-    d_t_cap_L and first_central_eta, or finds nothing when that scan does."""
+    t = (1, s) gives the members of d_t_cap_L, and find_witness_t picks the
+    (shift, eta) of a member-by-member scan over d_t_cap_L, or finds nothing
+    when that scan does."""
     T = group_for(q)
-    swap_bit = {(0, 1): 0, (1, 0): 1}
     labels = [lb for lb in atlas.LABELS
               if atlas.label_exists(q, lb) and atlas.label_maximal(q, lb)]
     assert labels
     for label in labels:
         K = atlas.find_named_subgroup(T, label).subgroup
         D = wr.wreath_sub(K)
-        reference = None
+        reference_pick = None
         for s in eng.coset_representatives(T, K):
-            mem = wr.d_t_cap_L(D, (0, s, 0))
-            general = wr.filter_L_members(T, K, (T.identity, s))
-            assert sorted((x, swap_bit[sig]) for x, sig in general) == sorted(mem), (label, s)
-            found = wr.first_central_eta(T, mem)
-            if reference is None and found is not None:
-                reference = ([s], found[0])
+            mem = flatten(wr.d_t_cap_L(D, (0, s, 0)))
+            general = flatten(wr.filter_L_members(T, K, (T.identity, s)))
+            assert sorted(general) == sorted(mem), (label, s)
+            found = next(reference.central_members(T, mem), None)
+            if reference_pick is None and found is not None:
+                reference_pick = ([s], found[0])
         cert = wr.find_witness_t(T, K, 2, label=label)
         got = None if cert is None else (cert.witness["shift"], cert.witness["eta"])
-        assert got == reference, label
+        assert got == reference_pick, label
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_grouped_search_matches_member_list(q):
+    """Flattened, filter_L_members and central_members give the member list
+    and the full sequence of central members of the one-member-at-a-time
+    reference, for every maximal atlas label and m = 2..6: on every
+    candidate the search visits, up to and including the first with a
+    central member, and on every single-shift candidate.  find_witness_t
+    keeps the reference's first pick; a failed triple-intersection side
+    condition ends the walk as it ends the search."""
+    T = group_for(q)
+    labels = [lb for lb in atlas.LABELS
+              if atlas.label_exists(q, lb) and atlas.label_maximal(q, lb)]
+    for label in labels:
+        K = atlas.find_named_subgroup(T, label).subgroup
+        for m in range(2, 7):
+            first = None
+            candidates = wr.witness_candidates(T, K, m)
+            while True:
+                try:
+                    shift, t = next(candidates)
+                except (StopIteration, AssertionError):
+                    break
+                if first is not None and len(shift) > 1:
+                    break
+                flat = reference.filter_L_members(T, K, t)
+                groups = wr.filter_L_members(T, K, t)
+                assert [sig for sig, _ in groups] == sorted({sig for _, sig in flat})
+                assert flatten(groups) == flat, (label, m, t)
+                central = reference.all_central(T, flat)
+                assert flatten(wr.central_members(T, groups)) == central, (label, m, t)
+                if first is None and central:
+                    first = (list(shift), central[0][0])
+            try:
+                cert = wr.find_witness_t(T, K, m, label=label)
+            except AssertionError:
+                assert first is None, (label, m)
+                continue
+            got = None if cert is None else (cert.witness["shift"], cert.witness["eta"])
+            assert got == first, (label, m)
