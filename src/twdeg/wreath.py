@@ -720,7 +720,7 @@ def _permutations(m: int) -> tuple[list[tuple], np.ndarray]:
     """The permutations of range(m) in lexicographic order, as tuples and as
     the rows of one array."""
     sigmas = list(permutations(range(m)))
-    return sigmas, np.array(sigmas, dtype=np.int64).reshape(len(sigmas), m)
+    return sigmas, np.array(sigmas)
 
 
 # -- condition checkers ---------------------------------------------------------

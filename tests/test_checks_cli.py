@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 from twdeg import checks, cli, engine, wreath
 from twdeg.checks import RunConfig
 
@@ -394,8 +395,6 @@ def test_report_replay_rejects_forged_eta_m3_to_m6(tmp_path, capsys, forgery):
     the replay of every Lemma 2.6 record at m = 3..6.  The non-central eta is
     a member's T-part where one exists (the A5 records at m = 3 and m = 5);
     elsewhere every member's T-part is central and it is a non-member."""
-    import reference
-
     out, data, recs = _table1_q11_report(tmp_path)
     T = checks.ctx_group(11)
     forged, from_members = [], []
