@@ -42,11 +42,6 @@ def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
 
-def compose(g: Perm, h: Perm) -> Perm:
-    """Product g*h acting on the right: x^(g*h) = (x^g)^h."""
-    return tuple(h[x] for x in g)
-
-
 def _greedy_base(elements: np.ndarray) -> list[int]:
     """Points, in order, each splitting some set of elements that agree on
     the points before it, until the base images separate all elements.

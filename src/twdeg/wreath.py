@@ -695,32 +695,23 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[tuple, n
     (x,...,x)sigma a member; a sigma without members is left out.
 
     (x,...,x)sigma is a member iff t_j x t_(j sigma)^-1 lies in K for every
-    j, so its xs depend only on the set of pairs (t_j, t_(j sigma)).  A
-    t-tuple has at most 3 distinct entries, so the m! permutations share a
-    handful of pair sets; each is computed once, and its sigmas share one
-    xs array.
+    j, so its xs depend only on the set of pairs (t_j, t_(j sigma)).  The
+    search's t-tuples have at most 3 distinct entries, so the m! permutations
+    share a handful of pair sets; each is computed once, and its sigmas
+    share one xs array.
     """
     inK = member_mask(K)
-    values = sorted(set(t_tuple))
-    c = np.array([values.index(u) for u in t_tuple])
-    sigmas, perms = _permutations(len(t_tuple))
-    # the pair set of each sigma as a bitset: bit 3a + b for (values[a], values[b])
-    keys, which = np.unique(np.bitwise_or.reduce(1 << (3 * c + c[perms]), axis=1),
-                            return_inverse=True)
-    in_K = functools.cache(lambda bit: inK[_conj_column(T, values[bit // 3], values[bit % 3])])
-    xs_of = [
-        np.flatnonzero(np.logical_and.reduce([in_K(b) for b in range(9) if key >> b & 1]))
-        for key in keys.tolist()
-    ]
-    return [(sig, xs_of[i]) for sig, i in zip(sigmas, which.tolist()) if len(xs_of[i])]
+    in_K = functools.cache(lambda u, v: inK[_conj_column(T, u, v)])
 
+    @functools.cache
+    def xs_of(pairs: frozenset) -> np.ndarray:
+        return np.flatnonzero(np.logical_and.reduce([in_K(u, v) for u, v in pairs]))
 
-@functools.cache
-def _permutations(m: int) -> tuple[list[tuple], np.ndarray]:
-    """The permutations of range(m) in lexicographic order, as tuples and as
-    the rows of one array."""
-    sigmas = list(permutations(range(m)))
-    return sigmas, np.array(sigmas)
+    # permutations(t_tuple) yields the images (t_(1 sigma), ..., t_(m sigma))
+    # in the order of permutations(range(m)); repeated images share a lookup
+    images = functools.cache(lambda image: xs_of(frozenset(zip(t_tuple, image))))
+    groups = zip(permutations(range(len(t_tuple))), map(images, permutations(t_tuple)))
+    return [(sig, xs) for sig, xs in groups if len(xs)]
 
 
 # -- condition checkers ---------------------------------------------------------

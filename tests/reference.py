@@ -13,7 +13,14 @@ from itertools import permutations
 import numpy as np
 
 from twdeg import engine
-from twdeg.engine import GroupTable, Subgroup, compose, member_mask
+from twdeg.engine import GroupTable, Perm, Subgroup, member_mask
+
+
+# -- permutations ------------------------------------------------------------------
+
+def compose(g: Perm, h: Perm) -> Perm:
+    """Product g*h acting on the right: x^(g*h) = (x^g)^h."""
+    return tuple(h[x] for x in g)
 
 
 # -- general m wreath elements (tuple, sigma), sigma a point-image tuple ------

@@ -389,6 +389,37 @@ def test_report_replay_rejects_t_tuple_of_wrong_length(tmp_path, capsys):
     assert lines["replay.table1.row1.q11.m6"].startswith("PASS")
 
 
+def test_report_replay_t_tuple_of_distinct_entries(tmp_path, capsys):
+    """Replacing each t_j by k_j t_j, k_j in K, leaves (K wr S_m)^t cap L
+    unchanged: every Lemma 2.6 record still replays as a pass when its
+    t_tuple so holds m distinct entries, and fails with a non-central eta."""
+    out, data, recs = _table1_q11_report(tmp_path)
+    T = checks.ctx_group(11)
+    lemma = {cid: rec["witness"]["witness"] for cid, rec in recs.items()
+             if rec["witness"]["kind"] == "lemma-2.6-witness"}
+    for w in lemma.values():
+        ks = checks.ctx_atlas(11, w["label"]).subgroup.members
+        w["t_tuple"] = [T.mul(int(k), u) for k, u in zip(ks, w["t_tuple"])]
+        assert len(set(w["t_tuple"])) == len(w["t_tuple"])
+    assert sorted(len(w["t_tuple"]) for w in lemma.values()) == [3, 3, 4, 4, 5, 5, 6, 6]
+    out.write_text(json.dumps(data))
+    rc, lines = _replay_lines(out, capsys)
+    assert rc == 0
+    for cid in lemma:
+        assert lines[f"replay.{cid}"].startswith("PASS"), lines[f"replay.{cid}"]
+    for w in lemma.values():
+        K = checks.ctx_atlas(11, w["label"]).subgroup
+        central = {x for x, _ in reference.all_central(
+            T, reference.filter_L_members(T, K, tuple(w["t_tuple"])))} | {T.identity}
+        w["eta"] = next(x for x in range(T.order) if x not in central)
+    out.write_text(json.dumps(data))
+    rc, lines = _replay_lines(out, capsys)
+    assert rc == 1
+    for cid in lemma:
+        line = lines[f"replay.{cid}"]
+        assert line.startswith("FAIL") and "stored eta is no longer central" in line, line
+
+
 @pytest.mark.parametrize("forgery", ["identity", "non-central"])
 def test_report_replay_rejects_forged_eta_m3_to_m6(tmp_path, capsys, forgery):
     """A stored eta that is 1, or not the T-part of a central member, fails

@@ -738,3 +738,26 @@ def test_grouped_search_matches_member_list(q):
             cert = wr.find_witness_t(T, K, m, label=label)
             got = None if cert is None else (cert.witness["shift"], cert.witness["eta"])
             assert got == first, (label, m)
+
+
+@pytest.mark.parametrize("label", ["P1", "DihedralPlus", "A5"])
+def test_grouped_search_many_distinct_entries(T11, label):
+    """filter_L_members and central_members match the reference on t-tuples
+    with 4 to 6 distinct entries, which the search never builds but a
+    replayed certificate may hold.  Each t_j is k_j s_j, k_j in K and s_j a
+    coset representative: the member set is that of (s_1, ..., s_m), so it
+    is not empty."""
+    K = atlas.find_named_subgroup(T11, label).subgroup
+    ks = [int(k) for k in K.members[:6]]
+    reps = eng.coset_representatives(T11, K)
+    for m in (4, 5, 6):
+        for shape in ([0] * m, [0] * (m - 2) + [1, 1], [0] * (m - 3) + [1, 2, 2]):
+            s = [reps[i] for i in shape]
+            t = tuple(T11.mul(k, u) for k, u in zip(ks, s))
+            assert len(set(t)) == m
+            flat = reference.filter_L_members(T11, K, t)
+            assert flat == reference.filter_L_members(T11, K, tuple(s)), (m, shape)
+            groups = wr.filter_L_members(T11, K, t)
+            assert flatten(groups) == flat, (m, shape)
+            central = reference.all_central(T11, flat)
+            assert flatten(wr.central_members(T11, groups)) == central, (m, shape)
