@@ -185,9 +185,10 @@ def search_triple_intersection(
 ) -> IntersectionWitness | NotFound:
     """First pair (r, s) of coset representatives with K cap K^r cap K^s matching.
 
-    On success the side conditions r, s, s r^-1 not in K are asserted: were
-    any of them in K, the triple intersection would collapse to a pairwise
-    one.
+    For a target below |K| a match must also meet the side conditions r, s,
+    s r^-1 not in K: were any of them in K, the triple intersection would
+    collapse to a pairwise one, so such a pair is skipped (and counted as
+    scanned).
     """
     q = q_of(T)
     reps = coset_representatives(T, K)
@@ -199,15 +200,9 @@ def search_triple_intersection(
             scanned += 1
             I = intersect(I2, K.conjugate(s))
             if I.order == target.order and fingerprint(I) == target:
-                if target.order < K.order:
-                    # a proper triple intersection forces all three shifts
-                    # outside K, else it would collapse to a pairwise one
-                    sri = T.mul(s, T.inverse(r))
-                    for name, g in (("r", r), ("s", s), ("s*r^-1", sri)):
-                        if g in K.member_set:
-                            raise AssertionError(
-                                f"side condition violated: {name} lies in K"
-                            )
+                shifts = (r, s, T.mul(s, T.inverse(r)))
+                if target.order < K.order and any(g in K.member_set for g in shifts):
+                    continue
                 return IntersectionWitness(kind, q, label, (r, s), target, scanned)
     return NotFound(kind, q, label, scanned)
 

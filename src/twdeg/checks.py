@@ -218,13 +218,12 @@ def ctx_obstruction(q: int) -> "wreath.ObstructionReport":
 
 def ctx_p1_product(q: int) -> tuple:
     """(shift, alpha, certificate, subdegree) of the coset function over
-    P1 x P1, built and scanned exactly once per process.  The scan's member
-    list is not kept."""
+    P1 x P1, built and scanned exactly once per process."""
     key = ("P1xP1", q)
     if key not in _CTX:
         s = _p1_shift(q)
         alpha = wreath.build_coset_fn(wreath.product_sub(ctx_p1(q), ctx_p1(q)), (0, s, 0))
-        res = wreath.stabilizer_subdegree(alpha, collect_members=False)
+        res = wreath.stabilizer_subdegree(alpha)
         cert = SubdegreeCertificate(
             q, 2, "exact-stabilizer", res.subdegree, {"construction": "p1-product", "shift": [s]}
         )
@@ -244,13 +243,9 @@ def class_subdegree(q: int, m: int, gamma_order: int, exact: bool) -> SubdegreeC
     """Certificate for a conjugacy-class power; exact for m = 2 when scanned."""
     T = ctx_group(q)
     gamma = int(T.elements_of_order(gamma_order)[0])
-    if m == 2 and not exact:
-        C = engine.centralizer(T, gamma)
-        return SubdegreeCertificate(
-            q, m, "lemma-2.10-class", (T.order // C.order) ** m,
-            {"construction": "centralizer", "gamma": gamma, "centralizer_order": C.order},
-        )
-    return wreath.build_centralizer_fn(T, gamma, m)[2]
+    if m == 2 and exact:
+        return wreath.build_centralizer_fn(T, gamma)[2]
+    return wreath.class_certificate(engine.centralizer(T, gamma), gamma, m)
 
 
 def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> SubdegreeCertificate:
@@ -266,10 +261,9 @@ def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> S
     if m == 2 and exact:
         D = wreath.wreath_sub(K)
         w = cert.witness
-        res = wreath.stabilizer_subdegree(
-            wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
-        )
-        if set(res.members) != set(D.member_triples()):
+        alpha = wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
+        res = wreath.stabilizer_subdegree(alpha)
+        if not (wreath.inside_stabilizer(D, alpha) and res.stabilizer_order == D.order):
             raise AssertionError(f"stabilizer is not {label} wr S_2")
         return SubdegreeCertificate(q, m, "exact-stabilizer", res.subdegree, dict(w))
     return cert
@@ -481,9 +475,9 @@ def t4_class_pair(p, cfg):
     f_expected, g_expected = p["expected"]
     T = ctx_group(q)
     gamma = int(T.elements_of_order(order)[0])
-    _, f_res, f_cert = wreath.build_centralizer_fn(T, gamma, 2)
+    f_alpha, f_res, f_cert = wreath.build_centralizer_fn(T, gamma, 2)
     C = engine.generate(T, [gamma])
-    if not set(wreath.product_sub(C, C).member_triples()) <= set(f_res.members):
+    if not wreath.inside_stabilizer(wreath.product_sub(C, C), f_alpha):
         return "containment", f"error: C{order} x C{order} not inside the stabilizer", None
     if (2 * f_expected) % f_res.subdegree != 0:
         return "divisibility", f"error: {f_res.subdegree}", None
@@ -515,9 +509,9 @@ def t4_q11_a4(p, cfg):
     D = wreath.wreath_sub(A4)
     alpha = wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
     g_res = wreath.stabilizer_subdegree(alpha)
+    is_wreath = wreath.inside_stabilizer(D, alpha) and g_res.stabilizer_order == D.order
     g_cert = SubdegreeCertificate(
-        q, 2, "exact-stabilizer", g_res.subdegree,
-        {**w, "stabilizer_is_wreath": set(g_res.members) == set(D.member_triples())},
+        q, 2, "exact-stabilizer", g_res.subdegree, {**w, "stabilizer_is_wreath": is_wreath}
     )
     return _pair_result(2 * 12**2, 55**2, f_cert, g_cert)
 
@@ -546,69 +540,56 @@ def t4_divisor_pair(p, cfg):
 def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
     if lemma_id not in LEMMA_IDS:
         raise UnknownLemmaError(f"unknown lemma id {lemma_id!r}; known: {LEMMA_IDS}")
-    specs = []
-
-    def gated(q):
-        return q >= 17 and not cfg.long_running
-
-    if lemma_id == "3.1":
-        combos = []
-        if 7 in cfg.q_list:
-            combos.append((7, "S4", ["C2", "C2^2", "S3", "D8"]))
-        if 11 in cfg.q_list:
-            combos.append((11, "A5", ["C2", "D6", "D10", "C2^2"]))
-        if 19 in cfg.q_list or cfg.long_running:
-            combos.append((19, "A5", ["C2"]))
-        for q, klabel, rlabels in combos:
-            for rl in rlabels:
-                specs.append(_spec("lm_double_count", q=q, K=klabel, R=rl, gated=gated(q)))
-    elif lemma_id == "3.3":
-        specs = [_spec("lm_coset_involution", q=q) for q in cfg.q_list]
-    elif lemma_id == "3.4":
-        for q in cfg.q_list:
-            if atlas.label_exists(q, "A5"):
-                specs.append(_spec("lm_search", lemma="3.4", q=q, K="A5", R="C2", kind="3.4",
-                                   expected="NotFound" if q <= 11 else "witness",
-                                   gated=gated(q)))
-    elif lemma_id == "3.5":
-        for q in cfg.q_list:
-            p, f = factor_prime_power(q)
-            if f == 1 and q % 8 in (1, 7):
-                search = {"q": q, "K": "S4", "expected": "witness", "gated": gated(q)}
-                specs.append(_spec("lm_search", lemma="3.5a", R="C2^2", kind="3.5a", **search))
-                if q >= 17:
-                    specs.append(_spec("lm_search", lemma="3.5b", R="C2", kind="3.5b", **search))
-    elif lemma_id == "3.6":
-        for q in cfg.q_list:
-            p, f = factor_prime_power(q)
-            if p == 2 and f >= 2:
-                specs.append(_spec("lm_search", lemma="3.6", q=q, K="DihedralPlus", R="C2",
-                                   kind="3.6", expected="witness"))
-    elif lemma_id == "4.2-triple":
-        if 11 in cfg.q_list:
-            specs.append(_spec("lm_search", lemma="4.2-triple", q=11, K="A5", R="C2",
-                               kind="thm4.2-q11-triple", expected="witness", triple=True))
-    elif lemma_id == "dickson-census":
-        for q in cfg.q_list:
-            k = gcd(2, q - 1)
-            for torus in ((q - 1) // k, (q + 1) // k):
-                for d in range(3, torus + 1):
-                    if torus % d == 0:
-                        specs.append(_spec("lm_census", q=q, d=d, torus=torus))
-    elif lemma_id == "6.1":
-        specs.append(_spec("lm_max_census_h", q=4))
-    elif lemma_id == "6.2":
-        specs.append(_spec("lm_max_census_t2", q=4))
-    elif lemma_id in ("7.4", "7.8"):
-        fn = "lm_xy_conditions" if lemma_id == "7.4" else "lm_wreath_conditions"
-        specs = [_spec(fn, q=q) for q in cfg.q_list if exact_scan_ok(q, cfg.long_running)]
-    elif lemma_id == "obstruction":
-        specs = [_spec("lm_obstruction", q=q) for q in cfg.q_list if q % 2 == 0 or q % 4 == 3]
-    elif lemma_id == "5-properties":
-        specs.append(_spec("lm_action_axiom", q=7, samples=10000))
-        specs += [_spec("lm_roundtrip", q=q) for q in (4, 5)]
-        specs.append(_spec("lm_invariance", q=4))
-    return specs
+    qs, long_running = cfg.q_list, cfg.long_running
+    # (lemma id, applies, check function, params), in spec order per lemma id
+    rows = [
+        ("3.1", applies, "lm_double_count",
+         {"q": q, "K": klabel, "R": rl, "gated": q >= 17 and not long_running})
+        for q, klabel, rlabels, applies in (
+            (7, "S4", ["C2", "C2^2", "S3", "D8"], 7 in qs),
+            (11, "A5", ["C2", "D6", "D10", "C2^2"], 11 in qs),
+            (19, "A5", ["C2"], 19 in qs or long_running),
+        )
+        for rl in rlabels
+    ]
+    for q in qs:
+        p, f = factor_prime_power(q)
+        search = {"q": q, "expected": "witness", "gated": q >= 17 and not long_running}
+        s4 = f == 1 and q % 8 in (1, 7)
+        exact = exact_scan_ok(q, long_running)
+        rows += [
+            ("3.3", True, "lm_coset_involution", {"q": q}),
+            ("3.4", atlas.label_exists(q, "A5"), "lm_search",
+             search | {"lemma": "3.4", "K": "A5", "R": "C2", "kind": "3.4",
+                       "expected": "NotFound" if q <= 11 else "witness"}),
+            ("3.5", s4, "lm_search",
+             search | {"lemma": "3.5a", "K": "S4", "R": "C2^2", "kind": "3.5a"}),
+            ("3.5", s4 and q >= 17, "lm_search",
+             search | {"lemma": "3.5b", "K": "S4", "R": "C2", "kind": "3.5b"}),
+            ("3.6", p == 2 and f >= 2, "lm_search",
+             {"lemma": "3.6", "q": q, "K": "DihedralPlus", "R": "C2", "kind": "3.6",
+              "expected": "witness"}),
+            ("7.4", exact, "lm_xy_conditions", {"q": q}),
+            ("7.8", exact, "lm_wreath_conditions", {"q": q}),
+            ("obstruction", q % 2 == 0 or q % 4 == 3, "lm_obstruction", {"q": q}),
+        ]
+        k = gcd(2, q - 1)
+        rows += [("dickson-census", True, "lm_census", {"q": q, "d": d, "torus": torus})
+                 for torus in ((q - 1) // k, (q + 1) // k)
+                 for d in range(3, torus + 1) if torus % d == 0]
+    rows += [
+        ("4.2-triple", 11 in qs, "lm_search",
+         {"lemma": "4.2-triple", "q": 11, "K": "A5", "R": "C2", "kind": "thm4.2-q11-triple",
+          "expected": "witness", "triple": True}),
+        ("6.1", True, "lm_max_census_h", {"q": 4}),
+        ("6.2", True, "lm_max_census_t2", {"q": 4}),
+        ("5-properties", True, "lm_action_axiom", {"q": 7, "samples": 10000}),
+        ("5-properties", True, "lm_roundtrip", {"q": 4}),
+        ("5-properties", True, "lm_roundtrip", {"q": 5}),
+        ("5-properties", True, "lm_invariance", {"q": 4}),
+    ]
+    return [_spec(fn, **params) for lid, applies, fn, params in rows
+            if lid == lemma_id and applies]
 
 
 _R_FINGERPRINTS = {
@@ -845,6 +826,14 @@ def _h_maximal_types(T, H):
     return types
 
 
+def _random_proper_subgroup(G, rng):
+    """<g1, g2> for the first random pair (g1, g2) that does not generate G."""
+    while True:
+        S = engine.generate(G, [int(rng.integers(G.order)), int(rng.integers(G.order))])
+        if S.order < G.order:
+            return S
+
+
 def _grow_to_maximal(G, S, rng):
     """Grow a proper subgroup to a maximal one (verified by the overgroup test)."""
     while True:
@@ -884,12 +873,7 @@ def lm_max_census_h(p, cfg):
     classified = 0
     samples = 6
     for _ in range(samples):
-        while True:
-            g1, g2 = int(rng.integers(H.order)), int(rng.integers(H.order))
-            S = engine.generate(H, [g1, g2])
-            if S.order < H.order:
-                break
-        M = _grow_to_maximal(H, S, rng)
+        M = _grow_to_maximal(H, _random_proper_subgroup(H, rng), rng)
         if M.member_set == t2_set:
             classified += 1
             continue
@@ -941,11 +925,7 @@ def lm_max_census_t2(p, cfg):
     classified = 0
     samples = 6
     for _ in range(samples):
-        while True:
-            g1, g2 = int(rng.integers(T2.order)), int(rng.integers(T2.order))
-            S = engine.generate(T2, [g1, g2])
-            if S.order < T2.order:
-                break
+        S = _random_proper_subgroup(T2, rng)
         pairs = [wreath.wreath_triple(T, e)[:2] for e in T2.elements[S.members].tolist()]
         p1 = {a for a, _ in pairs}
         p2 = {b for _, b in pairs}

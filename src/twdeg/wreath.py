@@ -16,9 +16,12 @@ anchoring on the values of alpha: the members with a given (y, k) form one
 coset of the left stabilizer or none, an anchor value names the candidate
 cosets, so none is missed, and every counted member is a product of two
 elements checked with act_alpha, one element at a time (at large n a batch
-of survivors costs more time and memory than it saves).  The orbit space N
-is never materialized.  For m >= 3 only subdegree certificates are produced,
-from computations inside L (|L| = |T| m!).
+of survivors costs more time and memory than it saves).  A result keeps
+H_f as its order and cosets, not as a member list: H_f = D for a subgroup D
+of one of the two WreathSub2 shapes follows from D's generators fixing f
+(inside_stabilizer) and |D| = |H_f|.  The orbit space N is never
+materialized.  For m >= 3 only subdegree certificates are produced, from
+computations inside L (|L| = |T| m!).
 
 The Lemma 2.6 witness for K wr S_m comes from one search for every m,
 find_witness_t, over one candidate order of t: (1,...,1,s) over the coset
@@ -37,10 +40,8 @@ Search, replay, build_coset_fn and p1_product_divisor share it.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, permutations, product
-from math import lcm
 
 import numpy as np
 
@@ -107,20 +108,6 @@ def w2_product(T: GroupTable, u, v):
             np.where(swap, 1 - np.asarray(l), l))
 
 
-def w2_inv(T: GroupTable, u):
-    a, b, k = u
-    if k == 0:
-        return (T.inverse(a), T.inverse(b), 0)
-    return (T.inverse(b), T.inverse(a), 1)
-
-
-def w2_order(T: GroupTable, u) -> int:
-    a, b, k = u
-    if k == 0:
-        return lcm(T.order_of(a), T.order_of(b))
-    return 2 * T.order_of(T.mul(a, b))
-
-
 def wreath_full_table(T: GroupTable, swap: bool = True) -> GroupTable:
     """Full enumeration of T wr S_2 as permutations of two point blocks; of
     its base group T x T when `swap` is false."""
@@ -167,67 +154,29 @@ def wreath_triple(T: GroupTable, perm) -> tuple[int, int, int]:
 
 @dataclass
 class WreathSub2:
-    """A subgroup of T wr S_2 in one of the shapes the engine constructs.
-
-    kind "product": K1 x K2 (no swap part); "wreath": K wr S_2;
-    "explicit": an arbitrary member set of triples.
-    """
+    """A subgroup of T wr S_2 in one of the shapes the engine constructs:
+    kind "product" is K1 x K2 (no swap part), kind "wreath" is K wr S_2."""
 
     T: GroupTable
     kind: str
-    K1: Subgroup | None = None
-    K2: Subgroup | None = None
-    explicit: frozenset | None = None
+    K1: Subgroup
+    K2: Subgroup
 
     @property
     def order(self) -> int:
-        if self.kind == "product":
-            return self.K1.order * self.K2.order
-        if self.kind == "wreath":
-            return 2 * self.K1.order * self.K1.order
-        return len(self.explicit)
-
-    def contains(self, u) -> bool:
-        a, b, k = u
-        if self.kind == "product":
-            return k == 0 and a in self.K1.member_set and b in self.K2.member_set
-        if self.kind == "wreath":
-            return a in self.K1.member_set and b in self.K1.member_set
-        return u in self.explicit
+        return self.K1.order * self.K2.order * (2 if self.kind == "wreath" else 1)
 
     def generators(self) -> list[tuple[int, int, int]]:
-        out = []
-        if self.kind in ("product", "wreath"):
-            k2 = self.K1 if self.kind == "wreath" else self.K2
-            for g in self.K1.generating_set():
-                out.append((g, 0, 0))
-            for g in k2.generating_set():
-                out.append((0, g, 0))
-            if self.kind == "wreath":
-                out.append((0, 0, 1))
-        else:
-            mem = sorted(self.explicit)
-            closed = {w2_identity()}
-            for u in mem:
-                if u not in closed:
-                    out.append(u)
-                    closed = _triple_closure(self.T, out)
-                    if len(closed) == len(self.explicit):
-                        break
-        return out
+        out = [(g, 0, 0) for g in self.K1.generating_set()]
+        out += [(0, g, 0) for g in self.K2.generating_set()]
+        return out + [(0, 0, 1)] if self.kind == "wreath" else out
 
     def member_triples(self):
-        if self.kind == "product":
-            for a in self.K1:
-                for b in self.K2:
-                    yield (a, b, 0)
-        elif self.kind == "wreath":
-            for a in self.K1:
-                for b in self.K1:
-                    yield (a, b, 0)
+        for a in self.K1:
+            for b in self.K2:
+                yield (a, b, 0)
+                if self.kind == "wreath":
                     yield (a, b, 1)
-        else:
-            yield from sorted(self.explicit)
 
 
 def product_sub(K1: Subgroup, K2: Subgroup) -> WreathSub2:
@@ -238,32 +187,10 @@ def wreath_sub(K: Subgroup) -> WreathSub2:
     return WreathSub2(K.parent, "wreath", K, K)
 
 
-def _triple_closure(T: GroupTable, gens) -> set:
-    closed = {w2_identity()}
-    frontier = [w2_identity()]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                v = w2_product(T, u, g)
-                if v not in closed:
-                    closed.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return closed
-
-
-def wreath_members_fingerprint(T: GroupTable, members) -> IsoFingerprint:
-    """Fingerprint of a subgroup of T wr S_2 given as a set of triples."""
-    members = sorted(members)
-    cnt = Counter(w2_order(T, u) for u in members)
-    gens = WreathSub2(T, "explicit", explicit=frozenset(members)).generators()
-    abelian = all(
-        w2_product(T, a, b) == w2_product(T, b, a)
-        for i, a in enumerate(gens)
-        for b in gens[i + 1 :]
-    )
-    return IsoFingerprint(len(members), tuple(sorted(cnt.items())), abelian)
+def inside_stabilizer(D: WreathSub2, alpha: "AlphaFn") -> bool:
+    """True iff every generator of D fixes alpha, i.e. D lies in H_f.  With
+    |D| = |H_f| (stabilizer_subdegree) this proves H_f = D by Lagrange."""
+    return all(act_alpha(alpha, g) == alpha for g in D.generators())
 
 
 # -- alpha representation ------------------------------------------------------
@@ -349,17 +276,23 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StabilizerResult:
+    """|H : H_f| and |H_f|, with H_f kept as the right cosets Lambda x_0 of
+    Lambda = {x : (x, 1, 0) in H_f}, one per found (x_0, y, k)."""
+
     subdegree: int
     stabilizer_order: int
-    members: list | None = None
+    T: GroupTable
+    lam: np.ndarray
+    found: list[tuple[int, int, int]]
 
-    def fingerprint(self, T: GroupTable) -> IsoFingerprint:
-        if self.members is None:
-            raise ValueError("members were not collected")
-        return wreath_members_fingerprint(T, self.members)
+    @property
+    def members(self) -> list[tuple[int, int, int]]:
+        """Every member of H_f, in (y, k, x) order."""
+        return [(x, y, k) for x0, y, k in self.found
+                for x in sorted(self.T.product(self.lam, x0).tolist())]
 
 
-def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> StabilizerResult:
+def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
     """Exact |H : H_f| for H = T wr S_2, anchored on the values of alpha.
 
     Let Lambda = {x : (x, 1, 0) fixes f}.  For fixed (y, k) the members
@@ -376,8 +309,8 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
     element of Lambda (found from the fiber of v_0 with y = 1).  A counted
     member (lambda x_0, y, k) = (lambda, 1, 0)(x_0, y, k) is the product of
     two verified stabilizer elements, so every counted member is exact.
-    Temporaries are proportional to the candidate count; members come in
-    (y, k, x) order.
+    Temporaries are proportional to the candidate count; found comes in
+    (y, k) order.
     """
     T = alpha.T
     n = T.order
@@ -385,7 +318,8 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
     a = alpha.values
     everyone = np.arange(n)
     if alpha.is_identity():
-        return StabilizerResult(1, 2 * n * n, None)
+        found = [(0, y, k) for y in range(n) for k in (0, 1)]
+        return StabilizerResult(1, 2 * n * n, T, everyone, found)
     # anchor on the value class c minimizing |alpha^-1(c)| * |C_T(v)|
     cls = np.full(n, -1)
     for v in range(n):
@@ -428,10 +362,7 @@ def stabilizer_subdegree(alpha: AlphaFn, collect_members: bool = True) -> Stabil
     order_h = 2 * n * n
     if order_h % count != 0:
         raise AssertionError("stabilizer order does not divide |H|")
-    members = None
-    if collect_members:
-        members = [(x, y, k) for x0, y, k in found for x in sorted(T.product(lam, x0).tolist())]
-    return StabilizerResult(order_h // count, count, members)
+    return StabilizerResult(order_h // count, count, T, lam, found)
 
 
 # -- coset functions (the explicit orbit representatives) ----------------------
@@ -445,17 +376,10 @@ def d_t_cap_L(D: WreathSub2, t) -> list[tuple[tuple, np.ndarray]]:
     test both coordinates with one membership mask each.
     """
     T = D.T
-    if D.kind == "explicit":
-        tinv = w2_inv(T, t)
-        masks = [
-            [D.contains(w2_product(T, w2_product(T, t, (x, x, k)), tinv)) for x in range(T.order)]
-            for k in (0, 1)
-        ]
-    else:
-        t1, t2, _ = t
-        in1, in2 = member_mask(D.K1), member_mask(D.K2)
-        shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
-        masks = [in1[_conj_column(T, t1, u1)] & in2[_conj_column(T, t2, u2)] for u1, u2 in shapes]
+    t1, t2, _ = t
+    in1, in2 = member_mask(D.K1), member_mask(D.K2)
+    shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
+    masks = [in1[_conj_column(T, t1, u1)] & in2[_conj_column(T, t2, u2)] for u1, u2 in shapes]
     groups = zip(permutations(range(2)), (np.flatnonzero(mask) for mask in masks))
     return [(sig, xs) for sig, xs in groups if len(xs)]
 
@@ -523,43 +447,24 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     n = T.order
     t1, t2, _ = t
     values = np.full(n, T.identity, dtype=np.int64)
-    if D.kind in ("product", "wreath"):
-        # the point (a, 1) lies in D t (x, x, k) iff a x^-1 t1^-1 in K1 and
-        # x^-1 t2^-1 in K2 (k = 0), i.e. x in t2^-1 K2 and a = k1 t1 x; the
-        # swapped shape gives x in t1^-1 K2 and a = k1 t2 x
-        points, vals = [], []
-        for u1, u2 in [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]:
-            xs = T.product(inv[u2], D.K2.members)
-            points.append(T.product(D.K1.members[:, None], u1, xs).ravel())
-            vals.append(np.tile(T.product(inv[xs], eta, xs), D.K1.order))  # x^-1 eta x
-        points, vals = np.concatenate(points), np.concatenate(vals)
-        values[points] = vals
-        clash = values[points] != vals
-        if clash.any():
-            raise InconsistentFunctionError(
-                f"conflicting values at point {int(points[clash][0])}"
-            )
-    else:
-        conj_eta = T.product(inv, eta, np.arange(n))  # x -> x^-1 eta x
-        tinv = w2_inv(T, t)
-        for a_el in range(n):
-            got = set()
-            for k in (0, 1):
-                for x in range(n):
-                    xi_ = T.inverse(x)
-                    z = w2_product(T, w2_product(T, (a_el, 0, 0), (xi_, xi_, k)), tinv)
-                    if D.contains(z):
-                        got.add(int(conj_eta[x]))
-            if len(got) > 1:
-                raise InconsistentFunctionError(f"conflicting values at point {a_el}")
-            if got:
-                values[a_el] = got.pop()
+    # the point (a, 1) lies in D t (x, x, k) iff a x^-1 t1^-1 in K1 and
+    # x^-1 t2^-1 in K2 (k = 0), i.e. x in t2^-1 K2 and a = k1 t1 x; the
+    # swapped shape gives x in t1^-1 K2 and a = k1 t2 x
+    points, vals = [], []
+    for u1, u2 in [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]:
+        xs = T.product(inv[u2], D.K2.members)
+        points.append(T.product(D.K1.members[:, None], u1, xs).ravel())
+        vals.append(np.tile(T.product(inv[xs], eta, xs), D.K1.order))  # x^-1 eta x
+    points, vals = np.concatenate(points), np.concatenate(vals)
+    values[points] = vals
+    clash = values[points] != vals
+    if clash.any():
+        raise InconsistentFunctionError(f"conflicting values at point {int(points[clash][0])}")
     alpha = AlphaFn(T, values)
     if alpha.is_identity():
         raise AssertionError("coset function collapsed to the identity")
-    for g in D.generators():
-        if act_alpha(alpha, g) != alpha:
-            raise AssertionError("D is not contained in the stabilizer")
+    if not inside_stabilizer(D, alpha):
+        raise AssertionError("D is not contained in the stabilizer")
     return alpha
 
 
@@ -576,37 +481,23 @@ def p1_product_divisor(P1: Subgroup, s: int) -> int:
 def build_centralizer_fn(T: GroupTable, gamma: int, m: int = 2):
     """Certificate that the m-th power of a class size is a subdegree.
 
-    For m = 2 the function alpha(a) = gamma on C_T(gamma), identity
-    elsewhere, is materialized and its exact stabilizer computed; for
-    m >= 3 only the class-size certificate is returned.
+    For m = 2 the function alpha(a) = gamma on C = C_T(gamma), identity
+    elsewhere, is materialized and its stabilizer shown to be exactly
+    C wr S_2; for m >= 3 only the class-size certificate is returned.
     """
     if gamma == T.identity:
         raise TrivialElementError("gamma must be nontrivial")
     C = centralizer(T, gamma)
-    class_size = T.order // C.order
-    q = T.degree - 1
-    if m == 2:
-        values = np.full(T.order, T.identity, dtype=np.int64)
-        values[C.members] = gamma
-        alpha = AlphaFn(T, values)
-        res = stabilizer_subdegree(alpha)
-        if res.subdegree != class_size**2:
-            raise AssertionError(
-                f"exact stabilizer gives {res.subdegree}, class law gives {class_size**2}"
-            )
-        expected = set(wreath_sub(C).member_triples())
-        if set(res.members) != expected:
-            raise AssertionError("stabilizer is not the centralizer wreath")
-        cert = SubdegreeCertificate(
-            q, m, "exact-stabilizer", class_size**2,
-            {"construction": "centralizer", "gamma": gamma, "centralizer_order": C.order},
-        )
-        return alpha, res, cert
-    cert = SubdegreeCertificate(
-        q, m, "lemma-2.10-class", class_size**m,
-        {"construction": "centralizer", "gamma": gamma, "centralizer_order": C.order},
-    )
-    return None, None, cert
+    if m > 2:
+        return None, None, class_certificate(C, gamma, m)
+    values = np.full(T.order, T.identity, dtype=np.int64)
+    values[C.members] = gamma
+    alpha = AlphaFn(T, values)
+    res = stabilizer_subdegree(alpha)
+    D = wreath_sub(C)
+    if not (inside_stabilizer(D, alpha) and res.stabilizer_order == D.order):
+        raise AssertionError("stabilizer is not the centralizer wreath")
+    return alpha, res, class_certificate(C, gamma, 2, "exact-stabilizer")
 
 
 # -- certificates ---------------------------------------------------------------
@@ -633,6 +524,15 @@ class SubdegreeCertificate:
         return SubdegreeCertificate(
             rec["q"], rec["m"], rec["kind"], int(rec["value"]), dict(rec["witness"])
         )
+
+
+def class_certificate(C: Subgroup, gamma: int, m: int, kind: str = "lemma-2.10-class"):
+    """|T : C|^m for C = C_T(gamma), the m-th power of the class size of gamma."""
+    T = C.parent
+    return SubdegreeCertificate(
+        T.degree - 1, m, kind, (T.order // C.order) ** m,
+        {"construction": "centralizer", "gamma": gamma, "centralizer_order": C.order},
+    )
 
 
 def witness_candidates(T: GroupTable, K: Subgroup, m: int, shifts=None):
@@ -833,27 +733,33 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
 def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
     """Recompute the certified value from the stored witness data."""
     w = cert.witness
+    # numpy wraps a negative index around, so every stored element index is
+    # checked against T before any construction runs
+    for key in ("gamma", "shift", "eta", "t_tuple"):
+        if key in w:
+            entries = w[key] if isinstance(w[key], list) else [w[key]]
+            count = f"m = {cert.m} " if key == "t_tuple" else ""
+            if count and len(entries) != cert.m or not all(0 <= int(x) < T.order for x in entries):
+                raise AssertionError(f"{key} must hold {count}elements of T")
     construction = w.get("construction")
     if construction == "centralizer":
         gamma = int(w["gamma"])
         if cert.kind == "exact-stabilizer":
             return build_centralizer_fn(T, gamma, 2)[1].subdegree
-        return (T.order // centralizer(T, gamma).order) ** cert.m
+        return class_certificate(centralizer(T, gamma), gamma, cert.m).value
     if construction in ("coset-fn", "p1-product"):
         K = find_named_subgroup(T, w.get("label", "P1")).subgroup
         shift = [int(s) for s in w["shift"]]
         D = wreath_sub(K) if construction == "coset-fn" else product_sub(K, K)
         if cert.kind == "exact-stabilizer":
             alpha = build_coset_fn(D, (0, shift[0], 0), eta=w.get("eta"))
-            return stabilizer_subdegree(alpha, collect_members=False).subdegree
+            return stabilizer_subdegree(alpha).subdegree
         if construction == "p1-product":
             return p1_product_divisor(K, shift[0])
         if not label_maximal(cert.q, w["label"]):
             raise AssertionError(f"Lemma 2.6 needs {w['label']} maximal at q = {cert.q}")
         m = cert.m
         t_tuple = tuple(int(x) for x in w["t_tuple"]) if m > 2 else (T.identity, shift[0])
-        if len(t_tuple) != m or not all(0 <= x < T.order for x in t_tuple):
-            raise AssertionError(f"t_tuple must hold m = {m} elements of T")
         eta = int(w["eta"])
         if not any(eta in xs for _, xs in central_members(T, filter_L_members(T, K, t_tuple))):
             raise AssertionError("stored eta is no longer central")

@@ -8,12 +8,15 @@ package against them.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from itertools import permutations
+from math import lcm
 
 import numpy as np
 
-from twdeg import engine
-from twdeg.engine import GroupTable, Perm, Subgroup, member_mask
+from twdeg import engine, wreath
+from twdeg.engine import GroupTable, IsoFingerprint, Perm, Subgroup, member_mask
+from twdeg.wreath import AlphaFn, w2_identity, w2_product
 
 
 # -- permutations ------------------------------------------------------------------
@@ -38,6 +41,81 @@ def wm_inv(T: GroupTable, u):
     # (t sigma)^-1 = (s tau) with tau = sigma^-1 and s_j = t_{j^tau}^-1
     parts = tuple(T.inverse(t[inv_sig[j]]) for j in range(m))
     return (parts, inv_sig)
+
+
+# -- m = 2 subgroups given by their member triples --------------------------------
+
+def w2_inv(T: GroupTable, u):
+    a, b, k = u
+    return (T.inverse(a), T.inverse(b), 0) if k == 0 else (T.inverse(b), T.inverse(a), 1)
+
+
+def w2_order(T: GroupTable, u) -> int:
+    a, b, k = u
+    return lcm(T.order_of(a), T.order_of(b)) if k == 0 else 2 * T.order_of(T.mul(a, b))
+
+
+def triple_closure(T: GroupTable, gens) -> set:
+    closed = {w2_identity()}
+    frontier = [w2_identity()]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                v = w2_product(T, u, g)
+                if v not in closed:
+                    closed.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return closed
+
+
+def explicit_generators(T: GroupTable, members) -> list:
+    """Members in sorted order, each outside the closure of those before it."""
+    out, closed = [], {w2_identity()}
+    for u in sorted(members):
+        if u not in closed:
+            out.append(u)
+            closed = triple_closure(T, out)
+            if len(closed) == len(members):
+                break
+    return out
+
+
+def wreath_members_fingerprint(T: GroupTable, members) -> IsoFingerprint:
+    """Fingerprint of a subgroup of T wr S_2 given as a set of triples."""
+    cnt = Counter(w2_order(T, u) for u in members)
+    gens = explicit_generators(T, members)
+    abelian = all(w2_product(T, a, b) == w2_product(T, b, a)
+                  for i, a in enumerate(gens) for b in gens[i + 1 :])
+    return IsoFingerprint(len(members), tuple(sorted(cnt.items())), abelian)
+
+
+def explicit_d_t_cap_L(T: GroupTable, members, t):
+    """wreath.d_t_cap_L for D given by its member triples: t (x, x, k) t^-1
+    tested against D one x at a time."""
+    tinv = w2_inv(T, t)
+    masks = [[w2_product(T, w2_product(T, t, (x, x, k)), tinv) in members
+              for x in range(T.order)] for k in (0, 1)]
+    groups = zip(permutations(range(2)), (np.flatnonzero(mask) for mask in masks))
+    return [(sig, xs) for sig, xs in groups if len(xs)]
+
+
+def explicit_coset_fn(T: GroupTable, members, t, eta=None) -> AlphaFn:
+    """wreath.build_coset_fn for D given by its member triples: alpha at a is
+    x^-1 eta x for every (x, x, k) with (a, 1)(x, x, k)^-1 t^-1 in D."""
+    if eta is None:
+        eta = int(wreath.central_members(T, explicit_d_t_cap_L(T, members, t))[0][1][0])
+    tinv = w2_inv(T, t)
+    xinv = T.inv.tolist()
+    values = np.full(T.order, T.identity)
+    for a in range(T.order):
+        got = {T.conj(eta, x) for k in (0, 1) for x in range(T.order)
+               if w2_product(T, w2_product(T, (a, 0, 0), (xinv[x], xinv[x], k)), tinv) in members}
+        assert len(got) <= 1, f"conflicting values at point {a}"
+        if got:
+            values[a] = got.pop()
+    return AlphaFn(T, values)
 
 
 # -- subgroups --------------------------------------------------------------------

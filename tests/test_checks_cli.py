@@ -355,6 +355,32 @@ def test_ctx_group_rejects_non_prime_power(tmp_path, capsys):
     assert rc == 0 and "PASS  replay.synthetic.q4" in out
 
 
+def test_report_replay_rejects_out_of_range_indices(tmp_path, capsys):
+    """numpy wraps a negative index around, so an index moved down by |T|
+    used to replay as the element it wraps to (an m = 3 class certificate
+    with gamma - 168 to 9261, the P1 x P1 certificates with shift - 168 to
+    128).  Every stored gamma, shift, eta and t_tuple entry must lie in T."""
+    T = checks.ctx_group(7)
+    certs = {
+        "class": checks.class_subdegree(7, 3, 2, False),
+        "exact": checks.p1_product_subdegree(7, True),
+        "divisor": checks.p1_product_subdegree(7, False),
+        "witness": wreath.find_witness_t(T, checks.ctx_atlas(7, "S4").subgroup, 3, label="S4"),
+    }
+    records = {name: {"check_id": f"synthetic.{name}", "status": "pass",
+                      "witness": cert.to_record()} for name, cert in certs.items()}
+    rc, out = _replay_results(tmp_path, capsys, *records.values())
+    assert rc == 0 and out.count("PASS  replay.synthetic.") == 4
+    for name, key in (("class", "gamma"), ("exact", "shift"), ("divisor", "shift"),
+                      ("witness", "eta"), ("witness", "t_tuple"), ("witness", "shift")):
+        rec = json.loads(json.dumps(records[name]))
+        w = rec["witness"]["witness"]
+        w[key] = [x - T.order for x in w[key]] if isinstance(w[key], list) else w[key] - T.order
+        rc, out = _replay_results(tmp_path, capsys, rec)
+        assert rc == 1, (name, key, out)
+        assert f"FAIL  replay.synthetic.{name}" in out and f"{key} must hold" in out, out
+
+
 def _table1_q11_report(tmp_path):
     """(path, report, results by check id) of table1 at q = 11, m = 3..6."""
     out = tmp_path / "t1.json"

@@ -8,6 +8,7 @@ an explicit generator-mapping isomorphism when they are not conjugate), and
 the named small families are pairwise distinguishable at equal orders.
 """
 
+import functools
 from collections import defaultdict, deque
 
 import pytest
@@ -44,6 +45,12 @@ def all_proper_subgroups(T):
                     new.append(S2)
         frontier = new
     return list(subs.values())
+
+
+@functools.cache
+def lattice(q: int) -> list:
+    """all_proper_subgroups of PSL(2,q), built once per session."""
+    return all_proper_subgroups(group_for(q))
 
 
 def are_isomorphic(A: eng.Subgroup, B: eng.Subgroup) -> bool:
@@ -112,7 +119,7 @@ def conjugacy_class_id(T, S: eng.Subgroup) -> frozenset:
 @pytest.mark.parametrize("q,multiclass", [(7, 3), (9, 6)])
 def test_equal_fingerprints_imply_isomorphic(q, multiclass):
     T = group_for(q)
-    subs = all_proper_subgroups(T)
+    subs = lattice(q)
     buckets = defaultdict(list)
     for S in subs:
         buckets[eng.fingerprint(S)].append(S)
@@ -138,8 +145,7 @@ def test_equal_fingerprints_imply_isomorphic(q, multiclass):
 @pytest.mark.parametrize("q,count", [(7, 179), (9, 501)])
 def test_lattice_sizes(q, count):
     """Total subgroup counts act as a regression pin on the enumeration."""
-    T = group_for(q)
-    subs = all_proper_subgroups(T)
+    subs = lattice(q)
     assert len(subs) + 1 == count  # proper subgroups plus the group itself
 
 

@@ -37,7 +37,7 @@ def test_w2_inverse(T4):
     n = T4.order
     for _ in range(100):
         u = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        assert wr.w2_product(T4, u, wr.w2_inv(T4, u)) == wr.w2_identity()
+        assert wr.w2_product(T4, u, reference.w2_inv(T4, u)) == wr.w2_identity()
 
 
 def test_wm_matches_w2(T4):
@@ -336,21 +336,22 @@ def test_coset_fn_p1_product(T7):
 
 
 def _explicit(D):
-    return wr.WreathSub2(D.T, "explicit", explicit=frozenset(D.member_triples()))
+    return frozenset(D.member_triples())
 
 
 def test_coset_fn_explicit_matches_structured(T4, T7):
     P1 = point_stabilizer(T4, 4)
     s = next(g for g in range(T4.order) if g not in P1.member_set)
     D = wr.product_sub(P1, P1)
-    assert wr.build_coset_fn(D, (0, s, 0)) == wr.build_coset_fn(_explicit(D), (0, s, 0))
+    t = (0, s, 0)
+    assert wr.build_coset_fn(D, t) == reference.explicit_coset_fn(T4, _explicit(D), t)
     # the wreath kind: S4 wr S_2 at q = 7 with its witness shift and eta
     K = atlas.find_named_subgroup(T7, "S4").subgroup
     wit = wr.find_witness_t(T7, K, 2, label="S4").witness
     D = wr.wreath_sub(K)
     t = (0, wit["shift"][0], 0)
     a1 = wr.build_coset_fn(D, t, eta=wit["eta"])
-    assert a1 == wr.build_coset_fn(_explicit(D), t, eta=wit["eta"])
+    assert a1 == reference.explicit_coset_fn(T7, _explicit(D), t, eta=wit["eta"])
     assert wr.stabilizer_subdegree(a1).subdegree == 49
 
 
@@ -364,8 +365,9 @@ def test_d_t_cap_L_explicit_matches_structured(q):
     shifts = [(0, 0)] + [tuple(int(s) for s in rng.integers(0, T.order, 2)) for _ in range(4)]
     for D in (wr.product_sub(P1, P1), wr.wreath_sub(K), wr.product_sub(P1, K)):
         for t1, t2 in shifts:
-            structured = flatten(wr.d_t_cap_L(D, (t1, t2, 0)))
-            assert structured == flatten(wr.d_t_cap_L(_explicit(D), (t1, t2, 0)))
+            t = (t1, t2, 0)
+            structured = flatten(wr.d_t_cap_L(D, t))
+            assert structured == flatten(reference.explicit_d_t_cap_L(T, _explicit(D), t))
 
 
 def test_coset_fn_bad_eta(T7):
@@ -619,6 +621,75 @@ def test_p1_product_stabilizer_exact(q):
         assert set(res.members) == expected
 
 
+def _equals_by_order(D, alpha, res):
+    return wr.inside_stabilizer(D, alpha) and res.stabilizer_order == D.order
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_stabilizer_equality_by_order_matches_member_sets(q):
+    """The test "D's generators fix alpha and |D| = |H_f|" decides H_f = D
+    as the member sets do: for each centralizer function, C_T(gamma) wr S_2
+    (yes) and its base C x C (no: |D| = |H_f| / 2); for the P1 x P1 function,
+    P1 x P1 (no at q = 5, |H_f| = 200 and |D| = 100, else yes) and P1 wr S_2
+    (yes at q = 5, else no: not inside H_f); for a witness function over K,
+    K wr S_2 (yes)."""
+    T = group_for(q)
+    cases = []
+    for order in sorted(set(T.orders.tolist()) - {1}):
+        gamma = int(T.elements_of_order(order)[0])
+        C = eng.centralizer(T, gamma)
+        alpha = wr.build_centralizer_fn(T, gamma, 2)[0]
+        cases += [(wr.wreath_sub(C), alpha, True), (wr.product_sub(C, C), alpha, False)]
+    P1 = point_stabilizer(T, q)
+    s = next(g for g in range(T.order) if g not in P1.member_set)
+    P1xP1 = wr.product_sub(P1, P1)
+    alpha = wr.build_coset_fn(P1xP1, (0, s, 0))
+    cases += [(P1xP1, alpha, q != 5), (wr.wreath_sub(P1), alpha, q == 5)]
+    if q == 5:
+        assert (wr.stabilizer_subdegree(alpha).stabilizer_order, P1xP1.order) == (200, 100)
+    K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
+    wit = wr.find_witness_t(T, K, 2, maximal=False).witness
+    D = wr.wreath_sub(K)
+    cases.append((D, wr.build_coset_fn(D, (0, wit["shift"][0], 0), eta=wit["eta"]), True))
+    for D, alpha, equal in cases:
+        res = wr.stabilizer_subdegree(alpha)
+        assert (set(res.members) == set(D.member_triples())) == equal
+        assert _equals_by_order(D, alpha, res) == equal
+
+
+def test_stabilizer_equality_by_order_p1_product_q9(T9):
+    """At q = 9 (1 mod 4) the P1 x P1 function has |H_f| = 2592 against
+    |P1 x P1| = 1296: both tests say no."""
+    P1 = point_stabilizer(T9, 9)
+    s = next(g for g in range(T9.order) if g not in P1.member_set)
+    D = wr.product_sub(P1, P1)
+    alpha = wr.build_coset_fn(D, (0, s, 0))
+    res = wr.stabilizer_subdegree(alpha)
+    assert (res.stabilizer_order, D.order) == (2592, 1296)
+    assert wr.inside_stabilizer(D, alpha) and not _equals_by_order(D, alpha, res)
+    assert set(D.member_triples()) < set(res.members)
+
+
+@pytest.mark.parametrize("q,label,pair", [
+    (8, "DihedralPlus", [1, 3]), (4, "DihedralMinus", None), (5, "P1", None),
+    (13, "A4", [34, 208]), (11, "A5", [1, 6]),
+])
+def test_triple_candidate_skips_collapsing_pairs(q, label, pair):
+    """The C2 triple-intersection candidate of the witness search skips a
+    pair (r, s) with r, s or s r^-1 in K, whose triple intersection collapses
+    to a pairwise one, instead of raising: with no single-shift candidates,
+    find_witness_t returns the first pair that meets the side conditions, or
+    None.  The q = 11 A5 pair of lemma 4.2-triple is unchanged."""
+    T = group_for(q)
+    K = atlas.find_named_subgroup(T, label).subgroup
+    cert = wr.find_witness_t(T, K, 4, shifts=[], maximal=False)
+    assert (cert and cert.witness["shift"]) == pair
+    if pair is not None:
+        r, s = pair
+        assert not {r, s, T.mul(s, T.inverse(r))} & K.member_set
+        assert cert.witness["t_tuple"] == [T.identity, r, r, s]
+
+
 def test_centralizer_fn_q13_involution(T13):
     _, res, _ = wr.build_centralizer_fn(T13, int(T13.elements_of_order(2)[0]), 2)
     assert res.subdegree == 91**2
@@ -627,7 +698,7 @@ def test_centralizer_fn_q13_involution(T13):
 def test_stabilizer_fingerprint_method(T7):
     gamma = int(T7.elements_of_order(2)[0])
     _, res, _ = wr.build_centralizer_fn(T7, gamma, 2)
-    fp = res.fingerprint(T7)
+    fp = reference.wreath_members_fingerprint(T7, res.members)
     assert fp.order == 2 * 8 * 8  # the centralizer wreath D8 wr S2
     assert not fp.abelian
 
@@ -719,11 +790,6 @@ def test_grouped_search_matches_member_list(q):
                 try:
                     shift, t = next(candidates)
                 except StopIteration:
-                    break
-                except AssertionError:
-                    # the triple-intersection side condition, reached only
-                    # past the search's pick while walking the singles
-                    assert first is not None, (label, m)
                     break
                 if first is not None and len(shift) > 1:
                     break
