@@ -222,12 +222,10 @@ def ctx_p1_product(q: int) -> tuple:
     key = ("P1xP1", q)
     if key not in _CTX:
         s = _p1_shift(q)
-        alpha = wreath.build_coset_fn(wreath.product_sub(ctx_p1(q), ctx_p1(q)), (0, s, 0))
-        res = wreath.stabilizer_subdegree(alpha)
-        cert = SubdegreeCertificate(
-            q, 2, "exact-stabilizer", res.subdegree, {"construction": "p1-product", "shift": [s]}
+        cert, alpha, _ = wreath.exact_coset_certificate(
+            wreath.product_sub(ctx_p1(q)), {"construction": "p1-product", "shift": [s]}
         )
-        _CTX[key] = (s, alpha, cert, res.subdegree)
+        _CTX[key] = (s, alpha, cert, cert.value)
     return _CTX[key]
 
 
@@ -259,13 +257,9 @@ def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> S
     if cert is None:
         raise atlas.NoWitnessError(f"no central witness for {label} wr S_{m} at q={q}")
     if m == 2 and exact:
-        D = wreath.wreath_sub(K)
-        w = cert.witness
-        alpha = wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
-        res = wreath.stabilizer_subdegree(alpha)
-        if not (wreath.inside_stabilizer(D, alpha) and res.stabilizer_order == D.order):
+        cert, _, is_wreath = wreath.exact_coset_certificate(wreath.wreath_sub(K), cert.witness)
+        if not is_wreath:
             raise AssertionError(f"stabilizer is not {label} wr S_2")
-        return SubdegreeCertificate(q, m, "exact-stabilizer", res.subdegree, dict(w))
     return cert
 
 
@@ -475,9 +469,9 @@ def t4_class_pair(p, cfg):
     f_expected, g_expected = p["expected"]
     T = ctx_group(q)
     gamma = int(T.elements_of_order(order)[0])
-    f_alpha, f_res, f_cert = wreath.build_centralizer_fn(T, gamma, 2)
+    f_alpha, f_res, f_cert = wreath.build_centralizer_fn(T, gamma)
     C = engine.generate(T, [gamma])
-    if not wreath.inside_stabilizer(wreath.product_sub(C, C), f_alpha):
+    if not wreath.inside_stabilizer(wreath.product_sub(C), f_alpha):
         return "containment", f"error: C{order} x C{order} not inside the stabilizer", None
     if (2 * f_expected) % f_res.subdegree != 0:
         return "divisibility", f"error: {f_res.subdegree}", None
@@ -505,14 +499,8 @@ def t4_q11_a4(p, cfg):
     cert = wreath.find_witness_t(T, A4, 2, label="A4", maximal=False)
     if cert is None:
         return "witness", "error: no central element over A4 wr S_2", None
-    w = cert.witness
-    D = wreath.wreath_sub(A4)
-    alpha = wreath.build_coset_fn(D, (0, w["shift"][0], 0), eta=w["eta"])
-    g_res = wreath.stabilizer_subdegree(alpha)
-    is_wreath = wreath.inside_stabilizer(D, alpha) and g_res.stabilizer_order == D.order
-    g_cert = SubdegreeCertificate(
-        q, 2, "exact-stabilizer", g_res.subdegree, {**w, "stabilizer_is_wreath": is_wreath}
-    )
+    g_cert, _, is_wreath = wreath.exact_coset_certificate(wreath.wreath_sub(A4), cert.witness)
+    g_cert.witness["stabilizer_is_wreath"] = is_wreath
     return _pair_result(2 * 12**2, 55**2, f_cert, g_cert)
 
 
@@ -683,7 +671,7 @@ def lm_wreath_conditions(p, cfg):
     T = ctx_group(q)
     P1 = ctx_p1(q)
     gamma = int(T.elements_of_order(2)[0])
-    alpha_h, _, _ = wreath.build_centralizer_fn(T, gamma, 2)
+    alpha_h, _, _ = wreath.build_centralizer_fn(T, gamma)
     C = engine.centralizer(T, gamma)
     # build_centralizer_fn has already asserted that its stabilizer is C wr S_2
     ok1 = wreath.check_wreath_conditions(alpha_h, C)

@@ -534,9 +534,7 @@ def dihedral_class_census(T: GroupTable, d: int) -> int:
     return classes
 
 
-def first_subgroup_with_fingerprint(
-    K: Subgroup, target: IsoFingerprint, max_gens: int = 2
-) -> Subgroup | None:
+def first_subgroup_with_fingerprint(K: Subgroup, target: IsoFingerprint) -> Subgroup | None:
     """First subgroup of K (by generator index order) matching a fingerprint."""
     T = K.parent
     mem = [int(m) for m in K.members]
@@ -549,14 +547,13 @@ def first_subgroup_with_fingerprint(
         S = generate(T, [a])
         if S.order == target.order and fingerprint(S) == target:
             return S
-    if max_gens >= 2:
-        for i, a in enumerate(singles):
-            if target.order % T.order_of(a) != 0:
+    for i, a in enumerate(singles):
+        if target.order % T.order_of(a) != 0:
+            continue
+        for b in singles[i + 1 :]:
+            if target.order % T.order_of(b) != 0:
                 continue
-            for b in singles[i + 1 :]:
-                if target.order % T.order_of(b) != 0:
-                    continue
-                S = generate(T, [a, b])
-                if S.order == target.order and fingerprint(S) == target:
-                    return S
+            S = generate(T, [a, b])
+            if S.order == target.order and fingerprint(S) == target:
+                return S
     return None

@@ -4,6 +4,8 @@ Elements are plain ints in [0, q) encoding polynomials c0 + c1*x + ... as
 base-p digit strings (c0 least significant).  The modulus is pinned to the
 lexicographically smallest monic irreducible of degree f (coefficients
 compared low-degree first), so element encodings are stable across runs.
+Every operation reads a table built once, in array arithmetic, when the
+field is made.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import itertools
 
 import numpy as np
 
-MAX_ORDER = 1 << 16
-TABLE_MAX = 256  # precompute full q x q op tables up to here
+MAX_ORDER = 1 << 9  # the (2f - 1, q, q) product array stays under 36 MB
 
 
 class NonPrimeError(ValueError):
@@ -91,100 +92,28 @@ class Field:
             self.modulus = [0, 1]  # x - 0 convention: plain mod-p arithmetic
         else:
             self.modulus = _smallest_irreducible(p, f)
-        self._build_tables()
+        # digits[i, x] is the coefficient c_i of x; encode inverts it plane by plane
+        digits = np.arange(q) // p ** np.arange(f)[:, None] % p
 
-    def _build_tables(self):
-        p, f, q = self.p, self.f, self.q
-        if q <= TABLE_MAX:
-            a = np.arange(q)
-            if f == 1:
-                self.add_table = (a[:, None] + a[None, :]) % p
-                self.mul_table = (a[:, None] * a[None, :]) % p
-            else:
-                digits = np.zeros((q, f), dtype=np.int64)
-                v = a.copy()
-                for i in range(f):
-                    digits[:, i] = v % p
-                    v //= p
-                add = np.zeros((q, q), dtype=np.int64)
-                weights = p ** np.arange(f)
-                for x in range(q):
-                    s = (digits[x][None, :] + digits) % p
-                    add[x] = s @ weights
-                self.add_table = add
-                mul = np.zeros((q, q), dtype=np.int64)
-                for x in range(q):
-                    for y in range(q):
-                        mul[x, y] = self._poly_product(x, y)
-                self.mul_table = mul
-        else:
-            self.add_table = None
-            self.mul_table = None
-        self.neg_table = np.zeros(q, dtype=np.int64)
-        for x in range(q):
-            self.neg_table[x] = self._neg_raw(x)
-        self.inv_table = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            self.inv_table[x] = pow_elem(self, x, q - 2)
+        def encode(planes):
+            return sum(p**i * (plane % p) for i, plane in enumerate(planes))
 
-    # -- raw digit-level arithmetic (used to build tables and above TABLE_MAX)
-
-    def _digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.f):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _encode(self, ds: list[int]) -> int:
-        v = 0
-        for c in reversed(ds):
-            v = v * self.p + c
-        return v
-
-    def _poly_product(self, x: int, y: int) -> int:
-        p, f = self.p, self.f
-        if f == 1:
-            return (x * y) % p
-        a, b = self._digits(x), self._digits(y)
-        res = [0] * (2 * f - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    res[i + j] = (res[i + j] + u * v) % p
-        for i in range(2 * f - 2, f - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(f):
-                    res[i - f + j] = (res[i - f + j] - c * self.modulus[j]) % p
-        return self._encode(res[:f])
-
-    def _add_raw(self, x: int, y: int) -> int:
-        if self.f == 1:
-            return (x + y) % self.p
-        a, b = self._digits(x), self._digits(y)
-        return self._encode([(u + v) % self.p for u, v in zip(a, b)])
-
-    def _neg_raw(self, x: int) -> int:
-        if self.f == 1:
-            return (-x) % self.p
-        return self._encode([(-c) % self.p for c in self._digits(x)])
-
-    # -- public element ops (ints in, ints out)
+        self.add_table = encode(digits[i, :, None] + digits[i] for i in range(f))
+        prod = np.zeros((2 * f - 1, q, q), dtype=np.int64)
+        for i, j in itertools.product(range(f), repeat=2):
+            prod[i + j] += np.outer(digits[i], digits[j])
+        # top degree down: x^d = x^(d-f) x^f and x^f = -(c0 + ... + c_{f-1} x^(f-1))
+        for d, j in itertools.product(range(2 * f - 2, f - 1, -1), range(f)):
+            prod[d - f + j] -= prod[d] % p * self.modulus[j]
+        self.mul_table = encode(prod[:f])
+        self.neg_table = encode(-digits)
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1)  # 0 at x = 0
 
     def add(self, x: int, y: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[x, y])
-        return self._add_raw(x, y)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return int(self.add_table[x, y])
 
     def mul(self, x: int, y: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[x, y])
-        return self._poly_product(x, y)
+        return int(self.mul_table[x, y])
 
     def neg(self, x: int) -> int:
         return int(self.neg_table[x])
@@ -209,15 +138,3 @@ class Field:
 
     def __repr__(self):
         return f"Field(p={self.p}, f={self.f}, q={self.q})"
-
-
-def pow_elem(field: Field, x: int, e: int) -> int:
-    r = 1
-    b = x
-    while e:
-        if e & 1:
-            r = field.mul(r, b)
-        b = field.mul(b, b)
-        e >>= 1
-    return r
-

@@ -18,10 +18,12 @@ cosets, so none is missed, and every counted member is a product of two
 elements checked with act_alpha, one element at a time (at large n a batch
 of survivors costs more time and memory than it saves).  A result keeps
 H_f as its order and cosets, not as a member list: H_f = D for a subgroup D
-of one of the two WreathSub2 shapes follows from D's generators fixing f
-(inside_stabilizer) and |D| = |H_f|.  The orbit space N is never
-materialized.  For m >= 3 only subdegree certificates are produced, from
-computations inside L (|L| = |T| m!).
+of one of the two WreathSub2 shapes, K x K and K wr S_2 over one K, follows
+from D's generators fixing f (inside_stabilizer) and |D| = |H_f|.
+build_coset_fn checks D's generators, so exact_coset_certificate, the one
+exact certificate of a coset function, scans once and compares orders.  The
+orbit space N is never materialized.  For m >= 3 only subdegree
+certificates are produced, from computations inside L (|L| = |T| m!).
 
 The Lemma 2.6 witness for K wr S_m comes from one search for every m,
 find_witness_t, over one candidate order of t: (1,...,1,s) over the coset
@@ -30,10 +32,11 @@ representatives s of K; for m = 3, (1,a,b) over pairs of them; for m >= 6,
 intersection.  The first t whose D^t cap L has a central (eta,...,eta)sigma
 with eta != 1 is kept, and replay rebuilds t from the certificate alone.
 The members of D^t cap L never form a per-member list: filter_L_members
-(and d_t_cap_L for m = 2) groups them as (sigma, xs), one sorted index array
-per sigma, computed once per distinct set of pairs (t_j, t_(j sigma)), and
-central_members makes one centrality pass over the groups: one product for
-the T-parts, one array pass for the sigmas that hold a central T-part.
+groups them as (sigma, xs), one sorted index array per sigma, computed once
+per distinct set of pairs (t_j, t_(j sigma)); d_t_cap_L is its m = 2 form,
+with the sigma = 1 group alone for K x K.  central_members makes one
+centrality pass over the groups: one product for the T-parts, one array
+pass for the sigmas that hold a central T-part.
 Search, replay, build_coset_fn and p1_product_divisor share it.
 """
 
@@ -155,36 +158,35 @@ def wreath_triple(T: GroupTable, perm) -> tuple[int, int, int]:
 @dataclass
 class WreathSub2:
     """A subgroup of T wr S_2 in one of the shapes the engine constructs:
-    kind "product" is K1 x K2 (no swap part), kind "wreath" is K wr S_2."""
+    kind "product" is K x K (no swap part), kind "wreath" is K wr S_2."""
 
     T: GroupTable
     kind: str
-    K1: Subgroup
-    K2: Subgroup
+    K: Subgroup
 
     @property
     def order(self) -> int:
-        return self.K1.order * self.K2.order * (2 if self.kind == "wreath" else 1)
+        return self.K.order**2 * (2 if self.kind == "wreath" else 1)
 
     def generators(self) -> list[tuple[int, int, int]]:
-        out = [(g, 0, 0) for g in self.K1.generating_set()]
-        out += [(0, g, 0) for g in self.K2.generating_set()]
+        gens = self.K.generating_set()
+        out = [(g, 0, 0) for g in gens] + [(0, g, 0) for g in gens]
         return out + [(0, 0, 1)] if self.kind == "wreath" else out
 
     def member_triples(self):
-        for a in self.K1:
-            for b in self.K2:
+        for a in self.K:
+            for b in self.K:
                 yield (a, b, 0)
                 if self.kind == "wreath":
                     yield (a, b, 1)
 
 
-def product_sub(K1: Subgroup, K2: Subgroup) -> WreathSub2:
-    return WreathSub2(K1.parent, "product", K1, K2)
+def product_sub(K: Subgroup) -> WreathSub2:
+    return WreathSub2(K.parent, "product", K)
 
 
 def wreath_sub(K: Subgroup) -> WreathSub2:
-    return WreathSub2(K.parent, "wreath", K, K)
+    return WreathSub2(K.parent, "wreath", K)
 
 
 def inside_stabilizer(D: WreathSub2, alpha: "AlphaFn") -> bool:
@@ -368,20 +370,12 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
 # -- coset functions (the explicit orbit representatives) ----------------------
 
 def d_t_cap_L(D: WreathSub2, t) -> list[tuple[tuple, np.ndarray]]:
-    """Members of D^t cap L grouped as in filter_L_members: (sigma, xs) with
-    sigma = (0, 1) for the swap bit k = 0 and (1, 0) for k = 1.
-
-    For t = (t1, t2, 0), t (x, x, k) t^-1 is (t1 x t1^-1, t2 x t2^-1, 0) for
-    k = 0 and (t1 x t2^-1, t2 x t1^-1, 1) for k = 1; the structured kinds
-    test both coordinates with one membership mask each.
-    """
-    T = D.T
-    t1, t2, _ = t
-    in1, in2 = member_mask(D.K1), member_mask(D.K2)
-    shapes = [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]
-    masks = [in1[_conj_column(T, t1, u1)] & in2[_conj_column(T, t2, u2)] for u1, u2 in shapes]
-    groups = zip(permutations(range(2)), (np.flatnonzero(mask) for mask in masks))
-    return [(sig, xs) for sig, xs in groups if len(xs)]
+    """Members of D^t cap L for t = (t1, t2, 0), grouped as in
+    filter_L_members: sigma = (0, 1) for the swap bit k = 0 and (1, 0) for
+    k = 1.  K x K is the sigma = 1 part of K wr S_2, so it keeps that group
+    alone."""
+    groups = filter_L_members(D.T, D.K, t[:2])
+    return groups if D.kind == "wreath" else [(sig, xs) for sig, xs in groups if sig == (0, 1)]
 
 
 def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
@@ -447,14 +441,15 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     n = T.order
     t1, t2, _ = t
     values = np.full(n, T.identity, dtype=np.int64)
-    # the point (a, 1) lies in D t (x, x, k) iff a x^-1 t1^-1 in K1 and
-    # x^-1 t2^-1 in K2 (k = 0), i.e. x in t2^-1 K2 and a = k1 t1 x; the
-    # swapped shape gives x in t1^-1 K2 and a = k1 t2 x
+    # the point (a, 1) lies in D t (x, x, k) iff a x^-1 t1^-1 in K and
+    # x^-1 t2^-1 in K (k = 0), i.e. x in t2^-1 K and a = k1 t1 x; the
+    # swapped shape gives x in t1^-1 K and a = k1 t2 x
     points, vals = [], []
+    K = D.K.members
     for u1, u2 in [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]:
-        xs = T.product(inv[u2], D.K2.members)
-        points.append(T.product(D.K1.members[:, None], u1, xs).ravel())
-        vals.append(np.tile(T.product(inv[xs], eta, xs), D.K1.order))  # x^-1 eta x
+        xs = T.product(inv[u2], K)
+        points.append(T.product(K[:, None], u1, xs).ravel())
+        vals.append(np.tile(T.product(inv[xs], eta, xs), len(K)))  # x^-1 eta x
     points, vals = np.concatenate(points), np.concatenate(vals)
     values[points] = vals
     clash = values[points] != vals
@@ -473,23 +468,21 @@ def p1_product_divisor(P1: Subgroup, s: int) -> int:
     at t = (1, s) divides; raises NotCentralError when Z(D^t cap L) gives
     no such function."""
     T = P1.parent
-    if not central_members(T, d_t_cap_L(product_sub(P1, P1), (0, s, 0))):
+    if not central_members(T, d_t_cap_L(product_sub(P1), (0, s, 0))):
         raise NotCentralError("no central element over P1 x P1")
     return 2 * (T.order // P1.order) ** 2
 
 
-def build_centralizer_fn(T: GroupTable, gamma: int, m: int = 2):
-    """Certificate that the m-th power of a class size is a subdegree.
+def build_centralizer_fn(T: GroupTable, gamma: int):
+    """Certificate that the square of a class size is an exact subdegree.
 
-    For m = 2 the function alpha(a) = gamma on C = C_T(gamma), identity
-    elsewhere, is materialized and its stabilizer shown to be exactly
-    C wr S_2; for m >= 3 only the class-size certificate is returned.
+    The function alpha(a) = gamma on C = C_T(gamma), identity elsewhere, is
+    materialized and its stabilizer shown to be exactly C wr S_2; returns
+    alpha, the scan and the certificate.
     """
     if gamma == T.identity:
         raise TrivialElementError("gamma must be nontrivial")
     C = centralizer(T, gamma)
-    if m > 2:
-        return None, None, class_certificate(C, gamma, m)
     values = np.full(T.order, T.identity, dtype=np.int64)
     values[C.members] = gamma
     alpha = AlphaFn(T, values)
@@ -533,6 +526,19 @@ def class_certificate(C: Subgroup, gamma: int, m: int, kind: str = "lemma-2.10-c
         T.degree - 1, m, kind, (T.order // C.order) ** m,
         {"construction": "centralizer", "gamma": gamma, "centralizer_order": C.order},
     )
+
+
+def exact_coset_certificate(D: WreathSub2, witness: dict):
+    """(certificate, alpha, H_f = D) for the coset function of D at
+    t = (1, shift), with the witness's eta or, without one, the first central
+    eta.  The certificate is the exact-stabilizer subdegree with a copy of
+    the witness.  build_coset_fn has proven D <= H_f, so H_f = D iff
+    |H_f| = |D|."""
+    T = D.T
+    alpha = build_coset_fn(D, (T.identity, int(witness["shift"][0]), 0), eta=witness.get("eta"))
+    res = stabilizer_subdegree(alpha)
+    cert = SubdegreeCertificate(T.degree - 1, 2, "exact-stabilizer", res.subdegree, dict(witness))
+    return cert, alpha, res.stabilizer_order == D.order
 
 
 def witness_candidates(T: GroupTable, K: Subgroup, m: int, shifts=None):
@@ -745,15 +751,14 @@ def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
     if construction == "centralizer":
         gamma = int(w["gamma"])
         if cert.kind == "exact-stabilizer":
-            return build_centralizer_fn(T, gamma, 2)[1].subdegree
+            return build_centralizer_fn(T, gamma)[1].subdegree
         return class_certificate(centralizer(T, gamma), gamma, cert.m).value
     if construction in ("coset-fn", "p1-product"):
         K = find_named_subgroup(T, w.get("label", "P1")).subgroup
         shift = [int(s) for s in w["shift"]]
-        D = wreath_sub(K) if construction == "coset-fn" else product_sub(K, K)
         if cert.kind == "exact-stabilizer":
-            alpha = build_coset_fn(D, (0, shift[0], 0), eta=w.get("eta"))
-            return stabilizer_subdegree(alpha).subdegree
+            D = wreath_sub(K) if construction == "coset-fn" else product_sub(K)
+            return exact_coset_certificate(D, w)[0].value
         if construction == "p1-product":
             return p1_product_divisor(K, shift[0])
         if not label_maximal(cert.q, w["label"]):

@@ -52,6 +52,22 @@ def scan_log(monkeypatch):
     return scanned
 
 
+@pytest.fixture
+def containment_log(monkeypatch):
+    """The kind of D of every wreath.inside_stabilizer(D, alpha) call."""
+    from twdeg import wreath
+
+    checked = []
+    inside = wreath.inside_stabilizer
+
+    def recording_inside(D, alpha):
+        checked.append(D.kind)
+        return inside(D, alpha)
+
+    monkeypatch.setattr(wreath, "inside_stabilizer", recording_inside)
+    return checked
+
+
 @pytest.fixture(scope="session")
 def T7():
     return group_for(7)

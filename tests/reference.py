@@ -19,6 +19,37 @@ from twdeg.engine import GroupTable, IsoFingerprint, Perm, Subgroup, member_mask
 from twdeg.wreath import AlphaFn, w2_identity, w2_product
 
 
+# -- GF(p^f) -----------------------------------------------------------------------
+
+def field_digits(F, x: int) -> list[int]:
+    """The base-p digits of x, lowest first: its polynomial coefficients."""
+    return [x // F.p**i % F.p for i in range(F.f)]
+
+
+def field_encode(F, coeffs) -> int:
+    return sum(c % F.p * F.p**i for i, c in enumerate(coeffs))
+
+
+def field_add(F, x: int, y: int) -> int:
+    """x + y, digit by digit."""
+    return field_encode(F, [a + b for a, b in zip(field_digits(F, x), field_digits(F, y))])
+
+
+def field_mul(F, x: int, y: int) -> int:
+    """The schoolbook product of x and y as polynomials over GF(p), reduced
+    modulo F.modulus by long division."""
+    p, f = F.p, F.f
+    prod = [0] * (2 * f - 1)
+    for i, a in enumerate(field_digits(F, x)):
+        for j, b in enumerate(field_digits(F, y)):
+            prod[i + j] += a * b
+    for d in range(len(prod) - 1, f - 1, -1):  # the modulus is monic of degree f
+        c = prod[d] % p
+        for j, m in enumerate(F.modulus):
+            prod[d - f + j] -= c * m
+    return field_encode(F, prod[:f])
+
+
 # -- permutations ------------------------------------------------------------------
 
 def compose(g: Perm, h: Perm) -> Perm:

@@ -68,10 +68,10 @@ def test_criterion_3_exact_subdegrees_q7():
     t0 = time.time()
     T = group_for(7)
     P1 = point_stabilizer(T, 7)
-    _, res_inv, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(2)[0]), 2)
-    _, res_7, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(7)[0]), 2)
+    _, res_inv, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(2)[0]))
+    _, res_7, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(7)[0]))
     s = next(g for g in range(T.order) if g not in P1.member_set)
-    D = wr.product_sub(P1, P1)
+    D = wr.product_sub(P1)
     res_g = wr.stabilizer_subdegree(wr.build_coset_fn(D, (0, s, 0)))
     S4 = atlas.find_named_subgroup(T, "S4").subgroup
     wit = wr.find_witness_t(T, S4, 2, label="S4").witness
@@ -100,10 +100,10 @@ def test_criterion_4_exact_subdegrees_q11():
     wit = wr.find_witness_t(T, A5, 2, label="A5").witness
     alpha = wr.build_coset_fn(wr.wreath_sub(A5), (0, wit["shift"][0], 0), eta=wit["eta"])
     r1 = wr.stabilizer_subdegree(alpha).subdegree
-    _, res11, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(11)[0]), 2)
+    _, res11, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(11)[0]))
     s = next(g for g in range(T.order) if g not in P1.member_set)
-    rg = wr.stabilizer_subdegree(wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))).subdegree
-    _, res_inv, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(2)[0]), 2)
+    rg = wr.stabilizer_subdegree(wr.build_coset_fn(wr.product_sub(P1), (0, s, 0))).subdegree
+    _, res_inv, _ = wr.build_centralizer_fn(T, int(T.elements_of_order(2)[0]))
     ok = (
         (r1, res11.subdegree) == (121, 3600)
         and gcd(121, 3600) == 1

@@ -261,6 +261,22 @@ def test_lemma_7_8_scans_each_alpha_once(monkeypatch, scan_log):
     assert scan_log and len(set(scan_log)) == len(scan_log)
 
 
+def test_exact_wreath_certificate_checks_containment_once(monkeypatch, containment_log):
+    """An exact K wr S_2 certificate acts with D's generators once, inside
+    build_coset_fn; |H_f| = |D| then decides H_f = D."""
+    monkeypatch.setattr(checks, "_CTX", {})
+    cert = checks.witness_subdegree(7, 2, "S4", True)
+    assert (cert.kind, cert.value) == ("exact-stabilizer", 49)
+    assert containment_log == ["wreath"]
+    checks.ctx_p1_product(11)  # the P1 x P1 side of pair3, built once per process
+    containment_log.clear()
+    cfg = RunConfig(q_list=[11], q_explicit=True)
+    spec = next(s for s in checks.table4_specs(cfg) if s[0] == "table4.q11.pair3")
+    (result,) = checks.execute_specs([spec], cfg)
+    assert result.status == "pass" and result.witness["d"]["witness"]["stabilizer_is_wreath"]
+    assert containment_log == ["wreath"]
+
+
 def _table4_q11_report(tmp_path):
     out = tmp_path / "t4.json"
     assert run_cli(["table4", "--q", "11", "--out", str(out)]) == 0

@@ -1,8 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from twdeg.field import Field, FieldTooLargeError, NonPrimeError, is_prime
 
 SMALL_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (31, 1)]
@@ -82,6 +84,25 @@ def test_multiplicative_group_cyclic(p, f):
     assert any(F.element_order(a) == F.q - 1 for a in range(1, F.q))
 
 
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_tables_match_schoolbook(p, f):
+    """Every entry of the add and mul tables equals the digit-wise sum and the
+    schoolbook product reduced modulo F.modulus."""
+    F = Field(p, f)
+    els = range(F.q)
+    assert F.add_table.tolist() == [[reference.field_add(F, x, y) for y in els] for x in els]
+    assert F.mul_table.tolist() == [[reference.field_mul(F, x, y) for y in els] for x in els]
+
+
+@pytest.mark.parametrize("p,f", [(7, 3), (2, 9)])
+def test_tables_match_schoolbook_sampled(p, f):
+    F = Field(p, f)
+    rng = np.random.default_rng(F.q)
+    for x, y in rng.integers(0, F.q, (2000, 2)).tolist():
+        assert F.add(x, y) == reference.field_add(F, x, y)
+        assert F.mul(x, y) == reference.field_mul(F, x, y)
+
+
 def test_encoding_bijective():
     F = Field(3, 2)
     seen = {F.add(a, 0) for a in range(9)}
@@ -105,9 +126,7 @@ def _gf343(cache={}):
 
 
 def test_large_field_beyond_tables():
-    # q = 2^9 = 512 exceeds the table threshold; raw polynomial path
     F = Field(2, 9)
-    assert F.add_table is None
     for a in (1, 17, 300, 511):
         assert F.mul(a, F.inv(a)) == 1
     assert F.mul(2, F.mul(3, 5)) == F.mul(F.mul(2, 3), 5)

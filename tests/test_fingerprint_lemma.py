@@ -108,12 +108,12 @@ def are_isomorphic(A: eng.Subgroup, B: eng.Subgroup) -> bool:
 
 def conjugacy_class_id(T, S: eng.Subgroup) -> frozenset:
     """Canonical representative (smallest member set) of the conjugacy orbit."""
-    best = S.member_set
+    best = sorted(S.member_set)
     for g in range(T.order):
-        c = S.conjugate_set(g)
-        if sorted(c) < sorted(best):
+        c = sorted(S.conjugate_set(g))
+        if c < best:
             best = c
-    return best
+    return frozenset(best)
 
 
 @pytest.mark.parametrize("q,multiclass", [(7, 3), (9, 6)])

@@ -179,7 +179,7 @@ def test_check_xy_batch_matches_rows(q):
     rng = np.random.default_rng(q + 60)
     P1 = point_stabilizer(T, q)
     s = next(g for g in range(n) if g not in P1.member_set)
-    coset_fn = wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))
+    coset_fn = wr.build_coset_fn(wr.product_sub(P1), (0, s, 0))
     rows = np.vstack([
         wr.identity_alpha(T).values, coset_fn.values, rng.integers(0, n, (5, n)),
         np.repeat(np.arange(1, n)[:, None], n, axis=1),
@@ -252,7 +252,7 @@ def naive_stab(T, alpha):
 def test_naive_stab_matches_act_alpha(T4):
     gamma = int(T4.elements_of_order(2)[0])
     alphas = [wr.random_alpha(T4, np.random.default_rng(3)),
-              wr.build_centralizer_fn(T4, gamma, 2)[0]]
+              wr.build_centralizer_fn(T4, gamma)[0]]
     for alpha in alphas:
         direct = [
             (x, y, k) for x in range(T4.order) for y in range(T4.order) for k in (0, 1)
@@ -273,10 +273,10 @@ def _stabilizer_cases(T, q):
         values[rng.random(T.order) < density] = rng.integers(1, T.order)
         cases.append(wr.AlphaFn(T, values))
     for order in sorted(set(T.orders.tolist()) - {1}):
-        cases.append(wr.build_centralizer_fn(T, int(T.elements_of_order(order)[0]), 2)[0])
+        cases.append(wr.build_centralizer_fn(T, int(T.elements_of_order(order)[0]))[0])
     P1 = point_stabilizer(T, q)
     s = next(g for g in range(T.order) if g not in P1.member_set)
-    cases.append(wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0)))
+    cases.append(wr.build_coset_fn(wr.product_sub(P1), (0, s, 0)))
     K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
     wit = wr.find_witness_t(T, K, 2, maximal=False).witness
     cases.append(wr.build_coset_fn(wr.wreath_sub(K), (0, wit["shift"][0], 0), eta=wit["eta"]))
@@ -303,10 +303,10 @@ def test_stabilizer_trivial_alpha(T7):
 
 def test_centralizer_fn_values_q7(T7):
     gamma2 = int(T7.elements_of_order(2)[0])
-    _, res2, cert2 = wr.build_centralizer_fn(T7, gamma2, 2)
+    _, res2, cert2 = wr.build_centralizer_fn(T7, gamma2)
     assert res2.subdegree == 441 and cert2.kind == "exact-stabilizer"
     gamma7 = int(T7.elements_of_order(7)[0])
-    _, res7, _ = wr.build_centralizer_fn(T7, gamma7, 2)
+    _, res7, _ = wr.build_centralizer_fn(T7, gamma7)
     assert res7.subdegree == 576
     C = eng.centralizer(T7, gamma7)
     assert set(res7.members) == set(wr.wreath_sub(C).member_triples())
@@ -314,20 +314,20 @@ def test_centralizer_fn_values_q7(T7):
 
 def test_centralizer_fn_m3_certificate(T7):
     gamma = int(T7.elements_of_order(2)[0])
-    _, _, cert = wr.build_centralizer_fn(T7, gamma, 3)
+    cert = wr.class_certificate(eng.centralizer(T7, gamma), gamma, 3)
     assert cert.kind == "lemma-2.10-class"
     assert cert.value == 21**3
 
 
 def test_centralizer_fn_trivial_element(T7):
     with pytest.raises(wr.TrivialElementError):
-        wr.build_centralizer_fn(T7, T7.identity, 2)
+        wr.build_centralizer_fn(T7, T7.identity)
 
 
 def test_coset_fn_p1_product(T7):
     P1 = point_stabilizer(T7, 7)
     s = next(g for g in range(T7.order) if g not in P1.member_set)
-    D = wr.product_sub(P1, P1)
+    D = wr.product_sub(P1)
     alpha = wr.build_coset_fn(D, (0, s, 0))
     assert not alpha.is_identity()
     res = wr.stabilizer_subdegree(alpha)
@@ -342,7 +342,7 @@ def _explicit(D):
 def test_coset_fn_explicit_matches_structured(T4, T7):
     P1 = point_stabilizer(T4, 4)
     s = next(g for g in range(T4.order) if g not in P1.member_set)
-    D = wr.product_sub(P1, P1)
+    D = wr.product_sub(P1)
     t = (0, s, 0)
     assert wr.build_coset_fn(D, t) == reference.explicit_coset_fn(T4, _explicit(D), t)
     # the wreath kind: S4 wr S_2 at q = 7 with its witness shift and eta
@@ -363,7 +363,7 @@ def test_d_t_cap_L_explicit_matches_structured(q):
     K = atlas.find_named_subgroup(T, "S4" if q == 7 else "DihedralPlus").subgroup
     rng = np.random.default_rng(q)
     shifts = [(0, 0)] + [tuple(int(s) for s in rng.integers(0, T.order, 2)) for _ in range(4)]
-    for D in (wr.product_sub(P1, P1), wr.wreath_sub(K), wr.product_sub(P1, K)):
+    for D in (wr.product_sub(P1), wr.wreath_sub(K)):
         for t1, t2 in shifts:
             t = (t1, t2, 0)
             structured = flatten(wr.d_t_cap_L(D, t))
@@ -373,7 +373,7 @@ def test_d_t_cap_L_explicit_matches_structured(q):
 def test_coset_fn_bad_eta(T7):
     P1 = point_stabilizer(T7, 7)
     s = next(g for g in range(T7.order) if g not in P1.member_set)
-    D = wr.product_sub(P1, P1)
+    D = wr.product_sub(P1)
     with pytest.raises(wr.NotCentralError):
         wr.build_coset_fn(D, (0, s, 0), eta=T7.identity)
     # an element outside the centralizing set fails too
@@ -433,7 +433,7 @@ def test_find_witness_a5_q11_m3_singles_fail(T11):
 def test_check_xy_conditions(T7):
     P1 = point_stabilizer(T7, 7)
     s = next(g for g in range(T7.order) if g not in P1.member_set)
-    alpha = wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))
+    alpha = wr.build_coset_fn(wr.product_sub(P1), (0, s, 0))
     assert wr.check_XY_conditions(alpha, P1, P1)
     assert wr.check_XY_conditions(alpha, P1, P1, full_scan=True)
     Tfull = eng.Subgroup(T7, range(T7.order))
@@ -451,7 +451,7 @@ def test_check_xy_generator_vs_full_scan(T7):
     rng = np.random.default_rng(23)
     cases = [wr.random_alpha(T7, rng) for _ in range(10)]
     s = next(g for g in range(T7.order) if g not in P1.member_set)
-    cases.append(wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0)))
+    cases.append(wr.build_coset_fn(wr.product_sub(P1), (0, s, 0)))
     for alpha in cases:
         assert wr.check_XY_conditions(alpha, P1, P1) == wr.check_XY_conditions(
             alpha, P1, P1, full_scan=True
@@ -460,7 +460,7 @@ def test_check_xy_generator_vs_full_scan(T7):
 
 def test_check_wreath_conditions(T7):
     gamma = int(T7.elements_of_order(2)[0])
-    alpha_h, _, _ = wr.build_centralizer_fn(T7, gamma, 2)
+    alpha_h, _, _ = wr.build_centralizer_fn(T7, gamma)
     C = eng.centralizer(T7, gamma)
     assert wr.check_wreath_conditions(alpha_h, C)
     # the conditions hold and the exact stabilizer is C wr S_2
@@ -469,7 +469,7 @@ def test_check_wreath_conditions(T7):
     assert not wr.check_wreath_conditions(wr.identity_alpha(T7), C)
     P1 = point_stabilizer(T7, 7)
     s = next(g for g in range(T7.order) if g not in P1.member_set)
-    alpha_g = wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))
+    alpha_g = wr.build_coset_fn(wr.product_sub(P1), (0, s, 0))
     assert not wr.check_wreath_conditions(alpha_g, P1)
 
 
@@ -569,9 +569,9 @@ def test_subdegree_divisible_by_maximal_index(T7):
     P1 = point_stabilizer(T7, 7)
     s = next(g for g in range(T7.order) if g not in P1.member_set)
     subdegrees = [
-        wr.stabilizer_subdegree(wr.build_coset_fn(wr.product_sub(P1, P1), (0, s, 0))).subdegree,
-        wr.build_centralizer_fn(T7, int(T7.elements_of_order(2)[0]), 2)[1].subdegree,
-        wr.build_centralizer_fn(T7, int(T7.elements_of_order(7)[0]), 2)[1].subdegree,
+        wr.stabilizer_subdegree(wr.build_coset_fn(wr.product_sub(P1), (0, s, 0))).subdegree,
+        wr.build_centralizer_fn(T7, int(T7.elements_of_order(2)[0]))[1].subdegree,
+        wr.build_centralizer_fn(T7, int(T7.elements_of_order(7)[0]))[1].subdegree,
     ]
     K = atlas.find_named_subgroup(T7, "S4").subgroup
     wit = wr.find_witness_t(T7, K, 2, label="S4").witness
@@ -583,7 +583,7 @@ def test_subdegree_divisible_by_maximal_index(T7):
 
 def test_certificate_roundtrip(T7):
     gamma = int(T7.elements_of_order(7)[0])
-    _, _, cert = wr.build_centralizer_fn(T7, gamma, 3)
+    cert = wr.class_certificate(eng.centralizer(T7, gamma), gamma, 3)
     rec = cert.to_record()
     assert rec["value"] == str(24**3)  # decimal string
     back = wr.SubdegreeCertificate.from_record(rec)
@@ -609,7 +609,7 @@ def test_p1_product_stabilizer_exact(q):
     stabilizer exactly P1 x P1 (checked across several shift choices)."""
     T = group_for(q)
     P1 = point_stabilizer(T, q)
-    D = wr.product_sub(P1, P1)
+    D = wr.product_sub(P1)
     expected = set(D.member_triples())
     reps = [s for s in eng.coset_representatives(T, P1) if s not in P1.member_set]
     for s in reps[:4]:
@@ -638,11 +638,11 @@ def test_stabilizer_equality_by_order_matches_member_sets(q):
     for order in sorted(set(T.orders.tolist()) - {1}):
         gamma = int(T.elements_of_order(order)[0])
         C = eng.centralizer(T, gamma)
-        alpha = wr.build_centralizer_fn(T, gamma, 2)[0]
-        cases += [(wr.wreath_sub(C), alpha, True), (wr.product_sub(C, C), alpha, False)]
+        alpha = wr.build_centralizer_fn(T, gamma)[0]
+        cases += [(wr.wreath_sub(C), alpha, True), (wr.product_sub(C), alpha, False)]
     P1 = point_stabilizer(T, q)
     s = next(g for g in range(T.order) if g not in P1.member_set)
-    P1xP1 = wr.product_sub(P1, P1)
+    P1xP1 = wr.product_sub(P1)
     alpha = wr.build_coset_fn(P1xP1, (0, s, 0))
     cases += [(P1xP1, alpha, q != 5), (wr.wreath_sub(P1), alpha, q == 5)]
     if q == 5:
@@ -662,7 +662,7 @@ def test_stabilizer_equality_by_order_p1_product_q9(T9):
     |P1 x P1| = 1296: both tests say no."""
     P1 = point_stabilizer(T9, 9)
     s = next(g for g in range(T9.order) if g not in P1.member_set)
-    D = wr.product_sub(P1, P1)
+    D = wr.product_sub(P1)
     alpha = wr.build_coset_fn(D, (0, s, 0))
     res = wr.stabilizer_subdegree(alpha)
     assert (res.stabilizer_order, D.order) == (2592, 1296)
@@ -691,13 +691,13 @@ def test_triple_candidate_skips_collapsing_pairs(q, label, pair):
 
 
 def test_centralizer_fn_q13_involution(T13):
-    _, res, _ = wr.build_centralizer_fn(T13, int(T13.elements_of_order(2)[0]), 2)
+    _, res, _ = wr.build_centralizer_fn(T13, int(T13.elements_of_order(2)[0]))
     assert res.subdegree == 91**2
 
 
 def test_stabilizer_fingerprint_method(T7):
     gamma = int(T7.elements_of_order(2)[0])
-    _, res, _ = wr.build_centralizer_fn(T7, gamma, 2)
+    _, res, _ = wr.build_centralizer_fn(T7, gamma)
     fp = reference.wreath_members_fingerprint(T7, res.members)
     assert fp.order == 2 * 8 * 8  # the centralizer wreath D8 wr S2
     assert not fp.abelian
