@@ -378,11 +378,6 @@ def d_t_cap_L(D: WreathSub2, t) -> list[tuple[tuple, np.ndarray]]:
     return groups if D.kind == "wreath" else [(sig, xs) for sig, xs in groups if sig == (0, 1)]
 
 
-def _conj_column(T: GroupTable, u: int, v: int) -> np.ndarray:
-    """u x v^-1 over all x in T."""
-    return T.product(u, np.arange(T.order), T.inv[v])
-
-
 def central_members(T: GroupTable, groups) -> list[tuple[tuple, np.ndarray]]:
     """The central members of a subgroup of L, given and returned grouped as
     (sigma, xs) in (sigma, x) order: L is T x S_m, so (x, sigma) is central
@@ -607,7 +602,8 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[tuple, n
     share one xs array.
     """
     inK = member_mask(K)
-    in_K = functools.cache(lambda u, v: inK[_conj_column(T, u, v)])
+    # u x v^-1 in K, over all x in T
+    in_K = functools.cache(lambda u, v: inK[T.product(u, np.arange(T.order), T.inv[v])])
 
     @functools.cache
     def xs_of(pairs: frozenset) -> np.ndarray:

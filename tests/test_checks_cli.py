@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,9 +177,12 @@ def test_cache_reused(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child process imports twdeg from the same src/ as this one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "twdeg.cli", "lemma", "3.3", "--q", "7"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "lemma3.3.q7" in proc.stdout
