@@ -217,15 +217,14 @@ def ctx_obstruction(q: int) -> "wreath.ObstructionReport":
 
 
 def ctx_p1_product(q: int) -> tuple:
-    """(shift, alpha, certificate, subdegree) of the coset function over
-    P1 x P1, built and scanned exactly once per process."""
+    """(alpha, certificate) of the coset function over P1 x P1, built and
+    scanned exactly once per process."""
     key = ("P1xP1", q)
     if key not in _CTX:
-        s = _p1_shift(q)
         cert, alpha, _ = wreath.exact_coset_certificate(
-            wreath.product_sub(ctx_p1(q)), {"construction": "p1-product", "shift": [s]}
+            wreath.product_sub(ctx_p1(q)), {"construction": "p1-product", "shift": [_p1_shift(q)]}
         )
-        _CTX[key] = (s, alpha, cert, cert.value)
+        _CTX[key] = (alpha, cert)
     return _CTX[key]
 
 
@@ -281,7 +280,7 @@ def p1_product_subdegree(q: int, exact: bool) -> SubdegreeCertificate:
     scanned (and then equals P1 x P1 for q even or q = 3 mod 4), divisor
     certificate otherwise."""
     if exact:
-        return ctx_p1_product(q)[2]
+        return ctx_p1_product(q)[1]
     s = _p1_shift(q)
     return SubdegreeCertificate(
         q, 2, "lemma-4.3-divisor", wreath.p1_product_divisor(ctx_p1(q), s),
@@ -506,18 +505,21 @@ def t4_q11_a4(p, cfg):
 
 @check("table4.q{q}.{tag}", error="pair")
 def t4_divisor_pair(p, cfg):
-    """Containment rows at q = 29 and 59, with no exact scan at these orders:
-    the subdegree over P1 x P1 divides 2*60^2 (and equals it at q = 59), and
-    is coprime to the A5 side, |T : A5|^2."""
+    """Containment rows at q = 29 and 59: the subdegree over P1 x P1 divides
+    2*60^2 (and equals it at q = 59), and is coprime to the A5 side,
+    |T : A5|^2.  Under --long both sides are exact stabilizer scans, and the
+    P1 x P1 side reads 2(q+1)^2; otherwise they are divisor and Lemma 2.6
+    certificates."""
     q, index = p["q"], p["index"]
     bound = 2 * 60**2
-    f_cert = p1_product_subdegree(q, False)
+    exact = cfg.long_running
+    f_cert = p1_product_subdegree(q, exact)
     if q % 4 == 3 and not ctx_obstruction(q).all_pass:
         return "obstructions", "error: ingredients failed", None
-    d_cert = witness_subdegree(q, 2, "A5", False, shifts=_c2_candidates(q, "A5"))
+    d_cert = witness_subdegree(q, 2, "A5", exact, shifts=_c2_candidates(q, "A5"))
     ok = f_cert.value == 2 * (q + 1) ** 2 and bound % f_cert.value == 0
     ok = ok and d_cert.value == index**2 and gcd(bound, d_cert.value) == 1
-    claim = bound if 2 * (q + 1) ** 2 == bound else f"divides {bound}"
+    claim = 2 * (q + 1) ** 2 if exact or 2 * (q + 1) ** 2 == bound else f"divides {bound}"
     expected = f"({claim},{index**2},gcd=1)"
     actual = expected if ok else f"({f_cert.value},{d_cert.value})"
     return expected, actual, {"f": f_cert.to_record(), "g": d_cert.to_record()}
@@ -654,7 +656,7 @@ def lm_xy_conditions(p, cfg):
     q = p["q"]
     T = ctx_group(q)
     P1 = ctx_p1(q)
-    alpha = ctx_p1_product(q)[1]
+    alpha = ctx_p1_product(q)[0]
     ok = wreath.check_XY_conditions(alpha, P1, P1)
     full = wreath.check_XY_conditions(alpha, P1, P1, full_scan=True)
     rng = np.random.default_rng(q)
@@ -678,7 +680,7 @@ def lm_wreath_conditions(p, cfg):
     ok2 = True
     if q % 4 != 1:
         # P1 wr S_2 stabilizers are ruled out only for q even or 3 mod 4
-        alpha_g = ctx_p1_product(q)[1]
+        alpha_g = ctx_p1_product(q)[0]
         ok2 = not wreath.check_wreath_conditions(alpha_g, P1)
     ok3 = not wreath.check_wreath_conditions(wreath.identity_alpha(T), P1)
     return True, ok1 and ok2 and ok3, None

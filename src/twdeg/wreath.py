@@ -13,16 +13,17 @@ to a (B, n) array of functions, one element per row, and w2_product,
 AlphaFn.evaluate and check_XY_conditions accept index arrays or rows the
 same way.  Point stabilizers H_f are computed exactly for m = 2 by
 anchoring on the values of alpha: the members with a given (y, k) form one
-coset of the left stabilizer or none, an anchor value names the candidate
-cosets, so none is missed, and every counted member is a product of two
-elements checked with act_alpha, one element at a time (at large n a batch
-of survivors costs more time and memory than it saves).  A result keeps
-H_f as its order and cosets, not as a member list: H_f = D for a subgroup D
-of one of the two WreathSub2 shapes, K x K and K wr S_2 over one K, follows
-from D's generators fixing f (inside_stabilizer) and |D| = |H_f|.
-build_coset_fn checks D's generators, so exact_coset_certificate, the one
-exact certificate of a coset function, scans once and compares orders.  The
-orbit space N is never materialized.  For m >= 3 only subdegree
+coset of the left stabilizer Lambda or none, and an anchor value names the
+candidate cosets, so none is missed.  Only generators are checked with
+act_alpha: a candidate is verified only when the closure (for Lambda) or the
+coset orbit (for the (y, k)) of the elements verified so far does not
+already hold it, so every counted member is a product of verified elements.
+A result keeps H_f as its order and cosets, not as a member list: H_f = D
+for a subgroup D of one of the two WreathSub2 shapes, K x K and K wr S_2
+over one K, follows from D's generators fixing f (inside_stabilizer) and
+|D| = |H_f|.  build_coset_fn checks D's generators, so
+exact_coset_certificate, the one exact certificate of a coset function,
+scans once and compares orders.  The orbit space N is never materialized.  For m >= 3 only subdegree
 certificates are produced, from computations inside L (|L| = |T| m!).
 
 The Lemma 2.6 witness for K wr S_m comes from one search for every m,
@@ -279,7 +280,9 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 @dataclass
 class StabilizerResult:
     """|H : H_f| and |H_f|, with H_f kept as the right cosets Lambda x_0 of
-    Lambda = {x : (x, 1, 0) in H_f}, one per found (x_0, y, k)."""
+    Lambda = {x : (x, 1, 0) in H_f}, one per found (x_0, y, k) in (y, k)
+    order.  lam is Lambda as a sorted index array, the closure of verified
+    elements; each (x_0, y, k) is a product of verified elements."""
 
     subdegree: int
     stabilizer_order: int
@@ -295,7 +298,7 @@ class StabilizerResult:
 
 
 def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
-    """Exact |H : H_f| for H = T wr S_2, anchored on the values of alpha.
+    """Exact |H : H_f| for H = T wr S_2, from elements verified with act_alpha.
 
     Let Lambda = {x : (x, 1, 0) fixes f}.  For fixed (y, k) the members
     (x, y, k) form one right coset Lambda x_0 or none: the quotient of two
@@ -305,14 +308,23 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
         swap:     alpha(x s_0^-1 y^-1) = (y s_0) v_0 (y s_0)^-1,
     so x = p y s_0^(-/+1) with p in the fiber of the required value, and
     p -> lambda p moves x to lambda x.  One p per Lambda-coset of the fiber
-    therefore reaches every coset Lambda x_0: no member is missed.
-    Candidates are filtered on further anchor points by the same identities
-    and each survivor is checked with act_alpha over all of T, as is every
-    element of Lambda (found from the fiber of v_0 with y = 1).  A counted
-    member (lambda x_0, y, k) = (lambda, 1, 0)(x_0, y, k) is the product of
-    two verified stabilizer elements, so every counted member is exact.
-    Temporaries are proportional to the candidate count; found comes in
-    (y, k) order.
+    therefore reaches every coset Lambda x_0: no member is missed.  The
+    candidates are filtered on further anchor points by the same identities:
+    64 evenly spaced points, rarest value class first (a common value lets
+    more non-members pass), in chunks of 8 until a chunk removes none.  A
+    filter match alone never makes a member.
+
+    Only generators are verified.  Every element of Lambda is a candidate
+    with y = 1, so Lambda is the closure of the candidates verified in turn,
+    each only when it lies outside the closure of those before it.  The
+    (y, k) that hold a member form the orbit of the trivial right coset of
+    T x 1 under H_f, on 2|T| points: a survivor is verified only when its
+    (y, k) is outside the orbit of the elements verified so far (Lambda's
+    generators included), and each pass regrows the orbit.  The orbit
+    carries an x_0 to each point, so (x_0, y, k) and every counted member
+    (lambda x_0, y, k) are products of verified elements, and
+    |H_f| = |Lambda| |orbit|.  Temporaries are proportional to the candidate
+    count and to |T|; found comes in (y, k) order.
     """
     T = alpha.T
     n = T.order
@@ -332,20 +344,48 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
     c = present[np.argmin(hits[present] * (n // np.bincount(cls, minlength=n)[present]))]
     s0 = int(np.flatnonzero(cls[a] == c)[0])
     v0 = int(a[s0])
-    anchors = np.linspace(0, n - 1, 8).astype(np.int64)
+    anchors = np.linspace(0, n - 1, 64).astype(np.int64)
+    chunks = anchors[np.argsort(hits[cls[a[anchors]]], kind="stable")].reshape(8, 8)
 
-    def exact(xs, ys, ks) -> list[tuple[int, int, int]]:
-        for s in anchors:
-            u = np.where(ks == 0, ys, T.product(ys, s))  # y, resp. y s
-            w = T.product(xs, np.where(ks == 0, s, inv[s]), inv[ys])
-            keep = a[w] == T.product(u, a[s], inv[u])
-            xs, ys, ks = xs[keep], ys[keep], ks[keep]
-        cand = zip(xs.tolist(), ys.tolist(), ks.tolist())
-        return [h for h in cand if act_alpha(alpha, h) == alpha]
+    def survivors(xs, ys, ks):
+        for chunk in chunks:
+            kept = len(xs)
+            for s in chunk:
+                u = np.where(ks == 0, ys, T.product(ys, s))  # y, resp. y s
+                w = T.product(xs, np.where(ks == 0, s, inv[s]), inv[ys])
+                keep = a[w] == T.product(u, a[s], inv[u])
+                xs, ys, ks = xs[keep], ys[keep], ks[keep]
+            if len(xs) == kept:
+                break
+        return xs, ys, ks
+
+    def verify_outside(points, covered, candidates, passed):
+        """Verify the candidates in order, each only when its point is not
+        covered; passed(h) adds each h that fixes f and updates `covered`
+        in place."""
+        i = 0
+        while True:
+            rest = np.flatnonzero(~covered[points[i:]])
+            if not len(rest):
+                return
+            i += int(rest[0])
+            h = tuple(int(z[i]) for z in candidates)
+            if act_alpha(alpha, h) == alpha:
+                passed(h)
+            i += 1
 
     fiber = np.flatnonzero(a == v0)
     zeros = np.zeros(len(fiber), dtype=np.int64)
-    lam = np.array(sorted(x for x, _, _ in exact(T.product(fiber, inv[s0]), zeros, zeros)))
+    xs = survivors(T.product(fiber, inv[s0]), zeros, zeros)[0]
+    gens: list[tuple[int, int, int]] = []  # every element verified to fix f
+    in_lam = everyone == T.identity
+
+    def lam_passed(h):
+        gens.append(h)
+        in_lam[:] = engine._closure(T, [x for x, _, _ in gens])
+
+    verify_outside(xs, in_lam, (xs, zeros, zeros), lam_passed)
+    lam = np.flatnonzero(in_lam)
     # one representative per coset Lambda p inside the fiber of class c
     reps = np.array(engine.coset_representatives(T, Subgroup(T, lam)))
     reps = reps[cls[a[reps]] == c]
@@ -359,12 +399,44 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
         ys = np.repeat(np.arange(n), cnt)
         ps = reps[np.arange(len(ys)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)]
         parts.append((T.product(ps, ys, shift), ys, np.full(len(ys), k)))
-    found = sorted(exact(*(np.concatenate(z) for z in zip(*parts))), key=lambda h: h[1:])
+    cand = survivors(*(np.concatenate(z) for z in zip(*parts)))
+    # x0[2 y + k] is the x_0 carried to orbit point (y, k), -1 off the orbit
+    x0 = np.full(2 * n, -1, dtype=np.int64)
+    x0[2 * T.identity] = T.identity
+    _grow_coset_orbit(T, x0, gens, np.array([2 * T.identity]), gens)
+    on_orbit = x0 >= 0
+
+    def coset_passed(h):
+        gens.append(h)
+        _grow_coset_orbit(T, x0, gens, np.flatnonzero(on_orbit), [h])
+        on_orbit[:] = x0 >= 0
+
+    verify_outside(2 * cand[1] + cand[2], on_orbit, cand, coset_passed)
+    orbit = np.flatnonzero(on_orbit)
+    found = list(zip(x0[orbit].tolist(), (orbit // 2).tolist(), (orbit % 2).tolist()))
     count = len(found) * len(lam)
     order_h = 2 * n * n
     if order_h % count != 0:
         raise AssertionError("stabilizer order does not divide |H|")
     return StabilizerResult(order_h // count, count, T, lam, found)
+
+
+def _grow_coset_orbit(T: GroupTable, x0: np.ndarray, gens, frontier: np.ndarray, step) -> None:
+    """Grow the orbit held in x0 (see stabilizer_subdegree) level by level:
+    the first level applies the elements `step` to the points `frontier`,
+    later levels apply all of `gens` to the points just reached.  Right
+    multiplication by (c, d, l) sends (x_0, y, 0) to (x_0 c, y d, l) and
+    (x_0, y, 1) to (x_0 d, y c, 1 - l)."""
+    while len(frontier) and step:
+        reached = []
+        for g in step:
+            x, y, k = w2_product(T, (x0[frontier], frontier // 2, frontier % 2), g)
+            points = 2 * y + k
+            new = x0[points] < 0
+            x0[points[new]] = x[new]
+            reached.append(points[new])
+        frontier = np.unique(np.concatenate(reached))
+        step = gens
 
 
 # -- coset functions (the explicit orbit representatives) ----------------------

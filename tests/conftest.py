@@ -68,6 +68,24 @@ def containment_log(monkeypatch):
     return checked
 
 
+@pytest.fixture
+def act_log(monkeypatch):
+    """One entry per wreath.act_alpha(alpha, h) call: True when h fixes
+    alpha."""
+    from twdeg import wreath
+
+    acted = []
+    act = wreath.act_alpha
+
+    def recording_act(alpha, h):
+        image = act(alpha, h)
+        acted.append(image == alpha)
+        return image
+
+    monkeypatch.setattr(wreath, "act_alpha", recording_act)
+    return acted
+
+
 @pytest.fixture(scope="session")
 def T7():
     return group_for(7)

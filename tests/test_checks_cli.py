@@ -282,6 +282,29 @@ def test_exact_wreath_certificate_checks_containment_once(monkeypatch, containme
     assert containment_log == ["wreath"]
 
 
+def test_table4_scans_verify_generators(monkeypatch, act_log, capsys):
+    """Default table4 acts with at most 200 elements in all, containment
+    checks included: its scans verify generators, not one element per
+    member coset (1,834 act_alpha calls in the scans alone before)."""
+    monkeypatch.setattr(checks, "_CTX", {})
+    assert cli.main(["table4"]) == 0
+    capsys.readouterr()
+    assert 0 < len(act_log) <= 200
+
+
+def test_exact_q29_scans_verify_generators(monkeypatch, act_log):
+    """The q = 29 rows of table4 --long, exact: P1 x P1 gives 2 * 30^2 and
+    A5 wr S_2 gives 203^2, each with at most 100 act_alpha calls."""
+    monkeypatch.setattr(checks, "_CTX", {})
+    cert = checks.p1_product_subdegree(29, True)
+    assert (cert.kind, cert.value) == ("exact-stabilizer", 1800)
+    assert 0 < len(act_log) <= 100
+    act_log.clear()
+    cert = checks.witness_subdegree(29, 2, "A5", True, shifts=checks._c2_candidates(29, "A5"))
+    assert (cert.kind, cert.value) == ("exact-stabilizer", 203**2)
+    assert 0 < len(act_log) <= 100
+
+
 def _table4_q11_report(tmp_path):
     out = tmp_path / "t4.json"
     assert run_cli(["table4", "--q", "11", "--out", str(out)]) == 0

@@ -309,7 +309,7 @@ def test_p1_product_memory_q23(monkeypatch):
     tracemalloc.start()
     try:
         psl_group(Field(23, 1))
-        assert checks.ctx_p1_product(23)[3] == 2 * 24**2
+        assert checks.ctx_p1_product(23)[1].value == 2 * 24**2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -295,6 +295,41 @@ def test_stabilizer_matches_naive(q):
         assert res.subdegree == 2 * T.order**2 // len(naive)
 
 
+def _off_anchor_alpha(T, seed):
+    """A {1, g}-valued function on a sparse random set that avoids the 64
+    anchor points of stabilizer_subdegree (needs |T| > 64): every anchor
+    then reads 1, so non-members pass the anchor filter and are verified."""
+    rng = np.random.default_rng(seed)
+    n = T.order
+    off = np.ones(n, dtype=bool)
+    off[np.linspace(0, n - 1, 64).astype(np.int64)] = False
+    values = np.full(n, T.identity)
+    values[off & (rng.random(n) < 0.05)] = rng.integers(1, n)
+    return wr.AlphaFn(T, values)
+
+
+def test_stabilizer_counts_only_verified_elements(act_log):
+    """Lambda is the naive one, every found (x_0, y, k) fixes alpha under a
+    direct act_alpha, and a false survivor is verified and rejected: at
+    q = 7 by the off-anchor function (at q = 4 and 5 every point is an
+    anchor)."""
+    cases = [(q, alpha) for q in (4, 5, 7) for alpha in _stabilizer_cases(group_for(q), q)]
+    cases.append((7, _off_anchor_alpha(group_for(7), 7)))
+    rejected = 0
+    for q, alpha in cases:
+        T = group_for(q)
+        act_log.clear()
+        res = wr.stabilizer_subdegree(alpha)
+        rejected += act_log.count(False)
+        a = alpha.values
+        assert np.array_equal(res.lam, np.flatnonzero((a[reference_table(T)] == a).all(axis=1)))
+        assert all(wr.act_alpha(alpha, h) == alpha for h in res.found)
+        assert [h[1:] for h in res.found] == sorted({h[1:] for h in res.found})
+    assert rejected > 0
+    res = wr.stabilizer_subdegree(cases[-1][1])
+    assert res.stabilizer_order == len(naive_stab(group_for(7), cases[-1][1]))
+
+
 def test_stabilizer_trivial_alpha(T7):
     res = wr.stabilizer_subdegree(wr.identity_alpha(T7))
     assert res.subdegree == 1
