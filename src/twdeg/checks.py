@@ -230,7 +230,7 @@ def ctx_p1_product(q: int) -> tuple:
 
 def exact_scan_ok(q: int, long_running: bool, table4: bool = False) -> bool:
     if table4:
-        return q <= 23
+        return q <= 23 or (long_running and q in TABLE4_LONG_Q)
     return q <= EXACT_DEFAULT_MAX_Q or (long_running and q <= 13)
 
 
