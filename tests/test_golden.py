@@ -27,6 +27,8 @@ COMMANDS = {
     "table1-q17-19-m2-3": ["table1", "--q", "17", "19", "--m", "2", "3"],
     "table2-q17-19": ["table2", "--q", "17", "19"],
     "table4-q29": ["table4", "--q", "29"],
+    # the exact q = 29 and q = 59 rows, which only --long runs
+    "table4-long-q29-59": ["table4", "--long", "--q", "29", "59"],
     "report-replay": ["report", "--in", str(GOLDEN / "table1.json"),
                       str(GOLDEN / "table2.json"), "--replay"],
 }
