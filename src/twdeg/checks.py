@@ -405,9 +405,10 @@ def t2_row4(p, cfg):
         ok = order // p1 == 30 and order // 60 == 203 and gcd(30**m, 203**m) == 1
         expected = f"(30^{m},203^{m},gcd=1)"
         return expected, expected if ok else "arithmetic mismatch", {"mode": "arithmetic"}
-    r_cert = witness_subdegree(q, m, "P1", False)
+    # m = 2: exact stabilizer scans, each asserted to be K wr S_2
+    r_cert = witness_subdegree(q, m, "P1", m == 2)
     d_cert = witness_subdegree(
-        q, m, "A5", False, shifts=_c2_candidates(q, "A5") if m == 2 else None
+        q, m, "A5", m == 2, shifts=_c2_candidates(q, "A5") if m == 2 else None
     )
     return _pair_result(30**m, 203**m, r_cert, d_cert)
 

@@ -305,6 +305,16 @@ def test_exact_q29_scans_verify_generators(monkeypatch, act_log):
     assert 0 < len(act_log) <= 100
 
 
+def test_table2_row4_q29_m2_exact_under_long():
+    """Under --long both sides of table2's q = 29, m = 2 row are exact
+    stabilizer scans, P1 wr S_2 and A5 wr S_2."""
+    cfg = RunConfig(q_list=[29], m_list=[2], q_explicit=True, long_running=True)
+    spec = next(s for s in checks.table2_specs(cfg) if s[0] == "table2.row4.q29.m2")
+    (result,) = checks.execute_specs([spec], cfg)
+    assert (result.status, result.actual) == ("pass", "(900,41209,gcd=1)")
+    assert [result.witness[k]["kind"] for k in "rd"] == ["exact-stabilizer"] * 2
+
+
 def _table4_q11_report(tmp_path):
     out = tmp_path / "t4.json"
     assert run_cli(["table4", "--q", "11", "--out", str(out)]) == 0
