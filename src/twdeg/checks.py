@@ -422,8 +422,8 @@ TABLE4_PAIRS = {
          ("pair3", "t4_q11_a4", {})],
     19: [("pair2", "t4_p1_pair", {"label": "A5", "expected": (2 * 20**2, 57**2)})],
     23: [("pair2", "t4_p1_pair", {"label": "S4", "expected": (2 * 24**2, 253**2)})],
-    29: [("pair1", "t4_divisor_pair", {"index": 203})],
-    59: [("pair2", "t4_divisor_pair", {"index": 1711})],
+    29: [("pair1", "t4_long_pair", {"index": 203})],
+    59: [("pair2", "t4_long_pair", {"index": 1711})],
 }
 
 
@@ -505,23 +505,19 @@ def t4_q11_a4(p, cfg):
 
 
 @check("table4.q{q}.{tag}", error="pair")
-def t4_divisor_pair(p, cfg):
-    """Containment rows at q = 29 and 59: the subdegree over P1 x P1 divides
-    2*60^2 (and equals it at q = 59), and is coprime to the A5 side,
-    |T : A5|^2.  Under --long both sides are exact stabilizer scans, and the
-    P1 x P1 side reads 2(q+1)^2; otherwise they are divisor and Lemma 2.6
-    certificates."""
+def t4_long_pair(p, cfg):
+    """The rows at q = 29 and 59, which only --long runs: the exact
+    subdegree over P1 x P1, 2(q+1)^2, divides 2*60^2 (and equals it at
+    q = 59), and is coprime to the exact A5 wr S_2 side, |T : A5|^2."""
     q, index = p["q"], p["index"]
     bound = 2 * 60**2
-    exact = cfg.long_running
-    f_cert = p1_product_subdegree(q, exact)
+    f_cert = p1_product_subdegree(q, True)
     if q % 4 == 3 and not ctx_obstruction(q).all_pass:
         return "obstructions", "error: ingredients failed", None
-    d_cert = witness_subdegree(q, 2, "A5", exact, shifts=_c2_candidates(q, "A5"))
+    d_cert = witness_subdegree(q, 2, "A5", True, shifts=_c2_candidates(q, "A5"))
     ok = f_cert.value == 2 * (q + 1) ** 2 and bound % f_cert.value == 0
     ok = ok and d_cert.value == index**2 and gcd(bound, d_cert.value) == 1
-    claim = 2 * (q + 1) ** 2 if exact or 2 * (q + 1) ** 2 == bound else f"divides {bound}"
-    expected = f"({claim},{index**2},gcd=1)"
+    expected = f"({2 * (q + 1) ** 2},{index**2},gcd=1)"
     actual = expected if ok else f"({f_cert.value},{d_cert.value})"
     return expected, actual, {"f": f_cert.to_record(), "g": d_cert.to_record()}
 
