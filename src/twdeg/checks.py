@@ -696,21 +696,18 @@ def lm_obstruction(p, cfg):
 
 
 def _alpha_rows(T: engine.GroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` random alpha value rows, drawn one function at a time."""
-    return np.array([wreath.random_alpha(T, rng).values for _ in range(size)])
+    """`size` random alpha value rows in one draw: the same stream as `size`
+    wreath.random_alpha calls in turn."""
+    return rng.integers(0, T.order, (size, T.order), dtype=np.int64)
 
 
 def _action_samples(T: engine.GroupTable, rng: np.random.Generator, size: int):
-    """`size` samples (alpha, h1, h2) drawn one at a time, each as alpha and
-    then the six ints of h1 and h2: the alpha rows and the two elements as
-    triples of index arrays."""
+    """`size` samples (alpha, h1, h2): all alpha rows in one draw, then the
+    six ints (x, y, k) of h1 and h2 for every sample in another; returned as
+    the alpha rows and the two elements as triples of index arrays."""
     n = T.order
-    alphas = np.empty((size, n), dtype=np.int64)
-    ints = np.empty((size, 6), dtype=np.int64)
-    for i in range(size):
-        alphas[i] = wreath.random_alpha(T, rng).values
-        ints[i] = [rng.integers(n), rng.integers(n), rng.integers(2),
-                   rng.integers(n), rng.integers(n), rng.integers(2)]
+    alphas = _alpha_rows(T, rng, size)
+    ints = rng.integers(0, [n, n, 2, n, n, 2], (size, 6))
     return alphas, tuple(ints[:, :3].T), tuple(ints[:, 3:].T)
 
 
@@ -829,7 +826,7 @@ def _grow_to_maximal(G, S, rng):
             g = int(rng.integers(G.order))
             if g in S.member_set:
                 continue
-            S2 = engine.generate(G, list(S.generating_set()) + [g])
+            S2 = engine.generate(G, S.generating_set() + [g], S)
             if S2.order < G.order:
                 S = S2
                 grown = True
@@ -840,7 +837,7 @@ def _grow_to_maximal(G, S, rng):
             # rare: random probes missed an extension; scan deterministically
             for g in range(G.order):
                 if g not in S.member_set:
-                    S2 = engine.generate(G, list(S.generating_set()) + [g])
+                    S2 = engine.generate(G, S.generating_set() + [g], S)
                     if S2.order < G.order:
                         S = S2
                         break

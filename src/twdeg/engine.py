@@ -7,9 +7,11 @@ determine an element, is chosen greedily, and a dense lookup with one axis
 per base point maps an element's base images to its BFS index.  The
 product g h is then read off without a multiplication table: h's row
 carries g's base images to those of g h.  Products broadcast over index
-arrays, so the algorithms below work in batches: closures grow a whole BFS
-level at a time, and conjugations, coset labels and commutation tests cover
-many elements in one product.  Subgroups are sorted index lists into their
+arrays, so the algorithms below work in batches: closures from bare
+generators grow a whole BFS level at a time, joins <S, gens> of a known
+subgroup S grow a BFS level of right cosets S r at a time (Dimino's
+algorithm), and conjugations, coset labels and commutation tests cover many
+elements in one product.  Subgroups are sorted index lists into their
 parent table.  All operations are pure functions over this immutable data;
 scans over the element range can be partitioned freely without changing
 results.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -191,10 +194,16 @@ class Subgroup:
         self.parent = parent
         if not isinstance(members, np.ndarray):
             members = np.fromiter(members, dtype=np.int64)
-        self.members = np.unique(members.astype(np.int64))
-        self.member_set = frozenset(self.members.tolist())
-        self.order = len(self.members)
+        members = np.asarray(members, dtype=np.int64)
+        if not (np.diff(members) > 0).all():  # np.flatnonzero gives sorted members
+            members = np.unique(members)
+        self.members = members
+        self.order = len(members)
         self._gens: list[int] | None = None
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.members.tolist())
 
     def __contains__(self, i: int) -> bool:
         return int(i) in self.member_set
@@ -213,15 +222,16 @@ class Subgroup:
         return hash((id(self.parent), self.member_set))
 
     def generating_set(self) -> list[int]:
-        """A small generating set, grown greedily in member-index order."""
+        """A small generating set, grown greedily in member-index order: each
+        member outside the closure of those before it, whose cosets then
+        extend that closure."""
         if self._gens is None:
             gens: list[int] = []
             closed = _closure(self.parent, gens)
             for m in self.members.tolist():
                 if not closed[m]:
                     gens.append(m)
-                    closed = _closure(self.parent, gens)
-                    if np.count_nonzero(closed) == self.order:
+                    if np.count_nonzero(_extend(self.parent, closed, gens)) == self.order:
                         break
             self._gens = gens
         return self._gens
@@ -325,9 +335,47 @@ def _closure(G: GroupTable, gens, cap: int | None = None) -> np.ndarray:
     return _mark_orbit(G, np.zeros(G.order, dtype=bool), start, gens, cap)
 
 
-def generate(parent: GroupTable, gens) -> Subgroup:
-    """Closure of a set of element indices under multiplication/inverse."""
-    return Subgroup(parent, np.flatnonzero(_closure(parent, list(gens))))
+def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np.ndarray:
+    """Mark in `seen`, the mask of a subgroup S that some of `gens`
+    generate, the join <S, gens>, as a union of right cosets S r.
+
+    The cosets are grown a BFS level of representatives at a time: each
+    product of the last level with the generators and their inverses that
+    lies outside `seen` is in a new coset S r, which is marked whole, and
+    the smallest member of each new coset represents it on the next level.
+    See _mark_orbit for the cap.
+    """
+    S = np.flatnonzero(seen)
+    gens = np.asarray(gens, dtype=np.int64)
+    if len(S) == 1:  # the cosets of the trivial group are its elements
+        return _mark_orbit(G, seen, np.concatenate([S, gens, G.inv[gens]]), gens, cap)
+    gens = np.concatenate([gens, G.inv[gens]])
+    frontier = np.array([G.identity], dtype=np.int64)
+    size = len(S)
+    while len(frontier) and (cap is None or size <= cap):
+        new = np.zeros(G.order, dtype=bool)
+        new[G.product(frontier[:, None], gens)] = True
+        cand = np.flatnonzero(new & ~seen)
+        cosets = G.product(S[:, None], cand)  # column j is the coset S cand[j]
+        seen[cosets] = True
+        # the smallest member of each new coset is its representative
+        new[:] = False
+        new[cosets.min(axis=0)] = True
+        frontier = np.flatnonzero(new)
+        size += len(S) * len(frontier)
+    return seen
+
+
+def generate(parent: GroupTable, gens, known: Subgroup | None = None) -> Subgroup:
+    """Closure of a set of element indices under multiplication/inverse.
+
+    With `known`, a subgroup that some of `gens` generate, the closure grows
+    from it by cosets (see _extend) instead of element by element.
+    """
+    gens = list(gens)
+    if known is None:
+        return Subgroup(parent, np.flatnonzero(_closure(parent, gens)))
+    return Subgroup(parent, np.flatnonzero(_extend(parent, member_mask(known), gens)))
 
 
 def centralizer(G: GroupTable, g: int) -> Subgroup:
@@ -430,20 +478,13 @@ def is_maximal(G: GroupTable, M: Subgroup) -> bool:
         if visited[s]:
             continue
         _mark_orbit(G, visited, G.product(M.members, s), gens)  # the double coset M s M
-        size = _closure_size_capped(G, gens + [s], half)
+        # a subgroup of size > |G|/2 has index < 2, hence equals G
+        size = np.count_nonzero(_extend(G, member_mask(M), gens + [s], half))
         if size <= half:
             M._maximal_cache = False
             return False
     M._maximal_cache = True
     return True
-
-
-def _closure_size_capped(G: GroupTable, gens: list[int], half: int) -> int:
-    """Size of <gens>, stopping early once it exceeds half of |G|.
-
-    A subgroup of size > |G|/2 has index < 2, hence equals G.
-    """
-    return int(np.count_nonzero(_closure(G, gens, half)))
 
 
 def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
@@ -513,9 +554,15 @@ def dihedral_class_census(T: GroupTable, d: int) -> int:
     tori = [(q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)]
     if d <= 2 or not any(t % d == 0 for t in tori):
         raise NoSuchSubgroupError(f"no dihedral subgroup of order {2*d} for q={q}")
+    # one closure per cyclic subgroup of order d: each of its elements of
+    # order d generates it, so those already covered are skipped
     cyclics = {}
+    covered = np.zeros(T.order, dtype=bool)
     for c in T.elements_of_order(d).tolist():
-        cyclics.setdefault(generate(T, [c]).member_set, c)
+        if not covered[c]:
+            C = generate(T, [c])
+            covered[C.members] = True
+            cyclics[C.member_set] = c
     invs = T.elements_of_order(2)
     dihedrals = set()
     for mem, c in cyclics.items():

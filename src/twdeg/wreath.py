@@ -479,10 +479,13 @@ def central_members(T: GroupTable, groups) -> list[tuple[tuple, np.ndarray]]:
     return [g for g, ok in zip(found, commute) if ok]
 
 
+CHUNK_ENTRIES = 1 << 18  # entries of one row chunk, which bounds the temporaries
+
+
 def _row_test(test, rows: np.ndarray, width: int) -> np.ndarray:
     """test(chunk) over consecutive chunks of rows, concatenated; a chunk
-    holds at most 2^18 / width rows, which bounds the temporaries."""
-    step = max(1, (1 << 18) // width)
+    holds at most CHUNK_ENTRIES / width rows."""
+    step = max(1, CHUNK_ENTRIES // width)
     return np.concatenate([test(rows[i : i + step]) for i in range(0, len(rows), step)])
 
 
@@ -508,20 +511,26 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
     n = T.order
     t1, t2, _ = t
     values = np.full(n, T.identity, dtype=np.int64)
+    assigned = np.zeros(n, dtype=bool)
     # the point (a, 1) lies in D t (x, x, k) iff a x^-1 t1^-1 in K and
     # x^-1 t2^-1 in K (k = 0), i.e. x in t2^-1 K and a = k1 t1 x; the
     # swapped shape gives x in t1^-1 K and a = k1 t2 x
-    points, vals = [], []
     K = D.K.members
+    step = max(1, CHUNK_ENTRIES // len(K))  # rows k1 per chunk
     for u1, u2 in [(t1, t2)] if D.kind == "product" else [(t1, t2), (t2, t1)]:
         xs = T.product(inv[u2], K)
-        points.append(T.product(K[:, None], u1, xs).ravel())
-        vals.append(np.tile(T.product(inv[xs], eta, xs), len(K)))  # x^-1 eta x
-    points, vals = np.concatenate(points), np.concatenate(vals)
-    values[points] = vals
-    clash = values[points] != vals
-    if clash.any():
-        raise InconsistentFunctionError(f"conflicting values at point {int(points[clash][0])}")
+        vals = T.product(inv[xs], eta, xs)  # x^-1 eta x
+        for i in range(0, len(K), step):
+            points = T.product(K[i : i + step, None], u1, xs)
+            # a clash with an earlier chunk, then one inside this chunk
+            clash = assigned[points] & (values[points] != vals)
+            values[points] = vals
+            assigned[points] = True
+            clash |= values[points] != vals
+            if clash.any():
+                raise InconsistentFunctionError(
+                    f"conflicting values at point {int(points[clash][0])}"
+                )
     alpha = AlphaFn(T, values)
     if alpha.is_identity():
         raise AssertionError("coset function collapsed to the identity")

@@ -172,6 +172,28 @@ def klein_subgroups(K: Subgroup) -> list[Subgroup]:
     return out
 
 
+def greedy_generating_set(S: Subgroup) -> list[int]:
+    """Subgroup.generating_set from scratch: each member, in index order,
+    outside the closure of those before it, that closure rebuilt from the
+    identity after every step."""
+    gens: list[int] = []
+    closed = engine._closure(S.parent, gens)
+    for m in S.members.tolist():
+        if not closed[m]:
+            gens.append(m)
+            closed = engine._closure(S.parent, gens)
+            if np.count_nonzero(closed) == S.order:
+                break
+    return gens
+
+
+# -- random function samples -------------------------------------------------------
+
+def alpha_rows_one_at_a_time(T: GroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` random alpha value rows, one wreath.random_alpha draw each."""
+    return np.array([wreath.random_alpha(T, rng).values for _ in range(size)])
+
+
 # -- the Lemma 2.6 search, one member at a time -----------------------------------
 
 def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tuple]]:

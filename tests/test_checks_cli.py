@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import group_for
 from twdeg import checks, cli, engine, wreath
 from twdeg.checks import RunConfig
 
@@ -596,9 +597,10 @@ def test_invariance_fails_when_conjugation_rule_dropped(monkeypatch):
     assert (res.status, res.actual) == ("fail", "False")
 
 
-def test_action_axiom_draws_replay_one_at_a_time(monkeypatch):
-    """The chunked draws of the action-axiom check are the samples a scalar
-    loop draws: per sample alpha, then the six ints of h1 and h2."""
+def test_action_axiom_draws_bulk_per_chunk(monkeypatch):
+    """The action-axiom check draws per chunk all alpha rows in one call (the
+    stream of one random_alpha call per row), then the six ints (x, y, k)
+    of h1 and h2 for every sample in one call."""
     calls = []
     real = wreath.act_alpha_batch
 
@@ -610,16 +612,22 @@ def test_action_axiom_draws_replay_one_at_a_time(monkeypatch):
     res = checks.lm_action_axiom({"q": 7, "samples": 300}, RunConfig())
     assert res.status == "pass"
     assert len(calls) == 3 * 2  # three batch actions per chunk, chunks of 256 and 44
-    # per chunk: alpha under h1 h2, alpha under h1, then alpha^h1 under h2
-    alphas = np.vstack([calls[i + 1][0] for i in (0, 3)])
-    h1 = np.hstack([np.stack(calls[i + 1][1]) for i in (0, 3)]).T
-    h2 = np.hstack([np.stack(calls[i + 2][1]) for i in (0, 3)]).T
     T = checks.ctx_group(7)
     n = T.order
     rng = np.random.default_rng(12345)
-    for i in range(300):
-        alpha = wreath.random_alpha(T, rng)
-        r1 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        r2 = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        assert np.array_equal(alphas[i], alpha.values)
-        assert tuple(h1[i].tolist()) == r1 and tuple(h2[i].tolist()) == r2
+    for chunk, size in zip((0, 3), (256, 44)):
+        # per chunk: alpha under h1 h2, alpha under h1, then alpha^h1 under h2
+        alphas, h1, h2 = calls[chunk + 1][0], calls[chunk + 1][1], calls[chunk + 2][1]
+        assert np.array_equal(alphas, reference.alpha_rows_one_at_a_time(T, rng, size))
+        ints = rng.integers(0, [n, n, 2, n, n, 2], (size, 6))
+        assert np.array_equal(np.stack(h1 + h2, axis=1), ints)
+
+
+@pytest.mark.parametrize("q", [4, 7, 11, "wr"])
+def test_alpha_rows_match_one_draw_per_row(q):
+    """checks._alpha_rows draws in one call what one random_alpha call per
+    row draws, at n = 60, 168, 660 and 7200 (T wr S_2 at q = 4)."""
+    T = wreath.wreath_full_table(group_for(4)) if q == "wr" else group_for(q)
+    bulk = checks._alpha_rows(T, np.random.default_rng(5), 7)
+    one_by_one = reference.alpha_rows_one_at_a_time(T, np.random.default_rng(5), 7)
+    assert bulk.shape == (7, T.order) and np.array_equal(bulk, one_by_one)

@@ -420,6 +420,32 @@ def test_coset_fn_bad_eta(T7):
         wr.build_coset_fn(D, (0, s, 0), eta=bad)
 
 
+@pytest.mark.parametrize("chunk", [1, 50, wr.CHUNK_ENTRIES])
+def test_coset_fn_chunked_build(monkeypatch, T4, T7, chunk):
+    """build_coset_fn in row chunks of K of at most `chunk` incidences (one
+    row each at chunk = 1) gives the one-chunk function, and a non-central
+    eta still ends in conflicting values, whether the two incidences of a
+    point fall in one chunk or in two."""
+    P1 = point_stabilizer(T4, 4)
+    s = next(g for g in range(T4.order) if g not in P1.member_set)
+    K = atlas.find_named_subgroup(T7, "S4").subgroup
+    wit = wr.find_witness_t(T7, K, 2, label="S4").witness
+    cases = [(wr.product_sub(P1), (0, s, 0), None),
+             (wr.wreath_sub(K), (0, wit["shift"][0], 0), wit["eta"])]
+    whole = [wr.build_coset_fn(D, t, eta=eta) for D, t, eta in cases]
+    monkeypatch.setattr(wr, "CHUNK_ENTRIES", chunk)
+    for (D, t, eta), alpha in zip(cases, whole):
+        assert wr.build_coset_fn(D, t, eta=eta) == alpha
+    P1 = point_stabilizer(T7, 7)
+    s = next(g for g in range(T7.order) if g not in P1.member_set)
+    D = wr.product_sub(P1)
+    parts = [y for y, _ in flatten(wr.d_t_cap_L(D, (0, s, 0)))]
+    bad = next(g for g in range(1, T7.order) if not all(T7.mul(g, y) == T7.mul(y, g) for y in parts))
+    monkeypatch.setattr(wr, "central_members", lambda T, groups: [((0, 1), np.array([bad]))])
+    with pytest.raises(wr.InconsistentFunctionError):
+        wr.build_coset_fn(D, (0, s, 0))
+
+
 def test_find_witness_s4_q7(T7):
     K = atlas.find_named_subgroup(T7, "S4").subgroup
     cert = wr.find_witness_t(T7, K, 2, label="S4")
