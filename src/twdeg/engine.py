@@ -554,21 +554,16 @@ def dihedral_class_census(T: GroupTable, d: int) -> int:
     tori = [(q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)]
     if d <= 2 or not any(t % d == 0 for t in tori):
         raise NoSuchSubgroupError(f"no dihedral subgroup of order {2*d} for q={q}")
-    # one closure per cyclic subgroup of order d: each of its elements of
-    # order d generates it, so those already covered are skipped
-    cyclics = {}
-    covered = np.zeros(T.order, dtype=bool)
-    for c in T.elements_of_order(d).tolist():
-        if not covered[c]:
-            C = generate(T, [c])
-            covered[C.members] = True
-            cyclics[C.member_set] = c
     invs = T.elements_of_order(2)
     dihedrals = set()
-    for mem, c in cyclics.items():
-        cyc = np.array(sorted(mem))
+    covered = np.zeros(T.order, dtype=bool)
+    for c in T.elements_of_order(d).tolist():
+        if covered[c]:
+            continue  # each element of order d generates the <c'> it lies in
+        C = generate(T, [c])
+        covered[C.members] = True
         for j in invs[T.product(invs, c, invs) == T.inverse(c)].tolist():  # j c j = c^-1
-            dihedrals.add(mem | frozenset(T.product(cyc, j).tolist()))
+            dihedrals.add(C.member_set | frozenset(T.product(C.members, j).tolist()))
     classes = 0
     remaining = set(dihedrals)
     while remaining:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -340,11 +342,14 @@ def _join_cases(G, seed: int, count: int = 12):
         yield S, g
 
 
-def _wreath_tables():
+@functools.cache
+def _table(q):
+    """PSL(2,q), or T wr S_2 ("wr") and T x T ("tt") at q = 4."""
     from twdeg import wreath as wr
 
-    T4 = group_for(4)
-    return {"wr": wr.wreath_full_table(T4), "tt": wr.wreath_full_table(T4, swap=False)}
+    if isinstance(q, int):
+        return group_for(q)
+    return wr.wreath_full_table(group_for(4), swap=q == "wr")
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, "wr", "tt"])
@@ -352,7 +357,7 @@ def test_extend_matches_closure(q):
     """<S, g> grown by cosets of S equals the element BFS of the same
     generators, with and without a cap; the capped count exceeds the cap
     exactly when the full closure does."""
-    G = _wreath_tables()[q] if isinstance(q, str) else group_for(q)
+    G = _table(q)
     for S, g in _join_cases(G, seed=G.order):
         gens = S.generating_set() + [g]
         full = eng._closure(G, gens)
@@ -368,7 +373,7 @@ def test_extend_matches_closure(q):
 
 @pytest.mark.parametrize("q", [4, 7, 9, "wr"])
 def test_generating_set_matches_greedy_from_scratch(q):
-    G = _wreath_tables()[q] if isinstance(q, str) else group_for(q)
+    G = _table(q)
     for S, _ in _join_cases(G, seed=5):
         fresh = eng.Subgroup(G, S.members)
         assert fresh.generating_set() == reference.greedy_generating_set(fresh)
