@@ -819,15 +819,18 @@ def _random_proper_subgroup(G, rng):
 
 
 def _grow_to_maximal(G, S, rng):
-    """Grow a proper subgroup to a maximal one (verified by the overgroup test)."""
+    """Grow a proper subgroup to a maximal one (verified by the overgroup test).
+    A join <S, g> is dropped, unfinished, once it passes |G|/2: a subgroup
+    that large has index < 2, so it is G."""
+    half = G.order // 2
     while True:
         grown = False
         for _ in range(40):
             g = int(rng.integers(G.order))
             if g in S.member_set:
                 continue
-            S2 = engine.generate(G, S.generating_set() + [g], S)
-            if S2.order < G.order:
+            S2 = engine.generate(G, S.generating_set() + [g], S, half)
+            if S2 is not None:
                 S = S2
                 grown = True
                 break
@@ -837,8 +840,8 @@ def _grow_to_maximal(G, S, rng):
             # rare: random probes missed an extension; scan deterministically
             for g in range(G.order):
                 if g not in S.member_set:
-                    S2 = engine.generate(G, S.generating_set() + [g], S)
-                    if S2.order < G.order:
+                    S2 = engine.generate(G, S.generating_set() + [g], S, half)
+                    if S2 is not None:
                         S = S2
                         break
 

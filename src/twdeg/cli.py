@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -195,6 +196,7 @@ def cmd_report(args, reports: list[dict]) -> int:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # what is loaded by now lives until exit: no collection walks or frees it
     parser = build_parser()
     args = parser.parse_args(argv)
     # bad input ends here with a usage line and exit status 2

@@ -187,6 +187,17 @@ class GroupTable:
         return f"GroupTable(order={self.order}, degree={self.degree})"
 
 
+def unique(a) -> np.ndarray:
+    """The sorted distinct entries of `a`, flattened, as np.unique(a) gives
+    them: one sort, then each entry that differs from the one before it.
+    Plain np.unique first asks numpy.ma whether `a` is masked, and so
+    imports numpy.ma into every process that calls it."""
+    a = np.sort(np.asarray(a), axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class Subgroup:
     """A subgroup as a sorted member-index list into a parent GroupTable."""
 
@@ -196,7 +207,7 @@ class Subgroup:
             members = np.fromiter(members, dtype=np.int64)
         members = np.asarray(members, dtype=np.int64)
         if not (np.diff(members) > 0).all():  # np.flatnonzero gives sorted members
-            members = np.unique(members)
+            members = unique(members)
         self.members = members
         self.order = len(members)
         self._gens: list[int] | None = None
@@ -366,16 +377,25 @@ def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np
     return seen
 
 
-def generate(parent: GroupTable, gens, known: Subgroup | None = None) -> Subgroup:
+def generate(
+    parent: GroupTable, gens, known: Subgroup | None = None, cap: int | None = None,
+) -> Subgroup | None:
     """Closure of a set of element indices under multiplication/inverse.
 
     With `known`, a subgroup that some of `gens` generate, the closure grows
-    from it by cosets (see _extend) instead of element by element.
+    from it by cosets (see _extend) instead of element by element.  With a
+    cap, growth stops once more than `cap` elements are reached, and the
+    result is then None.
     """
     gens = list(gens)
     if known is None:
-        return Subgroup(parent, np.flatnonzero(_closure(parent, gens)))
-    return Subgroup(parent, np.flatnonzero(_extend(parent, member_mask(known), gens)))
+        seen = _closure(parent, gens, cap)
+    else:
+        seen = _extend(parent, member_mask(known), gens, cap)
+    members = np.flatnonzero(seen)
+    if cap is not None and len(members) > cap:
+        return None
+    return Subgroup(parent, members)
 
 
 def centralizer(G: GroupTable, g: int) -> Subgroup:
@@ -419,7 +439,7 @@ def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
     smallest point not yet covered, so its first entry is its smallest
     index; the orbits come in the order of those representatives.
     """
-    points = np.unique(np.asarray(points, dtype=np.int64))
+    points = unique(np.asarray(points, dtype=np.int64))
     inside = np.zeros(G.order, dtype=bool)
     inside[points] = True
     covered = np.zeros(G.order, dtype=bool)
@@ -438,7 +458,8 @@ def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
 def intersect(A: Subgroup, B: Subgroup) -> Subgroup:
     if A.parent is not B.parent:
         raise ParentMismatchError("subgroups live in different parents")
-    return Subgroup(A.parent, np.intersect1d(A.members, B.members))
+    # members are sorted and distinct; this also keeps numpy.ma unimported
+    return Subgroup(A.parent, np.intersect1d(A.members, B.members, assume_unique=True))
 
 
 def center(S: Subgroup) -> Subgroup:

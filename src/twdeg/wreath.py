@@ -56,6 +56,7 @@ from .engine import (
     centralizer,
     intersect,
     member_mask,
+    unique,
 )
 from .atlas import (
     IntersectionWitness,
@@ -435,7 +436,7 @@ def _grow_coset_orbit(T: GroupTable, x0: np.ndarray, gens, frontier: np.ndarray,
             new = x0[points] < 0
             x0[points[new]] = x[new]
             reached.append(points[new])
-        frontier = np.unique(np.concatenate(reached))
+        frontier = unique(np.concatenate(reached))
         step = gens
 
 
@@ -460,7 +461,7 @@ def central_members(T: GroupTable, groups) -> list[tuple[tuple, np.ndarray]]:
     P in one |P| x |P| product; sigma is tested, all candidates in one array
     pass, only when its group holds a central x.
     """
-    parts = np.unique(np.concatenate([xs for _, xs in groups]))
+    parts = unique(np.concatenate([xs for _, xs in groups]))
     central = np.zeros(T.order, dtype=bool)
     central[parts[_row_test(
         lambda xs: T.commutes_with(xs[:, None], parts).all(axis=1), parts, len(parts)

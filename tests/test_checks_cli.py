@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,14 +180,50 @@ def test_cache_reused(tmp_path, capsys):
 
 def test_console_script_installed():
     # the child process imports twdeg from the same src/ as this one
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "twdeg.cli", "lemma", "3.3", "--q", "7"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "lemma3.3.q7" in proc.stdout
+
+
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+CHILD = """
+import gc, sys
+from twdeg import cli
+code = cli.main(sys.argv[1:])
+print(code, gc.get_freeze_count() > 0, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args", [["lemma", "3.3"], ["table4", "--q", "7"]])
+def test_cli_process_freezes_and_never_imports_numpy_ma(args):
+    """cli.main freezes what is loaded before the checks run, and no check
+    reaches numpy.ma (plain np.unique and np.intersect1d import it)."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, *args],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True False"
+
+
+def test_report_from_child_process_matches_in_process(tmp_path):
+    """A report written by a process that exits with its objects frozen is
+    complete: byte for byte the in-process one, timings aside."""
+    def text(path):
+        return re.sub(r'"runtime_ms": [-+.e0-9]+', '"runtime_ms": 0', path.read_text())
+
+    (tmp_path / "child").mkdir()
+    proc = subprocess.run([sys.executable, "-m", "twdeg.cli", "table2", "--out", "r.json"],
+                          cwd=tmp_path / "child", capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["table2", "--out", str(tmp_path / "r.json")]) == 0
+    assert text(tmp_path / "child" / "r.json") == text(tmp_path / "r.json")
 
 
 def test_normalize_q_list():

@@ -1,4 +1,5 @@
 import functools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ def test_intersect(T7):
     # symmetric
     J = eng.intersect(P1.conjugate(s), P1)
     assert I.member_set == J.member_set
+
+
+@pytest.mark.parametrize("q", [4, 7, 9, "wr"])
+def test_intersect_matches_member_sets(q):
+    """Random pairs, pairs of cyclic subgroups of coprime orders (they meet
+    in the identity alone), and S with itself."""
+    G = _table(q)
+    cases = list(_join_cases(G, seed=11))
+    pairs = [(S, R) for (S, _), (R, _) in zip(cases, cases[1:])]
+    by_order = {}
+    for g in range(G.order):
+        by_order.setdefault(int(G.orders[g]), g)
+    coprime = [(a, b) for a in by_order for b in by_order if a > 1 and b > 1 and gcd(a, b) == 1]
+    assert coprime
+    for a, b in coprime:
+        pairs.append((eng.generate(G, [by_order[a]]), eng.generate(G, [by_order[b]])))
+    pairs += [(S, S) for S, _ in cases]
+    for S, R in pairs:
+        I = eng.intersect(S, R)
+        assert I.member_set == S.member_set & R.member_set
+        assert np.array_equal(I.members, np.sort(I.members))
+    for a, b in coprime:
+        assert eng.intersect(eng.generate(G, [by_order[a]]),
+                             eng.generate(G, [by_order[b]])).members.tolist() == [G.identity]
 
 
 def test_intersect_parent_mismatch(T7, T11):
@@ -377,6 +402,38 @@ def test_generating_set_matches_greedy_from_scratch(q):
     for S, _ in _join_cases(G, seed=5):
         fresh = eng.Subgroup(G, S.members)
         assert fresh.generating_set() == reference.greedy_generating_set(fresh)
+
+
+def test_unique_matches_np_unique():
+    rng = np.random.default_rng(3)
+    arrays = [rng.integers(0, k, size) for k, size in ((3, 50), (100, 100), (10**6, 40))]
+    arrays += [np.sort(a) for a in arrays]
+    arrays += [rng.integers(-5, 5, (7, 9)), np.arange(12).reshape(3, 4) % 5]
+    arrays += [np.array([], dtype=np.int64), np.array([4]), np.zeros(6, dtype=np.int8)]
+    for a in arrays:
+        got, want = eng.unique(a), np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert eng.unique([]).shape == np.unique([]).shape == (0,)
+
+
+@pytest.mark.parametrize("q", ["wr", 4, 7])
+def test_generate_cap_matches_full_join(q):
+    """A join capped at |G|/2 is None exactly when the full join is G, and
+    the full join otherwise; so is the closure from bare generators."""
+    G = _table(q)
+    half = G.order // 2
+    whole = 0
+    for seed in (1, 2, 3):
+        for S, g in _join_cases(G, seed=seed):
+            gens = S.generating_set() + [g]
+            full = eng.generate(G, gens)
+            whole += full.order == G.order
+            for capped in (eng.generate(G, gens, S, half), eng.generate(G, gens, cap=half)):
+                if full.order == G.order:
+                    assert capped is None
+                else:
+                    assert capped == full and np.array_equal(capped.members, full.members)
+    assert 0 < whole < 36  # both outcomes are exercised
 
 
 def test_subgroup_sorts_and_dedups(T7):
