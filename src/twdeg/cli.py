@@ -196,7 +196,11 @@ def cmd_report(args, reports: list[dict]) -> int:
 
 
 def main(argv=None) -> int:
-    gc.freeze()  # what is loaded by now lives until exit: no collection walks or frees it
+    # what the process loaded before its first command lives until exit: no
+    # collection walks or frees it.  Only once, or a caller that runs many
+    # commands in one process would freeze their uncollected garbage too.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     # bad input ends here with a usage line and exit status 2

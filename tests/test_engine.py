@@ -127,30 +127,6 @@ def test_intersect(T7):
     assert I.member_set == J.member_set
 
 
-@pytest.mark.parametrize("q", [4, 7, 9, "wr"])
-def test_intersect_matches_member_sets(q):
-    """Random pairs, pairs of cyclic subgroups of coprime orders (they meet
-    in the identity alone), and S with itself."""
-    G = _table(q)
-    cases = list(_join_cases(G, seed=11))
-    pairs = [(S, R) for (S, _), (R, _) in zip(cases, cases[1:])]
-    by_order = {}
-    for g in range(G.order):
-        by_order.setdefault(int(G.orders[g]), g)
-    coprime = [(a, b) for a in by_order for b in by_order if a > 1 and b > 1 and gcd(a, b) == 1]
-    assert coprime
-    for a, b in coprime:
-        pairs.append((eng.generate(G, [by_order[a]]), eng.generate(G, [by_order[b]])))
-    pairs += [(S, S) for S, _ in cases]
-    for S, R in pairs:
-        I = eng.intersect(S, R)
-        assert I.member_set == S.member_set & R.member_set
-        assert np.array_equal(I.members, np.sort(I.members))
-    for a, b in coprime:
-        assert eng.intersect(eng.generate(G, [by_order[a]]),
-                             eng.generate(G, [by_order[b]])).members.tolist() == [G.identity]
-
-
 def test_intersect_parent_mismatch(T7, T11):
     A = point_stabilizer(T7, 7)
     B = point_stabilizer(T11, 11)
@@ -381,19 +357,27 @@ def _table(q):
 def test_extend_matches_closure(q):
     """<S, g> grown by cosets of S equals the element BFS of the same
     generators, with and without a cap; the capped count exceeds the cap
-    exactly when the full closure does."""
+    exactly when the full closure does.  Capped at |G|/2, generate gives
+    None exactly when the join is G, and the join otherwise."""
     G = _table(q)
+    half = G.order // 2
+    whole = 0
     for S, g in _join_cases(G, seed=G.order):
         gens = S.generating_set() + [g]
         full = eng._closure(G, gens)
         assert np.array_equal(eng._extend(G, eng.member_mask(S), gens), full)
         size = np.count_nonzero(full)
-        for cap in (S.order, size - 1, size, G.order // 2):
+        for cap in (S.order, size - 1, size, half):
             capped = np.count_nonzero(eng._extend(G, eng.member_mask(S), gens, cap))
             assert (capped > cap) == (size > cap)
             if size <= cap:
                 assert capped == size
-        assert eng.generate(G, gens, S) == eng.generate(G, gens)
+        join = eng.generate(G, gens)
+        assert eng.generate(G, gens, S) == join
+        whole += size == G.order
+        for capped in (eng.generate(G, gens, S, half), eng.generate(G, gens, cap=half)):
+            assert capped is None if size == G.order else capped == join
+    assert 0 < whole < 12  # both outcomes of the cap
 
 
 @pytest.mark.parametrize("q", [4, 7, 9, "wr"])
@@ -402,6 +386,29 @@ def test_generating_set_matches_greedy_from_scratch(q):
     for S, _ in _join_cases(G, seed=5):
         fresh = eng.Subgroup(G, S.members)
         assert fresh.generating_set() == reference.greedy_generating_set(fresh)
+
+
+@pytest.mark.parametrize("q", [4, 7, 9, "wr"])
+def test_intersect_matches_member_sets(q):
+    """The members common to both, as sorted indices: for random pairs,
+    pairs of cyclic subgroups of coprime orders (they meet in the identity
+    alone), and S with itself."""
+    G = _table(q)
+    cases = list(_join_cases(G, seed=11))
+    pairs = [(S, R) for (S, _), (R, _) in zip(cases, cases[1:])]
+    pairs += [(S, S) for S, _ in cases]
+    cyclic = {}
+    for g in np.random.default_rng(12).integers(0, G.order, 40).tolist():
+        C = eng.generate(G, [g])
+        cyclic.setdefault(C.order, C)
+    coprime = [(A, B) for a, A in cyclic.items() for b, B in cyclic.items()
+               if a > 1 and b > 1 and gcd(a, b) == 1]
+    assert coprime
+    for A, B in coprime:
+        assert eng.intersect(A, B).members.tolist() == [G.identity]
+    for S, R in pairs + coprime:
+        both = np.flatnonzero(eng.member_mask(S) & eng.member_mask(R))
+        assert np.array_equal(eng.intersect(S, R).members, both)
 
 
 def test_unique_matches_np_unique():
@@ -414,26 +421,6 @@ def test_unique_matches_np_unique():
         got, want = eng.unique(a), np.unique(a)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert eng.unique([]).shape == np.unique([]).shape == (0,)
-
-
-@pytest.mark.parametrize("q", ["wr", 4, 7])
-def test_generate_cap_matches_full_join(q):
-    """A join capped at |G|/2 is None exactly when the full join is G, and
-    the full join otherwise; so is the closure from bare generators."""
-    G = _table(q)
-    half = G.order // 2
-    whole = 0
-    for seed in (1, 2, 3):
-        for S, g in _join_cases(G, seed=seed):
-            gens = S.generating_set() + [g]
-            full = eng.generate(G, gens)
-            whole += full.order == G.order
-            for capped in (eng.generate(G, gens, S, half), eng.generate(G, gens, cap=half)):
-                if full.order == G.order:
-                    assert capped is None
-                else:
-                    assert capped == full and np.array_equal(capped.members, full.members)
-    assert 0 < whole < 36  # both outcomes are exercised
 
 
 def test_subgroup_sorts_and_dedups(T7):
