@@ -178,6 +178,11 @@ def test_cache_reused(tmp_path, capsys):
     assert rc2 == 0
 
 
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_console_script_installed():
     # the child process imports twdeg from the same src/ as this one
     proc = subprocess.run(
@@ -186,11 +191,6 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "lemma3.3.q7" in proc.stdout
-
-
-def _child_env():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 CHILD = """
