@@ -143,14 +143,7 @@ def find_named_subgroup(T: GroupTable, label: str) -> AtlasEntry:
     elif label in ("DihedralPlus", "DihedralMinus"):
         k = gcd(2, q - 1)
         d = (q + 1) // k if label == "DihedralPlus" else (q - 1) // k
-        c = int(T.elements_of_order(d)[0])
-        C = generate(T, [c])
-        S = normalizer(T, C)
-        if S.order != 2 * d:
-            # fall back to <cycle, first inverting involution>
-            cinv = T.inverse(c)
-            j = next(int(i) for i in T.elements_of_order(2) if T.conj(c, int(i)) == cinv)
-            S = generate(T, [c, j])
+        S = normalizer(T, generate(T, [int(T.elements_of_order(d)[0])]))
     elif label == "A4":
         S = _first_two_generated(T, 2, 3, None, 12, IsoFingerprint.alt4())
     elif label == "S4":
@@ -244,10 +237,6 @@ def witness_record(w: IntersectionWitness) -> dict:
 
 class WitnessCacheError(ValueError):
     """A witness cache file that is not a list of witness records."""
-
-
-def save_witness_cache(path: str | Path, witnesses: list[IntersectionWitness]) -> None:
-    _write_records(Path(path), [witness_record(w) for w in witnesses])
 
 
 def append_witness_cache(path: str | Path, w: IntersectionWitness) -> None:

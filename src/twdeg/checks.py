@@ -782,31 +782,30 @@ def lm_invariance(p, cfg):
 
 # -- maximality censuses at q = 4 -------------------------------------------------
 
-def _embed_triples(T, H, triples):
-    return H.index(np.array([wreath.wreath_perm(T, u) for u in triples]))
+def _embed_triples(T, H, a, b, k=0) -> engine.Subgroup:
+    """The subgroup of H whose members are the triples (a, b, k), three
+    index arrays broadcast together."""
+    rows = np.stack([z.ravel() for z in np.broadcast_arrays(a, b, k)], axis=1)
+    return engine.Subgroup(H, H.index(wreath.wreath_perms(T, rows)))
 
 
 def _frobenius_conj_index(T):
     from .psl import frobenius_perm
 
     pi = np.array(frobenius_perm(T.field))
-    return T.index(pi[T.elements[:, np.argsort(pi)]]).tolist()  # pi^-1 e pi over e
+    return T.index(pi[T.elements[:, np.argsort(pi)]])  # pi^-1 e pi over e
 
 
 def _h_maximal_types(T, H):
     """Representatives of the three maximal-subgroup types of T wr S_2."""
-    n = T.order
-    t2 = _embed_triples(T, H, [(a, b, 0) for a in range(n) for b in range(n)])
-    types = {"type1.T2": engine.Subgroup(H, t2)}
-    diag = [(t, t, k) for t in range(n) for k in (0, 1)]
-    types["type2.diag"] = engine.Subgroup(H, _embed_triples(T, H, diag))
-    fr = _frobenius_conj_index(T)
-    twisted = [(t, fr[t], k) for t in range(n) for k in (0, 1)]
-    types["type2.twisted"] = engine.Subgroup(H, _embed_triples(T, H, twisted))
+    t = np.arange(T.order)
+    types = {"type1.T2": _embed_triples(T, H, t[:, None], t)}
+    for name, second in (("diag", t), ("twisted", _frobenius_conj_index(T))):
+        types[f"type2.{name}"] = _embed_triples(T, H, t[:, None], second[:, None], [0, 1])
     for label in ("A4", "DihedralPlus", "DihedralMinus"):
         K = ctx_atlas(4, label).subgroup
-        triples = list(wreath.wreath_sub(K).member_triples())
-        types[f"type3.{label}"] = engine.Subgroup(H, _embed_triples(T, H, triples))
+        triples = np.array(list(wreath.wreath_sub(K).member_triples()))
+        types[f"type3.{label}"] = _embed_triples(T, H, *triples.T)
     return types
 
 
@@ -819,12 +818,14 @@ def _random_proper_subgroup(G, rng):
 
 
 def _grow_to_maximal(G, S, rng):
-    """Grow a proper subgroup to a maximal one (verified by the overgroup test).
-    A join <S, g> is dropped, unfinished, once it passes |G|/2: a subgroup
-    that large has index < 2, so it is G."""
+    """Grow a proper subgroup to a maximal one (verified by the overgroup test)
+    in rounds of 40 random probes g, each round taking the first proper join
+    <S, g>.  A join is dropped, unfinished, once it passes |G|/2: a subgroup
+    that large has index < 2, so it is G.  A round that grows nothing ends
+    the search if S is maximal; otherwise another round runs, and some round
+    grows S with probability 1."""
     half = G.order // 2
     while True:
-        grown = False
         for _ in range(40):
             g = int(rng.integers(G.order))
             if g in S.member_set:
@@ -832,18 +833,10 @@ def _grow_to_maximal(G, S, rng):
             S2 = engine.generate(G, S.generating_set() + [g], S, half)
             if S2 is not None:
                 S = S2
-                grown = True
                 break
-        if not grown:
+        else:
             if engine.is_maximal(G, S):
                 return S
-            # rare: random probes missed an extension; scan deterministically
-            for g in range(G.order):
-                if g not in S.member_set:
-                    S2 = engine.generate(G, S.generating_set() + [g], S, half)
-                    if S2 is not None:
-                        S = S2
-                        break
 
 
 @check("lemma6.1.q4", error="True")
@@ -864,12 +857,11 @@ def lm_max_census_h(p, cfg):
         if M.member_set == t2_set:
             classified += 1
             continue
-        base = [wreath.wreath_triple(T, e) for e in H.elements[M.members].tolist()]
-        straight = [u for u in base if u[2] == 0]
-        if len(straight) * 2 != len(base):
+        rows = wreath.wreath_triples(T, H.elements[M.members])
+        straight = rows[rows[:, 2] == 0]
+        if len(straight) * 2 != len(rows):
             continue
-        proj1 = {u[0] for u in straight}
-        proj2 = {u[1] for u in straight}
+        proj1, proj2 = engine.unique(straight[:, 0]), engine.unique(straight[:, 1])
         if len(proj1) == n and len(proj2) == n:
             if len(straight) == n and M.order == 2 * n:
                 classified += 1  # a twisted-diagonal type
@@ -892,20 +884,15 @@ def lm_max_census_t2(p, cfg):
     automorphism-graph diagonals."""
     T = ctx_group(4)
     T2 = wreath.wreath_full_table(T, swap=False)
-
-    def embed(pairs):
-        return engine.Subgroup(T2, _embed_triples(T, T2, [(a, b, 0) for (a, b) in pairs]))
-
     n = T.order
-    full = list(range(n))
+    t = np.arange(n)
     types = {}
     for label in ("A4", "DihedralPlus", "DihedralMinus"):
-        K = ctx_atlas(4, label).subgroup
-        types[f"KxT.{label}"] = embed([(a, b) for a in K for b in full])
-        types[f"TxK.{label}"] = embed([(a, b) for a in full for b in K])
-    types["diag"] = embed([(t, t) for t in range(n)])
-    fr = _frobenius_conj_index(T)
-    types["diag.twisted"] = embed([(t, fr[t]) for t in range(n)])
+        K = ctx_atlas(4, label).subgroup.members
+        types[f"KxT.{label}"] = _embed_triples(T, T2, K[:, None], t)
+        types[f"TxK.{label}"] = _embed_triples(T, T2, t[:, None], K)
+    types["diag"] = _embed_triples(T, T2, t, t)
+    types["diag.twisted"] = _embed_triples(T, T2, t, _frobenius_conj_index(T))
     all_max = all(engine.is_maximal(T2, S) for S in types.values())
     # trichotomy on sampled proper subgroups
     rng = np.random.default_rng(55)
@@ -913,12 +900,10 @@ def lm_max_census_t2(p, cfg):
     samples = 6
     for _ in range(samples):
         S = _random_proper_subgroup(T2, rng)
-        pairs = [wreath.wreath_triple(T, e)[:2] for e in T2.elements[S.members].tolist()]
-        p1 = {a for a, _ in pairs}
-        p2 = {b for _, b in pairs}
-        if len(p1) < n or len(p2) < n:
+        rows = wreath.wreath_triples(T, T2.elements[S.members])
+        if len(engine.unique(rows[:, 0])) < n or len(engine.unique(rows[:, 1])) < n:
             classified += 1  # inside a factor-maximal product
-        elif len(pairs) == n:
+        elif len(rows) == n:
             classified += 1  # a graph of an automorphism
     witness = {"types": {k: v.order for k, v in types.items()},
                "samples_classified": classified}

@@ -211,6 +211,9 @@ def main(argv=None) -> int:
             cfg = config_from_args(args)
             if cfg.cache:
                 atlas.load_witness_cache(cfg.cache)
+        for path in (args.out, getattr(args, "cache", None)):
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"no directory to hold {path}")
     except (OSError, ValueError) as e:
         parser.error(str(e))
     if args.command == "report":

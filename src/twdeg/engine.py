@@ -7,10 +7,10 @@ determine an element, is chosen greedily, and a dense lookup with one axis
 per base point maps an element's base images to its BFS index.  The
 product g h is then read off without a multiplication table: h's row
 carries g's base images to those of g h.  Products broadcast over index
-arrays, so the algorithms below work in batches: closures from bare
-generators grow a whole BFS level at a time, joins <S, gens> of a known
-subgroup S grow a BFS level of right cosets S r at a time (Dimino's
-algorithm), and conjugations, coset labels and commutation tests cover many
+arrays, so the algorithms below work in batches: a join <S, gens> grows a
+BFS level of right cosets S r at a time from a known subgroup S, or from the
+trivial one, whose cosets are its elements (Dimino's algorithm), and
+conjugations, coset labels and commutation tests cover many
 elements in one product.  Subgroups are sorted index lists into their
 parent table.  All operations are pure functions over this immutable data;
 scans over the element range can be partitioned freely without changing
@@ -39,10 +39,6 @@ class NotMaximalError(ValueError):
 
 class NoSuchSubgroupError(ValueError):
     pass
-
-
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
 
 
 def _greedy_base(elements: np.ndarray) -> list[int]:
@@ -82,8 +78,6 @@ class GroupTable:
             (degree,) * len(self.base), -1, dtype=np.min_scalar_type(-self.order)
         )
         self._lookup[self._base_columns] = np.arange(self.order)
-        self._inv: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
 
     @classmethod
     def from_generators(cls, degree: int, gens: tuple[Perm, ...]) -> "GroupTable":
@@ -143,13 +137,11 @@ class GroupTable:
             raise KeyError("permutation outside the group")
         return found
 
-    @property
+    @cached_property
     def inv(self) -> np.ndarray:
-        if self._inv is None:
-            # g^-1 sends b to the point that g sends to b
-            images = [np.argmax(self.elements == b, axis=1) for b in self.base]
-            self._inv = self._lookup[tuple(images)].astype(np.int64)
-        return self._inv
+        # g^-1 sends b to the point that g sends to b
+        images = [np.argmax(self.elements == b, axis=1) for b in self.base]
+        return self._lookup[tuple(images)].astype(np.int64)
 
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
@@ -158,19 +150,16 @@ class GroupTable:
         """x^g = g^-1 x g."""
         return int(self.product(self.inverse(g), x, g))
 
-    @property
+    @cached_property
     def orders(self) -> np.ndarray:
-        if self._orders is None:
-            everyone = np.arange(self.order)
-            orders = np.zeros(self.order, dtype=np.int64)
-            power, k = everyone, 1
-            while True:
-                orders[(power == self.identity) & (orders == 0)] = k
-                if orders.all():
-                    break
-                power, k = self.product(power, everyone), k + 1
-            self._orders = orders
-        return self._orders
+        everyone = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        power, k = everyone, 1
+        while True:
+            orders[(power == self.identity) & (orders == 0)] = k
+            if orders.all():
+                return orders
+            power, k = self.product(power, everyone), k + 1
 
     def order_of(self, i: int) -> int:
         return int(self.orders[i])
@@ -238,7 +227,7 @@ class Subgroup:
         extend that closure."""
         if self._gens is None:
             gens: list[int] = []
-            closed = _closure(self.parent, gens)
+            closed = np.arange(self.parent.order) == self.parent.identity
             for m in self.members.tolist():
                 if not closed[m]:
                     gens.append(m)
@@ -250,10 +239,6 @@ class Subgroup:
     def conjugate(self, g: int) -> "Subgroup":
         G = self.parent
         return Subgroup(G, G.product(G.inverse(g), self.members, g))
-
-    def conjugate_set(self, g: int) -> frozenset:
-        G = self.parent
-        return frozenset(G.product(G.inverse(g), self.members, g).tolist())
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -285,10 +270,7 @@ class IsoFingerprint:
         """Dihedral group of order n (n even, n >= 4); D4 is the Klein four."""
         assert n % 2 == 0 and n >= 4
         m = n // 2
-        cnt = Counter()
-        for d in range(1, m + 1):
-            if m % d == 0:
-                cnt[d] += sum(1 for k in range(1, d + 1) if gcd(k, d) == 1) if d > 1 else 1
+        cnt = Counter(dict(IsoFingerprint.cyclic(m).element_orders))
         cnt[2] += m  # reflections
         return IsoFingerprint(n, tuple(sorted(cnt.items())), m <= 2)
 
@@ -338,14 +320,6 @@ def _mark_orbit(
     return seen
 
 
-def _closure(G: GroupTable, gens, cap: int | None = None) -> np.ndarray:
-    """Membership mask of <gens>, grown from the identity, the generators and
-    their inverses; see _mark_orbit for the cap."""
-    gens = np.asarray(gens, dtype=np.int64)
-    start = np.concatenate([[G.identity], gens, G.inv[gens]])
-    return _mark_orbit(G, np.zeros(G.order, dtype=bool), start, gens, cap)
-
-
 def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np.ndarray:
     """Mark in `seen`, the mask of a subgroup S that some of `gens`
     generate, the join <S, gens>, as a union of right cosets S r.
@@ -382,16 +356,13 @@ def generate(
 ) -> Subgroup | None:
     """Closure of a set of element indices under multiplication/inverse.
 
-    With `known`, a subgroup that some of `gens` generate, the closure grows
-    from it by cosets (see _extend) instead of element by element.  With a
+    The closure grows by cosets (see _extend) from `known`, a subgroup that
+    some of `gens` generate, or else from the trivial subgroup.  With a
     cap, growth stops once more than `cap` elements are reached, and the
     result is then None.
     """
-    gens = list(gens)
-    if known is None:
-        seen = _closure(parent, gens, cap)
-    else:
-        seen = _extend(parent, member_mask(known), gens, cap)
+    start = np.arange(parent.order) == parent.identity if known is None else member_mask(known)
+    seen = _extend(parent, start, list(gens), cap)
     members = np.flatnonzero(seen)
     if cap is not None and len(members) > cap:
         return None
@@ -423,14 +394,6 @@ def member_mask(S: Subgroup) -> np.ndarray:
     return mask
 
 
-def _conjugation_orbit(G: GroupTable, x: int, gens) -> np.ndarray:
-    """Sorted orbit of x under conjugation by <gens>."""
-    start = np.array([int(x)], dtype=np.int64)
-    return np.flatnonzero(
-        _mark_orbit(G, np.zeros(G.order, dtype=bool), start, gens, conjugate=True)
-    )
-
-
 def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
     """Orbits of <gens> acting by conjugation on `points`, a set of element
     indices closed under that action.
@@ -447,7 +410,8 @@ def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
     for p in points.tolist():
         if covered[p]:
             continue
-        orbit = _conjugation_orbit(G, p, gens)
+        seen = _mark_orbit(G, np.zeros(G.order, dtype=bool), np.array([p]), gens, conjugate=True)
+        orbit = np.flatnonzero(seen)
         if not inside[orbit].all():
             raise ValueError("points are not closed under conjugation by gens")
         covered[orbit] = True

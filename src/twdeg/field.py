@@ -123,18 +123,5 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return int(self.inv_table[x])
 
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def element_order(self, x: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if x == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        o, y = 1, x
-        while y != 1:
-            y = self.mul(y, x)
-            o += 1
-        return o
-
     def __repr__(self):
         return f"Field(p={self.p}, f={self.f}, q={self.q})"

@@ -29,10 +29,6 @@ def psl_order(q: int) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
-def p1_order(q: int) -> int:
-    return q * (q - 1) // gcd(2, q - 1)
-
-
 def translation_perm(field: Field, a: int) -> Perm:
     """x -> x + a on affine points, infinity fixed."""
     q = field.q

@@ -95,10 +95,6 @@ class WrongCongruenceError(ValueError):
 
 # -- m = 2 wreath element arithmetic on triples (a, b, k) ---------------------
 
-def w2_identity() -> tuple[int, int, int]:
-    return (0, 0, 0)
-
-
 def w2_product(T: GroupTable, u, v):
     """u v for triples of ints, or of ints and index arrays broadcast
     together."""
@@ -132,27 +128,22 @@ def wreath_full_table(T: GroupTable, swap: bool = True) -> GroupTable:
     return H
 
 
-def wreath_perm(T: GroupTable, u) -> tuple[int, ...]:
-    """Embed an m=2 triple into the block-permutation form of T wr S_2."""
-    a, b, k = u
-    d = T.degree
-    pa, pb = T.elements[a].tolist(), T.elements[b].tolist()
-    if k == 0:
-        return tuple(pa) + tuple(d + p for p in pb)
-    return tuple(d + p for p in pa) + tuple(pb)
+def wreath_perms(T: GroupTable, triples) -> np.ndarray:
+    """The block permutations of wreath_full_table for m = 2 triples
+    (a, b, k), one row each: a moves the first block and b the second, and
+    k = 1 then swaps the two blocks."""
+    a, b, k = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+    d, k = T.degree, k[:, None]
+    return np.concatenate([T.elements[a] + d * k, T.elements[b] + d * (1 - k)], axis=1)
 
 
-def wreath_triple(T: GroupTable, perm) -> tuple[int, int, int]:
-    """Inverse of wreath_perm."""
+def wreath_triples(T: GroupTable, perms) -> np.ndarray:
+    """The (a, b, k) rows of block permutations; inverse of wreath_perms."""
+    perms = np.asarray(perms, dtype=np.int64)
     d = T.degree
-    k = 0 if perm[0] < d else 1
-    if k == 0:
-        pa = tuple(perm[p] for p in range(d))
-        pb = tuple(perm[d + p] - d for p in range(d))
-    else:
-        pa = tuple(perm[p] - d for p in range(d))
-        pb = tuple(perm[d + p] for p in range(d))
-    return (int(T.index(pa)), int(T.index(pb)), k)
+    k = (perms[:, 0] >= d).astype(np.int64)
+    a = T.index(perms[:, :d] - d * k[:, None])
+    return np.stack([a, T.index(perms[:, d:] - d * (1 - k[:, None])), k], axis=1)
 
 
 # -- structured subgroups of H (m = 2) ----------------------------------------
@@ -383,7 +374,7 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
 
     def lam_passed(h):
         gens.append(h)
-        in_lam[:] = engine._closure(T, [x for x, _, _ in gens])
+        engine._extend(T, in_lam, [x for x, _, _ in gens])
 
     verify_outside(xs, in_lam, (xs, zeros, zeros), lam_passed)
     lam = np.flatnonzero(in_lam)

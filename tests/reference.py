@@ -16,7 +16,7 @@ import numpy as np
 
 from twdeg import engine, wreath
 from twdeg.engine import GroupTable, IsoFingerprint, Perm, Subgroup, member_mask
-from twdeg.wreath import AlphaFn, w2_identity, w2_product
+from twdeg.wreath import AlphaFn, w2_product
 
 
 # -- GF(p^f) -----------------------------------------------------------------------
@@ -48,6 +48,14 @@ def field_mul(F, x: int, y: int) -> int:
         for j, m in enumerate(F.modulus):
             prod[d - f + j] -= c * m
     return field_encode(F, prod[:f])
+
+
+def field_order(F, x: int) -> int:
+    """The multiplicative order of a nonzero x, by repeated products."""
+    o, y = 1, x
+    while y != 1:
+        y, o = F.mul(y, x), o + 1
+    return o
 
 
 # -- permutations ------------------------------------------------------------------
@@ -87,8 +95,8 @@ def w2_order(T: GroupTable, u) -> int:
 
 
 def triple_closure(T: GroupTable, gens) -> set:
-    closed = {w2_identity()}
-    frontier = [w2_identity()]
+    closed = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
     while frontier:
         nxt = []
         for u in frontier:
@@ -103,7 +111,7 @@ def triple_closure(T: GroupTable, gens) -> set:
 
 def explicit_generators(T: GroupTable, members) -> list:
     """Members in sorted order, each outside the closure of those before it."""
-    out, closed = [], {w2_identity()}
+    out, closed = [], {(0, 0, 0)}
     for u in sorted(members):
         if u not in closed:
             out.append(u)
@@ -152,8 +160,8 @@ def explicit_coset_fn(T: GroupTable, members, t, eta=None) -> AlphaFn:
 # -- subgroups --------------------------------------------------------------------
 
 def conjugacy_class(G: GroupTable, g: int) -> np.ndarray:
-    """Orbit of g under conjugation by G (closure over generators)."""
-    return engine._conjugation_orbit(G, g, G.generators)
+    """The conjugates x^-1 g x over every x in G, sorted and distinct."""
+    return np.unique(G.product(G.inv, g, np.arange(G.order)))
 
 
 def klein_subgroups(K: Subgroup) -> list[Subgroup]:
@@ -177,12 +185,12 @@ def greedy_generating_set(S: Subgroup) -> list[int]:
     outside the closure of those before it, that closure rebuilt from the
     identity after every step."""
     gens: list[int] = []
-    closed = engine._closure(S.parent, gens)
+    closed = engine.generate(S.parent, gens)
     for m in S.members.tolist():
-        if not closed[m]:
+        if m not in closed:
             gens.append(m)
-            closed = engine._closure(S.parent, gens)
-            if np.count_nonzero(closed) == S.order:
+            closed = engine.generate(S.parent, gens)
+            if closed.order == S.order:
                 break
     return gens
 

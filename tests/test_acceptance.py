@@ -25,7 +25,7 @@ from conftest import group_for
 from twdeg import atlas, checks, engine as eng, wreath as wr
 from twdeg.engine import IsoFingerprint
 from twdeg.field import Field
-from twdeg.psl import p1_order, point_stabilizer, psl_group, psl_order
+from twdeg.psl import point_stabilizer, psl_group, psl_order
 from twdeg.checks import RunConfig, factor_prime_power
 
 
@@ -45,7 +45,7 @@ def test_criterion_1_group_construction():
         p, f = factor_prime_power(q)
         T = psl_group(Field(p, f))
         P1 = point_stabilizer(T, q)
-        ok = ok and T.order == psl_order(q) and P1.order == p1_order(q)
+        ok = ok and T.order == psl_order(q) and P1.order == atlas.expected_order(q, "P1")
     dt = report(1, ok, t0, "orders by enumeration, q in {4,7,8,9,11,13}")
     assert ok
     assert dt < 1.0
@@ -258,7 +258,7 @@ def test_acceptance_note_arithmetic_certificates():
         order = psl_order(q)
         r_index, d_index = pair
         ok = ok and order % r_index == 0 and order % d_index == 0
-        ok = ok and order // p1_order(q) == r_index  # r side comes from P1
+        ok = ok and order // atlas.expected_order(q, "P1") == r_index  # r side comes from P1
         ok = ok and order // 60 == d_index  # d side comes from A5
         for m in (2, 3, 6):
             ok = ok and gcd(r_index**m, d_index**m) == 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,17 @@ def test_named_orders_q8(T8):
     assert dp.subgroup.order == 18
     assert dp.maximal
     assert eng.fingerprint(dp.subgroup) == IsoFingerprint.dihedral(18)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_dihedral_labels_are_torus_normalizers(q):
+    """Each dihedral label is the normalizer of the cyclic group generated by
+    the first element of order d, the torus order, and has order 2d."""
+    T = group_for(q)
+    k = gcd(2, q - 1)
+    for label, d in (("DihedralPlus", (q + 1) // k), ("DihedralMinus", (q - 1) // k)):
+        N = eng.normalizer(T, eng.generate(T, [int(T.elements_of_order(d)[0])]))
+        assert atlas.find_named_subgroup(T, label).subgroup == N and N.order == 2 * d
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
@@ -141,7 +153,7 @@ def test_witness_cache_roundtrip(tmp_path, T7):
     K = atlas.find_named_subgroup(T7, "S4").subgroup
     w = atlas.search_intersection(T7, K, IsoFingerprint.klein4(), kind="3.5a", label="S4")
     path = tmp_path / "cache.json"
-    atlas.save_witness_cache(path, [w])
+    atlas.append_witness_cache(path, w)
     records = atlas.load_witness_cache(path)
     assert len(records) == 1
     rec = atlas.cached_witness(records, 7, "3.5a", "S4")

@@ -65,13 +65,15 @@ def test_q5_aliased(tmp_path):
 
 
 def assert_usage_error(capsys, argv, message):
-    """The CLI rejects argv with a usage line, status 2 and the message."""
+    """The CLI rejects argv with a usage line, status 2 and the message;
+    returns what it printed to stdout."""
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("usage: twdeg") and message in err
     assert "Traceback" not in err
+    return out
 
 
 def test_bad_q_rejected(capsys):
@@ -101,9 +103,22 @@ def test_unreadable_report_rejected(tmp_path, capsys):
 def test_bad_cache_rejected_before_any_check(tmp_path, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('[{"q": 7, "label": "S4", ')
-    assert_usage_error(capsys, ["lemma", "3.5", "--q", "7", "--cache", str(truncated)],
-                       f"witness cache {truncated} is not JSON")
-    assert "lemma3.5" not in capsys.readouterr().out
+    out = assert_usage_error(capsys, ["lemma", "3.5", "--q", "7", "--cache", str(truncated)],
+                             f"witness cache {truncated} is not JSON")
+    assert "lemma3.5" not in out
+
+
+def test_out_in_missing_directory_rejected_before_any_check(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    printed = assert_usage_error(capsys, ["lemma", "3.3", "--q", "4", "--out", str(out)], str(out))
+    assert printed == ""
+
+
+def test_cache_in_missing_directory_rejected_before_any_check(tmp_path, capsys):
+    cache = tmp_path / "missing" / "c.json"
+    printed = assert_usage_error(capsys, ["lemma", "3.5", "--q", "7", "--cache", str(cache)],
+                                 str(cache))
+    assert printed == "" and not cache.parent.exists()
 
 
 def test_census_d_filter(capsys):

@@ -356,15 +356,16 @@ def _table(q):
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, "wr", "tt"])
 def test_extend_matches_closure(q):
     """<S, g> grown by cosets of S equals the element BFS of the same
-    generators, with and without a cap; the capped count exceeds the cap
-    exactly when the full closure does.  Capped at |G|/2, generate gives
-    None exactly when the join is G, and the join otherwise."""
+    generators (_extend from the trivial subgroup), with and without a cap;
+    the capped count exceeds the cap exactly when the full closure does.
+    Capped at |G|/2, generate gives None exactly when the join is G, and the
+    join otherwise."""
     G = _table(q)
     half = G.order // 2
     whole = 0
     for S, g in _join_cases(G, seed=G.order):
         gens = S.generating_set() + [g]
-        full = eng._closure(G, gens)
+        full = eng._extend(G, np.arange(G.order) == G.identity, gens)
         assert np.array_equal(eng._extend(G, eng.member_mask(S), gens), full)
         size = np.count_nonzero(full)
         for cap in (S.order, size - 1, size, half):
@@ -436,21 +437,22 @@ def test_subgroup_sorts_and_dedups(T7):
 
 def test_lemma_6_1_closures_from_scratch(monkeypatch):
     """lemma 6.1 grows the joins of subgroups it already holds by cosets.
-    From empty contexts the element BFS from bare generators runs 49 times.
-    Rebuilding every join, greedy generating-set step and overgroup test
-    from scratch ran it 320 times; rebuilding only the overgroup tests of
-    is_maximal, 74 times."""
+    From empty contexts the element BFS from bare generators (_extend from
+    the trivial subgroup) runs 49 times.  Rebuilding every join, greedy
+    generating-set step and overgroup test from scratch ran it 320 times;
+    rebuilding only the overgroup tests of is_maximal, 74 times."""
     from twdeg import checks
 
     calls = []
-    closure = eng._closure
+    extend = eng._extend
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return closure(*args, **kwargs)
+    def counted(G, seen, *args, **kwargs):
+        if np.count_nonzero(seen) == 1:
+            calls.append(1)
+        return extend(G, seen, *args, **kwargs)
 
     monkeypatch.setattr(checks, "_CTX", {})
-    monkeypatch.setattr(eng, "_closure", counted)
+    monkeypatch.setattr(eng, "_extend", counted)
     cfg = checks.RunConfig()
     (result,) = checks.execute_specs(checks.lemma_specs(cfg, "6.1"), cfg)
     assert result.status == "pass"

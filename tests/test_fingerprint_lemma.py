@@ -11,7 +11,6 @@ the named small families are pairwise distinguishable at equal orders.
 import functools
 from collections import defaultdict, deque
 
-import numpy as np
 import pytest
 
 from conftest import group_for
@@ -36,12 +35,8 @@ def all_proper_subgroups(T):
             for cmem, C in cyclics.items():
                 if cmem <= S.member_set:
                     continue
-                gens = S.generating_set() + C.generating_set()
-                size = np.count_nonzero(eng._closure(T, gens, half))
-                if size > half:
-                    continue
-                S2 = eng.generate(T, gens)
-                if S2.member_set not in subs:
+                S2 = eng.generate(T, S.generating_set() + C.generating_set(), cap=half)
+                if S2 is not None and S2.member_set not in subs:
                     subs[S2.member_set] = S2
                     new.append(S2)
         frontier = new
@@ -111,7 +106,7 @@ def conjugacy_class_id(T, S: eng.Subgroup) -> frozenset:
     """Canonical representative (smallest member set) of the conjugacy orbit."""
     best = sorted(S.member_set)
     for g in range(T.order):
-        c = sorted(S.conjugate_set(g))
+        c = S.conjugate(g).members.tolist()
         if c < best:
             best = c
     return frozenset(best)

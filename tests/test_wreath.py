@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,7 @@ def test_w2_inverse(T4):
     n = T4.order
     for _ in range(100):
         u = (int(rng.integers(n)), int(rng.integers(n)), int(rng.integers(2)))
-        assert wr.w2_product(T4, u, reference.w2_inv(T4, u)) == wr.w2_identity()
+        assert wr.w2_product(T4, u, reference.w2_inv(T4, u)) == (0, 0, 0)
 
 
 def test_wm_matches_w2(T4):
@@ -83,7 +85,28 @@ def test_full_table_q4(T4):
     rng = np.random.default_rng(4)
     for _ in range(50):
         u = (int(rng.integers(60)), int(rng.integers(60)), int(rng.integers(2)))
-        assert wr.wreath_triple(T4, wr.wreath_perm(T4, u)) == u
+        assert wr.wreath_triples(T4, wr.wreath_perms(T4, [u])).tolist() == [list(u)]
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_bridge_is_a_bijective_homomorphism_q4(T4, swap):
+    """wreath_perms maps the triples (a, b, k) of T wr S_2 (k = 0 alone for
+    T x T) one to one onto the elements of wreath_full_table, wreath_triples
+    maps them back, and wreath_perms carries w2_product to the table's
+    product on random pairs."""
+    H = wr.wreath_full_table(T4, swap=swap)
+    n = T4.order
+    grid = np.meshgrid(np.arange(n), np.arange(n), np.arange(2 if swap else 1), indexing="ij")
+    triples = np.stack([z.ravel() for z in grid], axis=1)
+    assert len(triples) == H.order == (7200 if swap else 3600)
+    idx = H.index(wr.wreath_perms(T4, triples))
+    assert len(set(idx.tolist())) == H.order
+    assert np.array_equal(wr.wreath_triples(T4, H.elements[idx]), triples)
+    rng = np.random.default_rng(500)
+    u, v = (triples[rng.integers(0, H.order, 500)] for _ in range(2))
+    uv = np.stack(wr.w2_product(T4, tuple(u.T), tuple(v.T)), axis=1)
+    embed = functools.partial(wr.wreath_perms, T4)
+    assert np.array_equal(H.index(embed(uv)), H.product(H.index(embed(u)), H.index(embed(v))))
 
 
 def test_conjugate_structure_m3(T4):
@@ -118,7 +141,7 @@ def test_act_matches_direct(q):
 def test_act_identity_and_trivial(T7):
     rng = np.random.default_rng(9)
     alpha = wr.random_alpha(T7, rng)
-    assert wr.act_alpha(alpha, wr.w2_identity()) == alpha
+    assert wr.act_alpha(alpha, (0, 0, 0)) == alpha
     triv = wr.identity_alpha(T7)
     h = (3, 5, 1)
     assert wr.act_alpha(triv, h) == triv
