@@ -141,9 +141,9 @@ def wreath_triples(T: GroupTable, perms) -> np.ndarray:
     """The (a, b, k) rows of block permutations; inverse of wreath_perms."""
     perms = np.asarray(perms, dtype=np.int64)
     d = T.degree
-    k = (perms[:, 0] >= d).astype(np.int64)
-    a = T.index(perms[:, :d] - d * k[:, None])
-    return np.stack([a, T.index(perms[:, d:] - d * (1 - k[:, None])), k], axis=1)
+    k = (perms[:, :1] >= d).astype(np.int64)  # the swap bit, as a column
+    a, b = T.index(perms[:, :d] - d * k), T.index(perms[:, d:] - d * (1 - k))
+    return np.stack([a, b, k[:, 0]], axis=1)
 
 
 # -- structured subgroups of H (m = 2) ----------------------------------------
