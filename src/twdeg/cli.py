@@ -228,6 +228,11 @@ def main(argv=None) -> int:
         specs = checks.lemma_specs(cfg, args.lemma_id)
         if args.lemma_id == "dickson-census" and args.d is not None:
             specs = [s for s in specs if s[2].get("d") == args.d]
+    if not specs:
+        chosen = " ".join(f"--{k} " + " ".join(map(str, v if isinstance(v, list) else [v]))
+                          for k, v in vars(args).items() if k in ("q", "m", "d") and v is not None)
+        name = args.command if args.command != "lemma" else f"lemma {args.lemma_id}"
+        parser.error(f"no {name} check matches {chosen or 'the defaults'}")
     results = checks.execute_specs(specs, cfg)
     print_results(results)
     if cfg.out:

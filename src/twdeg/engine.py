@@ -10,8 +10,9 @@ carries g's base images to those of g h.  Products broadcast over index
 arrays, so the algorithms below work in batches: a join <S, gens> grows a
 BFS level of right cosets S r at a time from a known subgroup S, or from the
 trivial one, whose cosets are its elements (Dimino's algorithm), and
-conjugations, coset labels and commutation tests cover many
-elements in one product.  Subgroups are sorted index lists into their
+conjugations, coset representatives and commutation tests cover many
+elements in one product, at most CHUNK_ENTRIES entries for the coset
+representatives.  Subgroups are sorted index lists into their
 parent table.  All operations are pure functions over this immutable data;
 scans over the element range can be partitioned freely without changing
 results.
@@ -27,6 +28,8 @@ from math import gcd
 import numpy as np
 
 Perm = tuple[int, ...]
+
+CHUNK_ENTRIES = 1 << 16  # entries of one batch of products, which bounds the temporaries
 
 
 class ParentMismatchError(ValueError):
@@ -160,6 +163,16 @@ class GroupTable:
             if orders.all():
                 return orders
             power, k = self.product(power, everyone), k + 1
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """The smallest element of each element's conjugacy class."""
+        everyone = np.arange(self.order)
+        labels = np.full(self.order, -1)
+        for v in range(self.order):
+            if labels[v] < 0:
+                labels[self.product(everyone, v, self.inv)] = v
+        return labels
 
     def order_of(self, i: int) -> int:
         return int(self.orders[i])
@@ -480,14 +493,18 @@ def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
 
 
 def coset_representatives(T: GroupTable, S: Subgroup) -> list[int]:
-    """Right-coset reps of S in T: the smallest element index per coset Sg."""
+    """Right-coset reps of S in T: the smallest element index per coset Sg,
+    in increasing order.  The cosets of a batch of uncovered elements, at
+    most CHUNK_ENTRIES // |S| of them, are marked with one product, and each
+    column minimum is the smallest element of its coset."""
     covered = np.zeros(T.order, dtype=bool)
-    reps = []
-    for g in range(T.order):
-        if not covered[g]:
-            reps.append(g)
-            covered[T.product(S.members, g)] = True
-    return reps
+    reps = np.zeros(T.order, dtype=bool)
+    step = max(1, CHUNK_ENTRIES // S.order)
+    while (batch := np.flatnonzero(~covered)[:step]).size:
+        cosets = T.product(S.members[:, None], batch)  # column j is the coset S batch[j]
+        covered[cosets] = True
+        reps[cosets.min(axis=0)] = True
+    return np.flatnonzero(reps).tolist()
 
 
 def count_conjugate_overgroups(T: GroupTable, K: Subgroup, R: Subgroup) -> int:

@@ -50,6 +50,7 @@ from itertools import chain, permutations, product
 import numpy as np
 
 from .engine import (
+    CHUNK_ENTRIES,
     GroupTable,
     IsoFingerprint,
     Subgroup,
@@ -282,12 +283,6 @@ class StabilizerResult:
     lam: np.ndarray
     found: list[tuple[int, int, int]]
 
-    @property
-    def members(self) -> list[tuple[int, int, int]]:
-        """Every member of H_f, in (y, k, x) order."""
-        return [(x, y, k) for x0, y, k in self.found
-                for x in sorted(self.T.product(self.lam, x0).tolist())]
-
 
 def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
     """Exact |H : H_f| for H = T wr S_2, from elements verified with act_alpha.
@@ -327,10 +322,7 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
         found = [(0, y, k) for y in range(n) for k in (0, 1)]
         return StabilizerResult(1, 2 * n * n, T, everyone, found)
     # anchor on the value class c minimizing |alpha^-1(c)| * |C_T(v)|
-    cls = np.full(n, -1)
-    for v in range(n):
-        if cls[v] < 0:
-            cls[T.product(everyone, v, inv)] = v
+    cls = T.class_labels
     hits = np.bincount(cls[a], minlength=n)
     present = np.flatnonzero(hits)
     c = present[np.argmin(hits[present] * (n // np.bincount(cls, minlength=n)[present]))]
@@ -340,15 +332,13 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
     chunks = anchors[np.argsort(hits[cls[a[anchors]]], kind="stable")].reshape(8, 8)
 
     def survivors(xs, ys, ks):
-        for chunk in chunks:
-            kept = len(xs)
-            for s in chunk:
-                u = np.where(ks == 0, ys, T.product(ys, s))  # y, resp. y s
-                w = T.product(xs, np.where(ks == 0, s, inv[s]), inv[ys])
-                keep = a[w] == T.product(u, a[s], inv[u])
-                xs, ys, ks = xs[keep], ys[keep], ks[keep]
-            if len(xs) == kept:
+        for chunk in chunks[:, :, None]:  # one row per anchor point s
+            u = np.where(ks == 0, ys, T.product(ys, chunk))  # y, resp. y s
+            w = T.product(xs, np.where(ks == 0, chunk, inv[chunk]), inv[ys])
+            keep = (a[w] == T.product(u, a[chunk], inv[u])).all(axis=0)
+            if keep.all():
                 break
+            xs, ys, ks = xs[keep], ys[keep], ks[keep]
         return xs, ys, ks
 
     def verify_outside(points, covered, candidates, passed):
@@ -416,18 +406,17 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
 def _grow_coset_orbit(T: GroupTable, x0: np.ndarray, gens, frontier: np.ndarray, step) -> None:
     """Grow the orbit held in x0 (see stabilizer_subdegree) level by level:
     the first level applies the elements `step` to the points `frontier`,
-    later levels apply all of `gens` to the points just reached.  Right
-    multiplication by (c, d, l) sends (x_0, y, 0) to (x_0 c, y d, l) and
-    (x_0, y, 1) to (x_0 d, y c, 1 - l)."""
+    later levels apply all of `gens` to the points just reached, in one
+    product per level.  Right multiplication by (c, d, l) sends (x_0, y, 0)
+    to (x_0 c, y d, l) and (x_0, y, 1) to (x_0 d, y c, 1 - l)."""
     while len(frontier) and step:
-        reached = []
-        for g in step:
-            x, y, k = w2_product(T, (x0[frontier], frontier // 2, frontier % 2), g)
-            points = 2 * y + k
-            new = x0[points] < 0
-            x0[points[new]] = x[new]
-            reached.append(points[new])
-        frontier = unique(np.concatenate(reached))
+        g = tuple(np.array(z)[:, None] for z in zip(*step))  # one row per generator
+        x, y, k = w2_product(T, (x0[frontier], frontier // 2, frontier % 2), g)
+        points = 2 * y + k
+        new = x0[points] < 0
+        for row in range(len(points) - 1, -1, -1):  # the first generator to reach a point sets x_0
+            x0[points[row, new[row]]] = x[row, new[row]]
+        frontier = unique(points[new])
         step = gens
 
 
@@ -469,9 +458,6 @@ def central_members(T: GroupTable, groups) -> list[tuple[tuple, np.ndarray]]:
         lambda s: (taus[:, s].transpose(1, 0, 2) == s[:, taus]).all(axis=(1, 2)), sigmas, taus.size
     )
     return [g for g, ok in zip(found, commute) if ok]
-
-
-CHUNK_ENTRIES = 1 << 18  # entries of one row chunk, which bounds the temporaries
 
 
 def _row_test(test, rows: np.ndarray, width: int) -> np.ndarray:

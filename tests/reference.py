@@ -164,6 +164,18 @@ def conjugacy_class(G: GroupTable, g: int) -> np.ndarray:
     return np.unique(G.product(G.inv, g, np.arange(G.order)))
 
 
+def coset_representatives(T: GroupTable, S: Subgroup) -> list[int]:
+    """engine.coset_representatives one coset at a time: each element not
+    yet covered, in index order, and then its coset S g marked."""
+    covered = np.zeros(T.order, dtype=bool)
+    reps = []
+    for g in range(T.order):
+        if not covered[g]:
+            reps.append(g)
+            covered[T.product(S.members, g)] = True
+    return reps
+
+
 def klein_subgroups(K: Subgroup) -> list[Subgroup]:
     """All Klein four subgroups of K, in deterministic order."""
     T = K.parent
@@ -193,6 +205,29 @@ def greedy_generating_set(S: Subgroup) -> list[int]:
             if closed.order == S.order:
                 break
     return gens
+
+
+# -- exact stabilizers ---------------------------------------------------------------
+
+def stabilizer_members(res: wreath.StabilizerResult) -> list[tuple[int, int, int]]:
+    """Every member of H_f in a stabilizer scan's result, in (y, k, x) order."""
+    return [(x, y, k) for x0, y, k in res.found
+            for x in sorted(res.T.product(res.lam, x0).tolist())]
+
+
+def grow_coset_orbit(T: GroupTable, x0: np.ndarray, gens, frontier: np.ndarray, step) -> None:
+    """wreath._grow_coset_orbit one generator at a time: each generator in
+    turn gives x_0 to the points it reaches first."""
+    while len(frontier) and step:
+        reached = []
+        for g in step:
+            x, y, k = w2_product(T, (x0[frontier], frontier // 2, frontier % 2), g)
+            points = 2 * y + k
+            new = x0[points] < 0
+            x0[points[new]] = x[new]
+            reached.append(points[new])
+        frontier = np.unique(np.concatenate(reached))
+        step = gens
 
 
 # -- random function samples -------------------------------------------------------

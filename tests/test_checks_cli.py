@@ -89,6 +89,18 @@ def test_unknown_lemma(capsys):
     assert_usage_error(capsys, ["lemma", "9.99"], "invalid choice: '9.99'")
 
 
+def test_empty_selection_rejected(tmp_path, capsys):
+    """A --q or --d that selects no check is a usage error naming it; no
+    check runs and no report is written."""
+    out = tmp_path / "r.json"
+    printed = assert_usage_error(capsys, ["table4", "--q", "8", "--out", str(out)],
+                                 "no table4 check matches --q 8")
+    assert printed == "" and not out.exists()
+    printed = assert_usage_error(capsys, ["lemma", "dickson-census", "--d", "100"],
+                                 "no lemma dickson-census check matches --d 100")
+    assert printed == ""
+
+
 def test_unreadable_report_rejected(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert_usage_error(capsys, ["report", "--in", str(missing)], "No such file")

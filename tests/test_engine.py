@@ -331,6 +331,48 @@ def test_subgroup_conjugates(T7):
     assert len(eng.subgroup_conjugates(T7, C7)) == 8  # Sylow count
 
 
+# -- batched coset representatives and class labels ------------------------------
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_coset_representatives_match_one_coset_at_a_time(q, monkeypatch):
+    """Every atlas subgroup present at q, the trivial group and T: the
+    representatives marked a batch of cosets at a time are those of the
+    one-coset loop, with one element, 50 entries or CHUNK_ENTRIES entries
+    per batch."""
+    T = group_for(q)
+    subgroups = [atlas.find_named_subgroup(T, label).subgroup
+                 for label in atlas.LABELS if atlas.label_exists(q, label)]
+    subgroups += [eng.Subgroup(T, [T.identity]), eng.Subgroup(T, range(T.order))]
+    for chunk in (1, 50, eng.CHUNK_ENTRIES):
+        monkeypatch.setattr(eng, "CHUNK_ENTRIES", chunk)
+        for S in subgroups:
+            assert eng.coset_representatives(T, S) == reference.coset_representatives(T, S)
+
+
+def test_coset_representatives_of_lemma_6_1_types():
+    """The maximal-subgroup types of T wr S_2 at q = 4 that lemma 6.1 lists."""
+    from twdeg import checks
+
+    T = checks.ctx_group(4)
+    H = _table("wr")
+    for name, S in checks._h_maximal_types(T, H).items():
+        reps = eng.coset_representatives(H, S)
+        assert len(reps) == H.order // S.order, name
+        assert reps == reference.coset_representatives(H, S), name
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_class_labels_match_conjugacy_classes(q):
+    """Each element is labelled by the smallest member of its conjugacy
+    class, so equal labels are the same partition as the classes."""
+    T = group_for(q)
+    labels = T.class_labels
+    for g in range(T.order):
+        cls = reference.conjugacy_class(T, g)
+        assert labels[g] == cls[0]
+        assert np.array_equal(np.flatnonzero(labels == labels[g]), cls)
+
+
 # -- joins of a known subgroup, grown by cosets -------------------------------------
 
 def _join_cases(G, seed: int, count: int = 12):
@@ -457,3 +499,25 @@ def test_lemma_6_1_closures_from_scratch(monkeypatch):
     (result,) = checks.execute_specs(checks.lemma_specs(cfg, "6.1"), cfg)
     assert result.status == "pass"
     assert len(calls) <= 60
+
+
+def test_default_table4_product_count(monkeypatch):
+    """The exact scans of the default table4 work in whole-array steps: from
+    empty contexts its checks make 2,383 GroupTable.product calls.  One
+    small product per coset representative, per anchor point, per orbit
+    generator and level, and a class loop in every scan made 5,703."""
+    from twdeg import checks
+
+    calls = []
+    product = eng.GroupTable.product
+
+    def counted(self, *factors):
+        calls.append(1)
+        return product(self, *factors)
+
+    monkeypatch.setattr(checks, "_CTX", {})
+    monkeypatch.setattr(eng.GroupTable, "product", counted)
+    cfg = checks.RunConfig()
+    results = checks.execute_specs(checks.table4_specs(cfg), cfg)
+    assert [r.status for r in results] == ["pass"] * 9
+    assert len(calls) <= 3000

@@ -313,8 +313,9 @@ def test_stabilizer_matches_naive(q):
         res = wr.stabilizer_subdegree(alpha)
         naive = naive_stab(T, alpha)
         assert res.stabilizer_order == len(naive)
-        assert set(res.members) == set(naive)
-        assert res.members == sorted(res.members, key=lambda u: (u[1], u[2], u[0]))
+        members = reference.stabilizer_members(res)
+        assert set(members) == set(naive)
+        assert members == sorted(members, key=lambda u: (u[1], u[2], u[0]))
         assert res.subdegree == 2 * T.order**2 // len(naive)
 
 
@@ -359,6 +360,44 @@ def test_stabilizer_trivial_alpha(T7):
     assert res.stabilizer_order == 2 * T7.order**2
 
 
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_grow_coset_orbit_matches_one_generator_at_a_time(q):
+    """From the trivial coset under two to four random triples, where one
+    level often reaches a point by several generators: the orbit and the x_0
+    of every point are those of the per-generator loop."""
+    T = group_for(q)
+    rng = np.random.default_rng(q)
+    for _ in range(10):
+        gens = [(int(rng.integers(T.order)), int(rng.integers(T.order)), int(rng.integers(2)))
+                for _ in range(int(rng.integers(2, 5)))]
+        grown = []
+        for grow in (wr._grow_coset_orbit, reference.grow_coset_orbit):
+            x0 = np.full(2 * T.order, -1, dtype=np.int64)
+            x0[2 * T.identity] = T.identity
+            grow(T, x0, gens, np.array([2 * T.identity]), gens)
+            grown.append(x0)
+        assert np.array_equal(*grown)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_stabilizer_matches_orbit_grown_one_generator_at_a_time(q, monkeypatch):
+    """20 random functions and the P1 x P1 coset function: lam and found are
+    those of a scan whose orbit grows one generator at a time."""
+    T = group_for(q)
+    rng = np.random.default_rng(20)
+    alphas = [wr.random_alpha(T, rng) for _ in range(20)]
+    P1 = point_stabilizer(T, q)
+    s = next(g for g in range(T.order) if g not in P1.member_set)
+    alphas.append(wr.build_coset_fn(wr.product_sub(P1), (0, s, 0)))
+    batched = [wr.stabilizer_subdegree(alpha) for alpha in alphas]
+    monkeypatch.setattr(wr, "_grow_coset_orbit", reference.grow_coset_orbit)
+    for alpha, res in zip(alphas, batched):
+        ref = wr.stabilizer_subdegree(alpha)
+        assert np.array_equal(res.lam, ref.lam)
+        assert res.found == ref.found
+    assert len(batched[-1].found) > 1
+
+
 def test_centralizer_fn_values_q7(T7):
     gamma2 = int(T7.elements_of_order(2)[0])
     _, res2, cert2 = wr.build_centralizer_fn(T7, gamma2)
@@ -367,7 +406,7 @@ def test_centralizer_fn_values_q7(T7):
     _, res7, _ = wr.build_centralizer_fn(T7, gamma7)
     assert res7.subdegree == 576
     C = eng.centralizer(T7, gamma7)
-    assert set(res7.members) == set(wr.wreath_sub(C).member_triples())
+    assert set(reference.stabilizer_members(res7)) == set(wr.wreath_sub(C).member_triples())
 
 
 def test_centralizer_fn_m3_certificate(T7):
@@ -390,7 +429,7 @@ def test_coset_fn_p1_product(T7):
     assert not alpha.is_identity()
     res = wr.stabilizer_subdegree(alpha)
     assert res.subdegree == 2 * 8 * 8
-    assert set(res.members) == set(D.member_triples())
+    assert set(reference.stabilizer_members(res)) == set(D.member_triples())
 
 
 def _explicit(D):
@@ -478,7 +517,7 @@ def test_find_witness_s4_q7(T7):
     alpha = wr.build_coset_fn(wr.wreath_sub(K), (0, wit["shift"][0], 0), eta=wit["eta"])
     res = wr.stabilizer_subdegree(alpha)
     assert res.subdegree == 49
-    assert set(res.members) == set(wr.wreath_sub(K).member_triples())
+    assert set(reference.stabilizer_members(res)) == set(wr.wreath_sub(K).member_triples())
 
 
 def test_find_witness_requires_maximal(T7):
@@ -548,7 +587,7 @@ def test_check_wreath_conditions(T7):
     C = eng.centralizer(T7, gamma)
     assert wr.check_wreath_conditions(alpha_h, C)
     # the conditions hold and the exact stabilizer is C wr S_2
-    members = wr.stabilizer_subdegree(alpha_h).members
+    members = reference.stabilizer_members(wr.stabilizer_subdegree(alpha_h))
     assert set(members) == set(wr.wreath_sub(C).member_triples())
     assert not wr.check_wreath_conditions(wr.identity_alpha(T7), C)
     P1 = point_stabilizer(T7, 7)
@@ -702,7 +741,7 @@ def test_p1_product_stabilizer_exact(q):
         assert wr.check_XY_conditions(alpha, P1, P1)
         res = wr.stabilizer_subdegree(alpha)
         assert res.subdegree == 2 * (q + 1) ** 2
-        assert set(res.members) == expected
+        assert set(reference.stabilizer_members(res)) == expected
 
 
 def _equals_by_order(D, alpha, res):
@@ -737,7 +776,7 @@ def test_stabilizer_equality_by_order_matches_member_sets(q):
     cases.append((D, wr.build_coset_fn(D, (0, wit["shift"][0], 0), eta=wit["eta"]), True))
     for D, alpha, equal in cases:
         res = wr.stabilizer_subdegree(alpha)
-        assert (set(res.members) == set(D.member_triples())) == equal
+        assert (set(reference.stabilizer_members(res)) == set(D.member_triples())) == equal
         assert _equals_by_order(D, alpha, res) == equal
 
 
@@ -751,7 +790,7 @@ def test_stabilizer_equality_by_order_p1_product_q9(T9):
     res = wr.stabilizer_subdegree(alpha)
     assert (res.stabilizer_order, D.order) == (2592, 1296)
     assert wr.inside_stabilizer(D, alpha) and not _equals_by_order(D, alpha, res)
-    assert set(D.member_triples()) < set(res.members)
+    assert set(D.member_triples()) < set(reference.stabilizer_members(res))
 
 
 @pytest.mark.parametrize("q,label,pair", [
@@ -782,7 +821,7 @@ def test_centralizer_fn_q13_involution(T13):
 def test_stabilizer_fingerprint_method(T7):
     gamma = int(T7.elements_of_order(2)[0])
     _, res, _ = wr.build_centralizer_fn(T7, gamma)
-    fp = reference.wreath_members_fingerprint(T7, res.members)
+    fp = reference.wreath_members_fingerprint(T7, reference.stabilizer_members(res))
     assert fp.order == 2 * 8 * 8  # the centralizer wreath D8 wr S2
     assert not fp.abelian
 
