@@ -166,9 +166,10 @@ class GroupTable:
 
     @cached_property
     def class_labels(self) -> np.ndarray:
-        """The smallest element of each element's conjugacy class."""
+        """The smallest element of each element's conjugacy class, in the
+        lookup's index dtype."""
         everyone = np.arange(self.order)
-        labels = np.full(self.order, -1)
+        labels = np.full(self.order, -1, dtype=self._lookup.dtype)
         for v in range(self.order):
             if labels[v] < 0:
                 labels[self.product(everyone, v, self.inv)] = v
