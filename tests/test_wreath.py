@@ -482,10 +482,11 @@ def test_coset_fn_bad_eta(T7):
         wr.build_coset_fn(D, (0, s, 0), eta=bad)
 
 
-@pytest.mark.parametrize("chunk", [1, 50, wr.CHUNK_ENTRIES])
+@pytest.mark.parametrize("chunk", [1, 50, 1 << 18])
 def test_coset_fn_chunked_build(monkeypatch, T4, T7, chunk):
     """build_coset_fn in row chunks of K of at most `chunk` incidences (one
-    row each at chunk = 1) gives the one-chunk function, and a non-central
+    row each at chunk = 1, every row in one chunk at 2^18, four times the
+    default CHUNK_ENTRIES) gives the one-chunk function, and a non-central
     eta still ends in conflicting values, whether the two incidences of a
     point fall in one chunk or in two."""
     P1 = point_stabilizer(T4, 4)
