@@ -118,17 +118,16 @@ def expected_order(q: int, label: str) -> int:
 
 
 def _first_two_generated(
-    T: GroupTable, order_a: int, order_b: int, order_ab: int | None, size: int, fp: IsoFingerprint
+    T: GroupTable, order_a: int, order_b: int, order_ab: int, size: int, fp: IsoFingerprint
 ) -> Subgroup | None:
-    """First subgroup <a, b> in (index(a), index(b)) order matching a target."""
+    """First subgroup <a, b> with a b of order `order_ab`, in (index(a),
+    index(b)) order, matching a target.  A closure stops once it passes
+    `size`, since it can no longer match."""
     cand_b = T.elements_of_order(order_b)
     for a in T.elements_of_order(order_a).tolist():
-        bs = cand_b
-        if order_ab is not None:
-            bs = cand_b[T.orders[T.product(a, cand_b)] == order_ab]
-        for b in bs.tolist():
-            S = generate(T, [a, b])
-            if S.order == size and fingerprint(S) == fp:
+        for b in cand_b[T.orders[T.product(a, cand_b)] == order_ab].tolist():
+            S = generate(T, [a, b], cap=size)
+            if S is not None and S.order == size and fingerprint(S) == fp:
                 return S
     return None
 
@@ -145,7 +144,8 @@ def find_named_subgroup(T: GroupTable, label: str) -> AtlasEntry:
         d = (q + 1) // k if label == "DihedralPlus" else (q - 1) // k
         S = normalizer(T, generate(T, [int(T.elements_of_order(d)[0])]))
     elif label == "A4":
-        S = _first_two_generated(T, 2, 3, None, 12, IsoFingerprint.alt4())
+        # an involution times an element of order 3 of A4 has order 3
+        S = _first_two_generated(T, 2, 3, 3, 12, IsoFingerprint.alt4())
     elif label == "S4":
         S = _first_two_generated(T, 2, 3, 4, 24, IsoFingerprint.sym4())
     elif label == "A5":

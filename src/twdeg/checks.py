@@ -438,8 +438,9 @@ def table4_q_list(cfg: RunConfig) -> list[int]:
 
 
 def table4_specs(cfg: RunConfig) -> list[tuple]:
+    """The m = 2 pairs of Table 4; none unless m = 2 is selected."""
     specs = []
-    for q in table4_q_list(cfg):
+    for q in table4_q_list(cfg) if 2 in cfg.m_list else []:
         gated = q in TABLE4_LONG_Q and not cfg.long_running
         pairs = [("pair1", "t4_generic", {})] if q % 4 == 3 else []
         for tag, fn, params in pairs + TABLE4_PAIRS.get(q, []):
@@ -809,6 +810,19 @@ def _h_maximal_types(T, H):
     return types
 
 
+def _t2_maximal_types(T, T2):
+    """Representatives of the maximal-subgroup types of T x T."""
+    t = np.arange(T.order)
+    types = {}
+    for label in ("A4", "DihedralPlus", "DihedralMinus"):
+        K = ctx_atlas(4, label).subgroup.members
+        types[f"KxT.{label}"] = _embed_triples(T, T2, K[:, None], t)
+        types[f"TxK.{label}"] = _embed_triples(T, T2, t[:, None], K)
+    types["diag"] = _embed_triples(T, T2, t, t)
+    types["diag.twisted"] = _embed_triples(T, T2, t, _frobenius_conj_index(T))
+    return types
+
+
 def _random_proper_subgroup(G, rng):
     """<g1, g2> for the first random pair (g1, g2) that does not generate G."""
     while True:
@@ -820,17 +834,17 @@ def _random_proper_subgroup(G, rng):
 def _grow_to_maximal(G, S, rng):
     """Grow a proper subgroup to a maximal one (verified by the overgroup test)
     in rounds of 40 random probes g, each round taking the first proper join
-    <S, g>.  A join is dropped, unfinished, once it passes |G|/2: a subgroup
-    that large has index < 2, so it is G.  A round that grows nothing ends
-    the search if S is maximal; otherwise another round runs, and some round
-    grows S with probability 1."""
-    half = G.order // 2
+    <S, g>.  A join is dropped, unfinished, once it passes engine.join_cap:
+    no proper subgroup containing S is that large, so it is G.  A round that
+    grows nothing ends the search if S is maximal; otherwise another round
+    runs, and some round grows S with probability 1."""
     while True:
+        cap = engine.join_cap(G.order, S.order)
         for _ in range(40):
             g = int(rng.integers(G.order))
             if g in S.member_set:
                 continue
-            S2 = engine.generate(G, S.generating_set() + [g], S, half)
+            S2 = engine.generate(G, S.generating_set() + [g], S, cap)
             if S2 is not None:
                 S = S2
                 break
@@ -885,14 +899,7 @@ def lm_max_census_t2(p, cfg):
     T = ctx_group(4)
     T2 = wreath.wreath_full_table(T, swap=False)
     n = T.order
-    t = np.arange(n)
-    types = {}
-    for label in ("A4", "DihedralPlus", "DihedralMinus"):
-        K = ctx_atlas(4, label).subgroup.members
-        types[f"KxT.{label}"] = _embed_triples(T, T2, K[:, None], t)
-        types[f"TxK.{label}"] = _embed_triples(T, T2, t[:, None], K)
-    types["diag"] = _embed_triples(T, T2, t, t)
-    types["diag.twisted"] = _embed_triples(T, T2, t, _frobenius_conj_index(T))
+    types = _t2_maximal_types(T, T2)
     all_max = all(engine.is_maximal(T2, S) for S in types.values())
     # trichotomy on sampled proper subgroups
     rng = np.random.default_rng(55)

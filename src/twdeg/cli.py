@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--q", type=int, nargs="+", default=None,
                        help="prime powers >= 4 (default 4 7 8 9 11 13)")
-        p.add_argument("--m", type=int, nargs="+", default=None,
-                       help="wreath arities (default 2 3)")
         p.add_argument("--long", action="store_true",
                        help="enable long-running searches and scans")
         p.add_argument("--workers", type=int, default=None,
@@ -42,8 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", type=str, default=None,
                        help="witness cache file shared with the searches")
 
-    for name in ("table1", "table2", "table4"):
-        add_common(sub.add_parser(name))
+    for name in ("table1", "table2", "table4"):  # no lemma check takes an arity
+        pt = sub.add_parser(name)
+        add_common(pt)
+        pt.add_argument("--m", type=int, nargs="+", default=None,
+                        help="wreath arities (default 2 3)")
     pl = sub.add_parser("lemma")
     pl.add_argument("lemma_id", choices=checks.LEMMA_IDS, metavar="lemma_id",
                     help=f"one of {', '.join(checks.LEMMA_IDS)}")
@@ -64,7 +65,7 @@ def config_from_args(args) -> RunConfig:
     notes: list[str] = []
     q_explicit = args.q is not None
     qs = checks.normalize_q_list(args.q if q_explicit else list(checks.DEFAULT_Q), notes)
-    ms = args.m if args.m is not None else list(checks.DEFAULT_M)
+    ms = getattr(args, "m", None) or list(checks.DEFAULT_M)
     if any(m < 2 for m in ms):
         raise ValueError("m values must be >= 2")
     workers = args.workers

@@ -12,7 +12,8 @@ BFS level of right cosets S r at a time from a known subgroup S, or from the
 trivial one, whose cosets are its elements (Dimino's algorithm), and
 conjugations, coset representatives and commutation tests cover many
 elements in one product, at most CHUNK_ENTRIES entries for the coset
-representatives.  Subgroups are sorted index lists into their
+representatives.  A join that only has to tell whether it is G stops at
+Lagrange's bound, join_cap.  Subgroups are sorted index lists into their
 parent table.  All operations are pure functions over this immutable data;
 scans over the element range can be partitioned freely without changing
 results.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -342,7 +343,9 @@ def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np
     product of the last level with the generators and their inverses that
     lies outside `seen` is in a new coset S r, which is marked whole, and
     the smallest member of each new coset represents it on the next level.
-    See _mark_orbit for the cap.
+    See _mark_orbit for the cap; once a single coset more would pass it,
+    only one more is marked.  A capped stop leaves `seen` partial, so only
+    a caller that tests the cap may pass one.
     """
     S = np.flatnonzero(seen)
     gens = np.asarray(gens, dtype=np.int64)
@@ -355,6 +358,8 @@ def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np
         new = np.zeros(G.order, dtype=bool)
         new[G.product(frontier[:, None], gens)] = True
         cand = np.flatnonzero(new & ~seen)
+        if cap is not None and size + len(S) > cap:
+            cand = cand[:1]  # one more coset passes the cap
         cosets = G.product(S[:, None], cand)  # column j is the coset S cand[j]
         seen[cosets] = True
         # the smallest member of each new coset is its representative
@@ -456,12 +461,23 @@ def fingerprint(S: Subgroup) -> IsoFingerprint:
     return IsoFingerprint(S.order, tuple(sorted(cnt.items())), abelian)
 
 
+def join_cap(order: int, sub_order: int) -> int:
+    """|G| / p for p the smallest prime dividing |G : S|, given |G| and |S|
+    (|G| when S = G).  A subgroup strictly between S and G has an index in
+    G that is greater than 1 and divides |G : S|, so it is at most this
+    large: a join of S that passes the cap is G."""
+    index = order // sub_order
+    p = next((p for p in range(2, isqrt(index) + 1) if index % p == 0), index)
+    return order // p
+
+
 def is_maximal(G: GroupTable, M: Subgroup) -> bool:
     """True iff <M, g> = G for every g outside M.
 
     Only one representative per double coset MgM is tested: <M, g> depends
     on g only through MgM, which is marked off whole by closing Mg under
-    right multiplication with the generators of M.
+    right multiplication with the generators of M.  Each join stops once it
+    passes join_cap, which only G does.
     """
     if M.parent is not G:
         raise ParentMismatchError("subgroup not over this table")
@@ -472,14 +488,13 @@ def is_maximal(G: GroupTable, M: Subgroup) -> bool:
         return cached
     gens = M.generating_set()
     visited = member_mask(M)
-    half = G.order // 2
+    cap = join_cap(G.order, M.order)
     for s in range(G.order):
         if visited[s]:
             continue
         _mark_orbit(G, visited, G.product(M.members, s), gens)  # the double coset M s M
-        # a subgroup of size > |G|/2 has index < 2, hence equals G
-        size = np.count_nonzero(_extend(G, member_mask(M), gens + [s], half))
-        if size <= half:
+        size = np.count_nonzero(_extend(G, member_mask(M), gens + [s], cap))
+        if size <= cap:
             M._maximal_cache = False
             return False
     M._maximal_cache = True
@@ -493,15 +508,22 @@ def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
     return [S.conjugate(g) for g in reps]
 
 
-def coset_representatives(T: GroupTable, S: Subgroup) -> list[int]:
+def coset_representatives(
+    T: GroupTable, S: Subgroup, within: np.ndarray | None = None
+) -> list[int]:
     """Right-coset reps of S in T: the smallest element index per coset Sg,
-    in increasing order.  The cosets of a batch of uncovered elements, at
-    most CHUNK_ENTRIES // |S| of them, are marked with one product, and each
-    column minimum is the smallest element of its coset."""
-    covered = np.zeros(T.order, dtype=bool)
+    in increasing order; only the cosets inside `within`, a mask that is a
+    union of right cosets of S, if given.  The cosets of a batch of
+    uncovered elements are marked with one product, and each column minimum
+    is the smallest element of its coset.  A batch holds at most
+    CHUNK_ENTRIES // |S| elements, and no more than the cosets still
+    uncovered: every |S|-th uncovered element."""
+    covered = np.zeros(T.order, dtype=bool) if within is None else ~within
     reps = np.zeros(T.order, dtype=bool)
-    step = max(1, CHUNK_ENTRIES // S.order)
-    while (batch := np.flatnonzero(~covered)[:step]).size:
+    most = max(1, CHUNK_ENTRIES // S.order)
+    while (uncovered := np.flatnonzero(~covered)).size:
+        # one element in |S|: as many as the cosets left, spread over them
+        batch = uncovered[:: S.order][:most]
         cosets = T.product(S.members[:, None], batch)  # column j is the coset S batch[j]
         covered[cosets] = True
         reps[cosets.min(axis=0)] = True

@@ -368,9 +368,9 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
 
     verify_outside(xs, in_lam, (xs, zeros, zeros), lam_passed)
     lam = np.flatnonzero(in_lam)
-    # one representative per coset Lambda p inside the fiber of class c
-    reps = np.array(engine.coset_representatives(T, Subgroup(T, lam)))
-    reps = reps[cls[a[reps]] == c]
+    # one representative per coset Lambda p inside the fiber of class c, a
+    # union of such cosets: alpha(lambda t) = alpha(t) for lambda in Lambda
+    reps = np.array(engine.coset_representatives(T, Subgroup(T, lam), cls[a] == c))
     reps = reps[np.argsort(a[reps], kind="stable")]
     rv = a[reps]
     want = T.product(everyone, v0, inv)  # y v0 y^-1 over y
@@ -655,18 +655,21 @@ def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[tuple, n
     (x,...,x)sigma a member; a sigma without members is left out.
 
     (x,...,x)sigma is a member iff t_j x t_(j sigma)^-1 lies in K for every
-    j, so its xs depend only on the set of pairs (t_j, t_(j sigma)).  The
+    j, that is x in t_j^-1 K t_(j sigma), so its xs are the intersection of
+    these |K|-element sets over the set of pairs (t_j, t_(j sigma)).  The
     search's t-tuples have at most 3 distinct entries, so the m! permutations
     share a handful of pair sets; each is computed once, and its sigmas
     share one xs array.
     """
-    inK = member_mask(K)
-    # u x v^-1 in K, over all x in T
-    in_K = functools.cache(lambda u, v: inK[T.product(u, np.arange(T.order), T.inv[v])])
+    # u^-1 K v, sorted: the x with u x v^-1 in K
+    coset = functools.cache(lambda u, v: np.sort(T.product(T.inv[u], K.members, v)))
 
     @functools.cache
     def xs_of(pairs: frozenset) -> np.ndarray:
-        return np.flatnonzero(np.logical_and.reduce([in_K(u, v) for u, v in pairs]))
+        first, *rest = (coset(u, v) for u, v in pairs)
+        return functools.reduce(
+            lambda xs, ys: np.intersect1d(xs, ys, assume_unique=True), rest, first
+        )
 
     # permutations(t_tuple) yields the images (t_(1 sigma), ..., t_(m sigma))
     # in the order of permutations(range(m)); repeated images share a lookup

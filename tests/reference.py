@@ -176,6 +176,51 @@ def coset_representatives(T: GroupTable, S: Subgroup) -> list[int]:
     return reps
 
 
+def double_coset_representatives(G: GroupTable, M: Subgroup) -> list[int]:
+    """The smallest element of each double coset M g M outside M, in
+    increasing order: M g is closed under right multiplication by M's
+    generators, one BFS level at a time."""
+    gens = M.generating_set()
+    covered = member_mask(M)
+    reps = []
+    for g in range(G.order):
+        if covered[g]:
+            continue
+        reps.append(g)
+        frontier = G.product(M.members, g)
+        covered[frontier] = True
+        while frontier.size:
+            reached = G.product(frontier[:, None], gens).ravel()
+            frontier = np.unique(reached[~covered[reached]])
+            covered[frontier] = True
+    return reps
+
+
+def is_maximal(G: GroupTable, M: Subgroup) -> bool:
+    """engine.is_maximal with every join <M, g> grown in full, without a
+    cap: one g per double coset."""
+    gens = M.generating_set()
+    return M.order < G.order and all(
+        engine.generate(G, gens + [g]).order == G.order
+        for g in double_coset_representatives(G, M)
+    )
+
+
+def first_two_generated(T: GroupTable, order_a: int, order_b: int, order_ab, size: int, fp):
+    """atlas._first_two_generated with every closure <a, b> grown in full,
+    and without the order filter on a b when order_ab is None."""
+    cand_b = T.elements_of_order(order_b)
+    for a in T.elements_of_order(order_a).tolist():
+        bs = cand_b
+        if order_ab is not None:
+            bs = cand_b[T.orders[T.product(a, cand_b)] == order_ab]
+        for b in bs.tolist():
+            S = engine.generate(T, [a, b])
+            if S.order == size and engine.fingerprint(S) == fp:
+                return S
+    return None
+
+
 def klein_subgroups(K: Subgroup) -> list[Subgroup]:
     """All Klein four subgroups of K, in deterministic order."""
     T = K.parent
@@ -241,7 +286,8 @@ def alpha_rows_one_at_a_time(T: GroupTable, rng: np.random.Generator, size: int)
 
 def filter_L_members(T: GroupTable, K: Subgroup, t_tuple) -> list[tuple[int, tuple]]:
     """Members (x, sigma) of (K wr S_m)^t cap L for t = (t_1,...,t_m), one
-    tuple per member, sigma by sigma."""
+    tuple per member, sigma by sigma: the mask of t_j x t_(j sigma)^-1 in K
+    over all x in T, one pair (t_j, t_(j sigma)) at a time."""
     inK = member_mask(K)
 
     @functools.cache

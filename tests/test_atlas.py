@@ -5,8 +5,10 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import reference
 from conftest import group_for
 from twdeg import atlas, engine as eng
 from twdeg.engine import IsoFingerprint
@@ -51,6 +53,24 @@ def test_dihedral_labels_are_torus_normalizers(q):
     for label, d in (("DihedralPlus", (q + 1) // k), ("DihedralMinus", (q - 1) // k)):
         N = eng.normalizer(T, eng.generate(T, [int(T.elements_of_order(d)[0])]))
         assert atlas.find_named_subgroup(T, label).subgroup == N and N.order == 2 * d
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 9, 11, 13, 16, 17, 19, 23])
+def test_capped_lookups_match_full_closures(q):
+    """A4, S4 and A5 are the first <a, b> of the uncapped search, which
+    grows every closure in full and filters A4's pairs on nothing: the
+    closures capped at the target order and the filter on a b of order 3
+    drop no match.  None of the three occurs at q = 8."""
+    T = group_for(q)
+    targets = {"A4": (None, 12, IsoFingerprint.alt4()),
+               "S4": (4, 24, IsoFingerprint.sym4()),
+               "A5": (5, 60, IsoFingerprint.alt5())}
+    present = [label for label in targets if atlas.label_exists(q, label)]
+    assert present
+    for label in present:
+        want = reference.first_two_generated(T, 2, 3, *targets[label])
+        got = atlas.find_named_subgroup(T, label).subgroup
+        assert np.array_equal(got.members, want.members), (q, label)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])

@@ -90,8 +90,9 @@ def test_unknown_lemma(capsys):
 
 
 def test_empty_selection_rejected(tmp_path, capsys):
-    """A --q or --d that selects no check is a usage error naming it; no
-    check runs and no report is written."""
+    """A --q, --m or --d that selects no check is a usage error naming it;
+    no check runs and no report is written.  table4 holds m = 2 checks
+    only, and no lemma check takes an arity, so lemma has no --m."""
     out = tmp_path / "r.json"
     printed = assert_usage_error(capsys, ["table4", "--q", "8", "--out", str(out)],
                                  "no table4 check matches --q 8")
@@ -99,6 +100,24 @@ def test_empty_selection_rejected(tmp_path, capsys):
     printed = assert_usage_error(capsys, ["lemma", "dickson-census", "--d", "100"],
                                  "no lemma dickson-census check matches --d 100")
     assert printed == ""
+    for m in (["3"], ["5"], ["3", "4"]):
+        printed = assert_usage_error(capsys, ["table4", "--m", *m, "--out", str(out)],
+                                     f"no table4 check matches --m {' '.join(m)}")
+        assert printed == "" and not out.exists()
+    for argv in (["lemma", "7.8", "--m", "5"], ["lemma", "6.1", "--m", "2"]):
+        printed = assert_usage_error(capsys, argv + ["--out", str(out)],
+                                     f"unrecognized arguments: --m {argv[-1]}")
+        assert printed == "" and not out.exists()
+
+
+def test_table4_m_selection_keeps_m2_checks(tmp_path):
+    """A --m list that holds 2 runs table4's checks, and the report's config
+    names the list given."""
+    out = tmp_path / "r.json"
+    assert run_cli(["table4", "--q", "7", "--m", "2", "5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [r["check_id"] for r in report["results"]] == ["table4.q7.pair1", "table4.q7.pair2"]
+    assert report["config"]["m"] == [2, 5]
 
 
 def test_unreadable_report_rejected(tmp_path, capsys):

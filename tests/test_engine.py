@@ -338,7 +338,8 @@ def test_coset_representatives_match_one_coset_at_a_time(q, monkeypatch):
     """Every atlas subgroup present at q, the trivial group and T: the
     representatives marked a batch of cosets at a time are those of the
     one-coset loop, with one element, 50 entries or CHUNK_ENTRIES entries
-    per batch."""
+    per batch; swept only within a union of every other coset, they are
+    every other representative."""
     T = group_for(q)
     subgroups = [atlas.find_named_subgroup(T, label).subgroup
                  for label in atlas.LABELS if atlas.label_exists(q, label)]
@@ -346,7 +347,11 @@ def test_coset_representatives_match_one_coset_at_a_time(q, monkeypatch):
     for chunk in (1, 50, eng.CHUNK_ENTRIES):
         monkeypatch.setattr(eng, "CHUNK_ENTRIES", chunk)
         for S in subgroups:
-            assert eng.coset_representatives(T, S) == reference.coset_representatives(T, S)
+            reps = reference.coset_representatives(T, S)
+            assert eng.coset_representatives(T, S) == reps
+            within = np.zeros(T.order, dtype=bool)
+            within[T.product(S.members[:, None], reps[::2])] = True
+            assert eng.coset_representatives(T, S, within) == reps[::2]
 
 
 def test_coset_representatives_of_lemma_6_1_types():
@@ -505,15 +510,22 @@ def test_default_table4_product_count(monkeypatch):
     """The exact scans of the default table4 work in whole-array steps: from
     empty contexts its checks make 2,383 GroupTable.product calls.  One
     small product per coset representative, per anchor point, per orbit
-    generator and level, and a class loop in every scan made 5,703."""
+    generator and level, and a class loop in every scan made 5,703.  The
+    products hold about 1.67 million entries in all: coset sweeps of no more
+    elements than cosets left, joins stopped at join_cap and L-filters over
+    double cosets; full batches of CHUNK_ENTRIES, joins capped at |G|/2 and
+    masks over all of T held 2,675,750."""
     from twdeg import checks
 
     calls = []
+    entries = []
     product = eng.GroupTable.product
 
     def counted(self, *factors):
         calls.append(1)
-        return product(self, *factors)
+        result = product(self, *factors)
+        entries.append(result.size)
+        return result
 
     monkeypatch.setattr(checks, "_CTX", {})
     monkeypatch.setattr(eng.GroupTable, "product", counted)
@@ -521,3 +533,57 @@ def test_default_table4_product_count(monkeypatch):
     results = checks.execute_specs(checks.table4_specs(cfg), cfg)
     assert [r.status for r in results] == ["pass"] * 9
     assert len(calls) <= 3000
+    assert sum(entries) <= 2_000_000
+
+
+# -- Lagrange-bounded joins ---------------------------------------------------------
+
+def test_join_cap_is_order_over_smallest_prime_of_index():
+    for order, sub, cap in ((60, 12, 12), (168, 21, 84), (1092, 12, 156), (7200, 3600, 3600),
+                            (7200, 288, 1440), (6072, 253, 3036), (60, 1, 30), (60, 60, 60)):
+        assert eng.join_cap(order, sub) == cap, (order, sub)
+    for index in range(2, 200):
+        p = min(d for d in range(2, index + 1) if index % d == 0)
+        assert eng.join_cap(7 * index, 7) == 7 * index // p
+
+
+def _cap_cases(q):
+    """(G, subgroups): every atlas label present at q, or the maximal types
+    that lemmas 6.1 ("wr") and 6.2 ("tt") list at q = 4 and, as subgroups
+    with proper joins, K x K for the atlas labels K at q = 4."""
+    from twdeg import checks, wreath as wr
+
+    if isinstance(q, int):
+        T = group_for(q)
+        return T, [atlas.find_named_subgroup(T, label).subgroup
+                   for label in atlas.LABELS if atlas.label_exists(q, label)]
+    T = checks.ctx_group(4)
+    G = wr.wreath_full_table(T, swap=q == "wr")
+    types = checks._h_maximal_types if q == "wr" else checks._t2_maximal_types
+    squares = [checks._embed_triples(T, G, K[:, None], K) for K in (
+        checks.ctx_atlas(4, label).subgroup.members for label in ("A4", "DihedralPlus"))]
+    return G, list(types(T, G).values()) + squares
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, "wr", "tt"])
+def test_capped_joins_match_full_joins(q):
+    """Over one g per double coset S g S, a join <S, g> capped at join_cap,
+    grown by cosets of S or from the trivial group, is None exactly when the
+    full join is G, and the full join otherwise; is_maximal, which stops its
+    joins there, agrees with full joins on every subgroup."""
+    G, subgroups = _cap_cases(q)
+    outcomes, verdicts = set(), []
+    for S in subgroups:
+        gens = S.generating_set()
+        cap = eng.join_cap(G.order, S.order)
+        for g in reference.double_coset_representatives(G, S):
+            join = eng.generate(G, gens + [g])
+            for capped in (eng.generate(G, gens + [g], S, cap),
+                           eng.generate(G, gens + [g], cap=cap)):
+                assert capped is None if join.order == G.order else capped == join
+            outcomes.add(join.order == G.order)
+        fresh = eng.Subgroup(G, S.members)  # no cached verdict
+        verdicts.append(reference.is_maximal(G, fresh))
+        assert eng.is_maximal(G, fresh) == verdicts[-1], (q, S.order)
+    # a proper join shows up exactly when some subgroup is not maximal
+    assert outcomes == ({True} if all(verdicts) else {True, False})

@@ -951,3 +951,28 @@ def test_grouped_search_many_distinct_entries(T11, label):
             assert flatten(groups) == flat, (m, shape)
             central = reference.all_central(T11, flat)
             assert flatten(wr.central_members(T11, groups)) == central, (m, shape)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_filter_L_members_match_full_masks(q):
+    """filter_L_members, the intersection of the double cosets
+    t_j^-1 K t_(j sigma), equals the masks over all of T for every atlas
+    label, maximal or not, and t-tuples of length 2 to 6: the witness
+    shapes (1,...,1,s) and (1,...,1,r,r,s) over coset representatives, and
+    random tuples, with a repeated entry or without."""
+    T = group_for(q)
+    rng = np.random.default_rng(q)
+    for label in atlas.LABELS:
+        if not atlas.label_exists(q, label):
+            continue
+        K = atlas.find_named_subgroup(T, label).subgroup
+        reps = eng.coset_representatives(T, K)
+        for m in range(2, 7):
+            r, s = (reps[int(i)] for i in rng.integers(len(reps), size=2))
+            drawn = rng.integers(T.order, size=m).tolist()
+            tuples = [(0,) * (m - 1) + (s,), ((0,) * (m - 3) + (r, r, s))[-m:],
+                      tuple(drawn), tuple(drawn[:-1] + drawn[:1])]
+            for t in tuples:
+                groups = wr.filter_L_members(T, K, t)
+                assert flatten(groups) == reference.filter_L_members(T, K, t), (label, t)
+                assert all(np.all(np.diff(xs) > 0) for _, xs in groups)
