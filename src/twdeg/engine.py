@@ -156,14 +156,18 @@ class GroupTable:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        everyone = np.arange(self.order)
+        """Element orders: round k multiplies g^(k-1) by g only for the
+        elements g whose order is not yet known."""
         orders = np.zeros(self.order, dtype=np.int64)
-        power, k = everyone, 1
+        left = power = np.arange(self.order)
+        k = 1
         while True:
-            orders[(power == self.identity) & (orders == 0)] = k
-            if orders.all():
+            done = power == self.identity
+            orders[left[done]] = k
+            left, power = left[~done], power[~done]
+            if not len(left):
                 return orders
-            power, k = self.product(power, everyone), k + 1
+            power, k = self.product(power, left), k + 1
 
     @cached_property
     def class_labels(self) -> np.ndarray:

@@ -108,3 +108,18 @@ def test_bad_point():
     T = group_for(7)
     with pytest.raises(ValueError):
         point_stabilizer(T, 99)
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_orders_match_repeated_mul(q):
+    """GroupTable.orders, which multiplies only the elements whose order is
+    not yet known, against powers taken one scalar mul at a time."""
+    T = group_for(q)
+
+    def order(g):
+        power, k = g, 1
+        while power != T.identity:
+            power, k = T.mul(power, g), k + 1
+        return k
+
+    assert T.orders.tolist() == [order(g) for g in range(T.order)]
