@@ -4,9 +4,11 @@ Each check replays one finite computation (a table row instance or a
 lemma-tagged identity) and produces a CheckResult with expected/actual
 values as decimal strings or fingerprint strings.  Every check is a
 function of plain-dict params registered by the `check` decorator, which
-owns the check id, the long-run gate, the timing and the failure record;
-the spec builders name checks by function name so a worker pool can run
-them in separate processes.  Per-process context (group tables, atlas
+owns the check id, the timing and the failure record; the spec builders
+name checks by function name so a worker pool can run them in separate
+processes.  Every check a selection names runs; `--long` only widens the
+selection (table4's q = 29 and 59, lemma 3.1's q = 19) and makes the
+m = 2 scans at q = 13 exact.  Per-process context (group tables, atlas
 entries, the P1 x P1 coset functions) is cached lazily.
 """
 
@@ -30,8 +32,8 @@ DEFAULT_M = [2, 3]
 TABLE4_DEFAULT_Q = [7, 11, 19, 23]
 TABLE4_LONG_Q = [29, 59]
 
-# exact m=2 stabilizer scans: allowed by default up to here, q = 13 behind
-# the long flag (table4 runs its stated default range exactly regardless)
+# exact m=2 stabilizer scans in tables 1 and 2 and lemmas 7.4 and 7.8: up to
+# here by default, and at q = 13 too under --long
 EXACT_DEFAULT_MAX_Q = 11
 
 # alpha rows acted on or tested at once by the Lemma 5 checks; bounds the
@@ -51,7 +53,7 @@ class UnknownLemmaError(ValueError):
 @dataclass
 class CheckResult:
     check_id: str
-    status: str  # pass | fail | skipped-long
+    status: str  # pass | fail (reports of earlier versions may hold skipped-long)
     expected: str
     actual: str
     runtime_ms: float = 0.0
@@ -135,15 +137,14 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 _CHECKS: dict = {}
 
 
-def check(check_id: str, error: str, skipped: str = ""):
+def check(check_id: str, error: str):
     """Register a check function under its name.
 
-    `check_id`, `error` and `skipped` are templates filled from the params.
-    The registered check returns a skipped-long record with expected
-    `skipped` when the params are gated, and otherwise times the body, which
-    returns (expected, actual, witness); the check passes when expected and
-    actual agree as strings.  Any exception the body raises becomes a fail
-    record with expected `error`.
+    `check_id` and `error` are templates filled from the params.  The
+    registered check times the body, which returns (expected, actual,
+    witness); the check passes when expected and actual agree as strings.
+    Any exception the body raises becomes a fail record with expected
+    `error`.
     """
 
     def register(body):
@@ -151,14 +152,11 @@ def check(check_id: str, error: str, skipped: str = ""):
         def run(p: dict, cfg: RunConfig) -> CheckResult:
             t0 = time.perf_counter()
             witness = None
-            if p.get("gated"):
-                status, expected, actual = "skipped-long", skipped.format(**p), ""
-            else:
-                try:
-                    expected, actual, witness = body(p, cfg)
-                    status = "pass" if str(expected) == str(actual) else "fail"
-                except Exception as e:  # noqa: BLE001 -- a failing check is a record
-                    status, expected, actual = "fail", error.format(**p), f"error: {e}"
+            try:
+                expected, actual, witness = body(p, cfg)
+                status = "pass" if str(expected) == str(actual) else "fail"
+            except Exception as e:  # noqa: BLE001 -- a failing check is a record
+                status, expected, actual = "fail", error.format(**p), f"error: {e}"
             ms = (time.perf_counter() - t0) * 1000.0
             return CheckResult(check_id.format(**p), status, str(expected), str(actual), ms,
                                witness)
@@ -228,9 +226,7 @@ def ctx_p1_product(q: int) -> tuple:
     return _CTX[key]
 
 
-def exact_scan_ok(q: int, long_running: bool, table4: bool = False) -> bool:
-    if table4:
-        return q <= 23 or (long_running and q in TABLE4_LONG_Q)
+def exact_scan_ok(q: int, long_running: bool) -> bool:
     return q <= EXACT_DEFAULT_MAX_Q or (long_running and q <= 13)
 
 
@@ -312,7 +308,6 @@ def _c2_candidates(q, label):
 def table1_specs(cfg: RunConfig) -> list[tuple]:
     specs = []
     for q in cfg.q_list:
-        gated = q >= 17 and not cfg.long_running
         p, f = factor_prime_power(q)
         odd = q % 2 == 1
         for m in cfg.m_list:
@@ -330,15 +325,12 @@ def table1_specs(cfg: RunConfig) -> list[tuple]:
                 # exceeds the largest element centralizer, so no witness exists
                 ("row7", atlas.label_exists(q, "A5") and q >= 11, "A5", psl_order(q) // 60),
             ]
-            specs += [
-                _spec("t1_row", row=row, q=q, m=m, gated=gated, subject=subject,
-                      expected=base**m)
-                for row, applies, subject, base in rows if applies
-            ]
+            specs += [_spec("t1_row", row=row, q=q, m=m, subject=subject, expected=base**m)
+                      for row, applies, subject, base in rows if applies]
     return specs
 
 
-@check("table1.{row}.q{q}.m{m}", error="{expected}", skipped="{expected}")
+@check("table1.{row}.q{q}.m{m}", error="{expected}")
 def t1_row(p, cfg):
     q, m = p["q"], p["m"]
     exact = m == 2 and exact_scan_ok(q, cfg.long_running)
@@ -351,9 +343,8 @@ def t1_row(p, cfg):
 def table2_specs(cfg: RunConfig) -> list[tuple]:
     specs = []
     for q in cfg.q_list:
-        gated = q >= 17 and q != 29 and not cfg.long_running
         for m in cfg.m_list:
-            row = {"q": q, "m": m, "gated": gated}
+            row = {"q": q, "m": m}
             if m == 2 and q % 4 == 3:
                 specs.append(_spec("t2_row1", **row))
             # t2_pair: r and d are element orders or atlas labels, with the
@@ -398,13 +389,6 @@ def t2_pair(p, cfg):
 @check("table2.row4.q{q}.m{m}", error="pair")
 def t2_row4(p, cfg):
     q, m = p["q"], p["m"]
-    if not cfg.long_running:
-        # 30^m and 203^m asserted arithmetically; the searches are opt-in
-        order = psl_order(q)
-        p1 = q * (q - 1) // gcd(2, q - 1)
-        ok = order // p1 == 30 and order // 60 == 203 and gcd(30**m, 203**m) == 1
-        expected = f"(30^{m},203^{m},gcd=1)"
-        return expected, expected if ok else "arithmetic mismatch", {"mode": "arithmetic"}
     # m = 2: exact stabilizer scans, each asserted to be K wr S_2
     r_cert = witness_subdegree(q, m, "P1", m == 2)
     d_cert = witness_subdegree(
@@ -429,7 +413,7 @@ TABLE4_PAIRS = {
 
 def table4_q_list(cfg: RunConfig) -> list[int]:
     if cfg.q_explicit:
-        qs = [q for q in cfg.q_list if q % 4 == 3 or q == 29]
+        qs = [q for q in cfg.q_list if q % 4 == 3 or q in TABLE4_PAIRS]
     else:
         qs = list(TABLE4_DEFAULT_Q)
         if cfg.long_running:
@@ -441,18 +425,18 @@ def table4_specs(cfg: RunConfig) -> list[tuple]:
     """The m = 2 pairs of Table 4; none unless m = 2 is selected."""
     specs = []
     for q in table4_q_list(cfg) if 2 in cfg.m_list else []:
-        gated = q in TABLE4_LONG_Q and not cfg.long_running
         pairs = [("pair1", "t4_generic", {})] if q % 4 == 3 else []
         for tag, fn, params in pairs + TABLE4_PAIRS.get(q, []):
-            specs.append(_spec(fn, q=q, tag=tag, gated=gated, **params))
+            specs.append(_spec(fn, q=q, tag=tag, **params))
     return specs
 
 
 @check("table4.q{q}.{tag}", error="pair")
 def t4_generic(p, cfg):
-    """q = 3 mod 4: stabilizers P1 x P1 and D_{q+1} wr S_2."""
+    """q = 3 mod 4: stabilizers P1 x P1 and D_{q+1} wr S_2, scanned exactly
+    at the q of Table 4's rows."""
     q = p["q"]
-    exact = exact_scan_ok(q, cfg.long_running, table4=True)
+    exact = q <= 23 or q in TABLE4_LONG_Q
     f_cert = p1_product_subdegree(q, exact)
     g_cert = class_subdegree(q, 2, 2, exact)
     # the obstruction ingredients back the exactness claim structurally
@@ -507,7 +491,7 @@ def t4_q11_a4(p, cfg):
 
 @check("table4.q{q}.{tag}", error="pair")
 def t4_long_pair(p, cfg):
-    """The rows at q = 29 and 59, which only --long runs: the exact
+    """The rows at q = 29 and 59, which --long adds to the default q: the exact
     subdegree over P1 x P1, 2(q+1)^2, divides 2*60^2 (and equals it at
     q = 59), and is coprime to the exact A5 wr S_2 side, |T : A5|^2."""
     q, index = p["q"], p["index"]
@@ -532,7 +516,7 @@ def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
     # (lemma id, applies, check function, params), in spec order per lemma id
     rows = [
         ("3.1", applies, "lm_double_count",
-         {"q": q, "K": klabel, "R": rl, "gated": q >= 17 and not long_running})
+         {"q": q, "K": klabel, "R": rl})
         for q, klabel, rlabels, applies in (
             (7, "S4", ["C2", "C2^2", "S3", "D8"], 7 in qs),
             (11, "A5", ["C2", "D6", "D10", "C2^2"], 11 in qs),
@@ -542,7 +526,7 @@ def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
     ]
     for q in qs:
         p, f = factor_prime_power(q)
-        search = {"q": q, "expected": "witness", "gated": q >= 17 and not long_running}
+        search = {"q": q, "expected": "witness"}
         s4 = f == 1 and q % 8 in (1, 7)
         exact = exact_scan_ok(q, long_running)
         rows += [

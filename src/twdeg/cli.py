@@ -1,8 +1,10 @@
 """Command-line verifier: replay the named table and lemma checks.
 
-Subcommands: table1, table2, table4, lemma <id>, report.  Results are
-printed one per line and optionally written as JSON or CSV; the exit code
-is 0 exactly when no check failed (skipped-long entries do not fail a run).
+Subcommands: table1, table2, table4, lemma <id>, report.  Every check the
+selection names runs; results are printed one per line and optionally
+written as JSON or CSV, and the exit code is 0 exactly when no check failed.
+`report` also reads the skipped-long entries of reports that earlier
+versions wrote: they print as SKIP and do not fail a run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, nargs="+", default=None,
                        help="prime powers >= 4 (default 4 7 8 9 11 13)")
         p.add_argument("--long", action="store_true",
-                       help="enable long-running searches and scans")
+                       help="add table4's q = 29, 59 and lemma 3.1's q = 19 to the "
+                       "default q, and scan m = 2 exactly at q = 13 (tables 1, 2; "
+                       "lemmas 7.4, 7.8)")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default $TWDEG_WORKERS or 1)")
         p.add_argument("--out", type=str, default=None, help="write a report file")

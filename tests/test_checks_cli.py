@@ -178,12 +178,34 @@ def test_workers_env(monkeypatch):
     assert cfg.workers == 3
 
 
-def test_skipped_long_exit_zero(capsys):
-    # q = 29 table4 rows are gated without --long
+def test_table4_q29_runs_without_long(capsys):
+    """A check the selection names always runs: --long only widens the
+    default q."""
     rc = run_cli(["table4", "--q", "29"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "SKIP" in out and "skipped" in out
+    assert "PASS  table4.q29.pair1  expected=(1800,41209,gcd=1)" in out
+
+
+def test_report_reads_skipped_long_records_of_earlier_versions(tmp_path, capsys):
+    """Reports written before the --long gates were retired may hold
+    skipped-long records: report prints them as SKIP, counts them, and they
+    do not fail the run."""
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "version": "0.1.0", "config": {"long": False},
+        "results": [
+            {"check_id": "table4.q29.pair1", "status": "skipped-long",
+             "expected": "", "actual": "", "runtime_ms": 0.0},
+            {"check_id": "table4.q7.pair1", "status": "pass", "expected": "(128,441,gcd=1)",
+             "actual": "(128,441,gcd=1)", "runtime_ms": 1.0},
+        ],
+    }))
+    rc = run_cli(["report", "--in", str(old)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "SKIP  table4.q29.pair1  (0ms)" in lines
+    assert lines[-1] == "-- 1 passed, 0 failed, 1 skipped"
 
 
 def test_report_aggregates_and_fails(tmp_path, capsys):
@@ -293,6 +315,42 @@ def test_table4_default_q():
     assert checks.table4_q_list(cfg_explicit) == [7, 11]
 
 
+# what --long adds to a default run: table4's q = 29 and 59, lemma 3.1's
+# q = 19, and the rows of lemmas 7.4 and 7.8 that need exact scans at q = 13
+LONG_ADDS = {
+    "table4": {"table4.q29.pair1", "table4.q59.pair1", "table4.q59.pair2"},
+    "lemma 3.1": {"lemma3.1.q19.A5.C2"},
+    "lemma 7.4": {"lemma7.4.q13"},
+    "lemma 7.8": {"lemma7.8.q13"},
+}
+
+
+def _spec_ids(command, argv):
+    cfg = cli.config_from_args(cli.build_parser().parse_args(command.split() + argv))
+    if command.startswith("lemma"):
+        specs = checks.lemma_specs(cfg, command.split()[1])
+    else:
+        specs = getattr(checks, f"{command}_specs")(cfg)
+    return {s[0] for s in specs}
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "table4"]
+                         + [f"lemma {i}" for i in checks.LEMMA_IDS])
+@pytest.mark.parametrize("qs", [[], ["--q", "13", "17", "19", "23", "29", "59"]],
+                         ids=["default-q", "explicit-q"])
+def test_long_only_adds_checks(command, qs):
+    """--long never drops a check. At the default q it adds exactly the six
+    ids of LONG_ADDS; with an explicit q list only the q = 13 rows of
+    lemmas 7.4 and 7.8."""
+    plain, long = _spec_ids(command, qs), _spec_ids(command, qs + ["--long"])
+    assert plain <= long
+    if qs:
+        expected = {f"lemma{command[6:]}.q13"} if command in ("lemma 7.4", "lemma 7.8") else set()
+    else:
+        expected = LONG_ADDS.get(command, set())
+    assert long - plain == expected
+
+
 def test_census_rule_matches_frozen_truths():
     for (q, d, expected) in [(11, 3, 2), (11, 5, 1), (13, 6, 1), (13, 7, 1),
                              (19, 3, 1), (19, 5, 2)]:
@@ -392,10 +450,11 @@ def test_exact_q29_scans_verify_generators(monkeypatch, act_log):
     assert 0 < len(act_log) <= 100
 
 
-def test_table2_row4_q29_m2_exact_under_long():
-    """Under --long both sides of table2's q = 29, m = 2 row are exact
-    stabilizer scans, P1 wr S_2 and A5 wr S_2."""
-    cfg = RunConfig(q_list=[29], m_list=[2], q_explicit=True, long_running=True)
+@pytest.mark.parametrize("long_running", [False, True])
+def test_table2_row4_q29_m2_exact(long_running):
+    """With or without --long, both sides of table2's q = 29, m = 2 row are
+    exact stabilizer scans, P1 wr S_2 and A5 wr S_2."""
+    cfg = RunConfig(q_list=[29], m_list=[2], q_explicit=True, long_running=long_running)
     spec = next(s for s in checks.table2_specs(cfg) if s[0] == "table2.row4.q29.m2")
     (result,) = checks.execute_specs([spec], cfg)
     assert (result.status, result.actual) == ("pass", "(900,41209,gcd=1)")

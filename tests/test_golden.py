@@ -4,7 +4,9 @@ Each file under tests/golden/ holds the report one command wrote with
 `--out`, with every `runtime_ms` field removed. The files were produced by
 the code before the check catalog was restructured and are never regenerated
 to make a change pass: a difference here means the program's answers moved.
-Each command runs in-process through `cli.main`.
+Each command runs in-process through `cli.main`, from empty contexts, and
+its GroupTable.product calls and the entries they return are held to a
+budget.
 """
 
 import difflib
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from twdeg import checks, cli
+from twdeg import checks, cli, engine
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -23,14 +25,45 @@ COMMANDS = {
     "table2": ["table2"],
     "table4": ["table4"],
     **{f"lemma-{i}": ["lemma", i] for i in checks.LEMMA_IDS},
-    # gated rows: skipped-long records without --long
+    # rows outside the default q, which run without --long; these three files
+    # were edited by hand from skipped-long records to the rows --long gave
     "table1-q17-19-m2-3": ["table1", "--q", "17", "19", "--m", "2", "3"],
     "table2-q17-19": ["table2", "--q", "17", "19"],
     "table4-q29": ["table4", "--q", "29"],
-    # the exact q = 29 and q = 59 rows, which only --long runs
+    # the exact q = 29 and q = 59 rows, as --long adds them to table4
     "table4-long-q29-59": ["table4", "--long", "--q", "29", "59"],
     "report-replay": ["report", "--in", str(GOLDEN / "table1.json"),
                       str(GOLDEN / "table2.json"), "--replay"],
+}
+
+
+# (GroupTable.product calls, entries they return) per command from empty
+# contexts: about 1.25 times the counts of the code that set them, so work
+# added anywhere shows here without timing noise.  Lower a bound when a
+# change lowers its count; never raise one to let a change pass.
+BUDGETS = {
+    "lemma-3.1": (820, 51_000),
+    "lemma-3.3": (140, 25_000),
+    "lemma-3.4": (120, 9_300),
+    "lemma-3.5": (48, 1_300),
+    "lemma-3.6": (52, 5_500),
+    "lemma-4.2-triple": (80, 6_800),
+    "lemma-5-properties": (1_000, 12_000_000),
+    "lemma-6.1": (1_800, 2_000_000),
+    "lemma-6.2": (740, 470_000),
+    "lemma-7.4": (1_500, 450_000),
+    "lemma-7.8": (1_100, 200_000),
+    "lemma-dickson-census": (9_000, 160_000),
+    "lemma-obstruction": (280, 24_000),
+    "report-replay": (3_300, 520_000),
+    "table1": (2_800, 510_000),
+    "table1-m4-5-6": (1_400, 330_000),
+    "table1-q17-19-m2-3": (500, 500_000),
+    "table2": (1_500, 250_000),
+    "table2-q17-19": (160, 180_000),
+    "table4": (2_700, 1_800_000),
+    "table4-long-q29-59": (2_500, 25_000_000),
+    "table4-q29": (630, 1_600_000),
 }
 
 
@@ -43,12 +76,23 @@ def strip_timings(obj):
 
 
 def test_every_golden_file_has_a_command():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS) == sorted(BUDGETS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_report(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("TWDEG_WORKERS", raising=False)
+    monkeypatch.setattr(checks, "_CTX", {})
+    work = [0, 0]
+    product = engine.GroupTable.product
+
+    def counted(self, *factors):
+        result = product(self, *factors)
+        work[0] += 1
+        work[1] += result.size
+        return result
+
+    monkeypatch.setattr(engine.GroupTable, "product", counted)
     out = tmp_path / "report.json"
     cli.main(COMMANDS[name] + ["--out", str(out)])
     capsys.readouterr()
@@ -56,3 +100,5 @@ def test_golden_report(name, tmp_path, monkeypatch, capsys):
     golden = (GOLDEN / f"{name}.json").read_text().splitlines()
     diff = "\n".join(difflib.unified_diff(golden, live, "golden", "live", lineterm="", n=2))
     assert not diff, f"{name} report differs from its golden file:\n{diff[:4000]}"
+    calls, entries = BUDGETS[name]
+    assert work[0] <= calls and work[1] <= entries, f"{name}: {work} over {BUDGETS[name]}"
