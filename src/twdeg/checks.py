@@ -515,8 +515,7 @@ def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
     qs, long_running = cfg.q_list, cfg.long_running
     # (lemma id, applies, check function, params), in spec order per lemma id
     rows = [
-        ("3.1", applies, "lm_double_count",
-         {"q": q, "K": klabel, "R": rl})
+        ("3.1", applies, "lm_double_count", {"q": q, "K": klabel, "R": rl})
         for q, klabel, rlabels, applies in (
             (7, "S4", ["C2", "C2^2", "S3", "D8"], 7 in qs),
             (11, "A5", ["C2", "D6", "D10", "C2^2"], 11 in qs),
