@@ -19,6 +19,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 from .engine import (
+    CHUNK_ENTRIES,
     GroupTable,
     IsoFingerprint,
     Subgroup,
@@ -201,14 +202,16 @@ def search_triple_intersection(
 
 
 def coset_involution_check(T: GroupTable, P1: Subgroup) -> bool:
-    """True iff every coset P1*s with s outside P1 contains an involution."""
-    orders = T.orders
-    for s in coset_representatives(T, P1):
-        if s in P1.member_set:
-            continue
-        if not (orders[T.product(P1.members, s)] == 2).any():
-            return False
-    return True
+    """True iff every coset P1*s with s outside P1 contains an involution.
+
+    The cosets are tested CHUNK_ENTRIES // |P1| at a time, one product
+    each; the first chunk with a coset that holds no involution ends it."""
+    reps = coset_representatives(T, P1)[1:]  # the first, the identity, represents P1
+    most = max(1, CHUNK_ENTRIES // P1.order)
+    return all(
+        (T.orders[T.product(P1.members[:, None], reps[i : i + most])] == 2).any(axis=0).all()
+        for i in range(0, len(reps), most)
+    )
 
 
 def subgroup_of(K: Subgroup, target: IsoFingerprint) -> Subgroup:

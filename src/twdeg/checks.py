@@ -911,10 +911,11 @@ def _run_one(spec_cfg) -> CheckResult:
 
 
 def execute_specs(specs: list[tuple], cfg: RunConfig) -> list[CheckResult]:
-    if cfg.workers > 1 and len(specs) > 1:
+    workers = min(cfg.workers, len(specs))  # a pool forks all its workers at once
+    if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [(s, cfg) for s in specs]))
     else:
         results = [_run_one((s, cfg)) for s in specs]

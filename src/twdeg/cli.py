@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("lemma_id", choices=checks.LEMMA_IDS, metavar="lemma_id",
                     help=f"one of {', '.join(checks.LEMMA_IDS)}")
     pl.add_argument("--d", type=int, default=None,
-                    help="restrict the dihedral census to one d")
+                    help="restrict lemma dickson-census to one d")
     add_common(pl)
     pr = sub.add_parser("report")
     pr.add_argument("--in", dest="inputs", type=str, nargs="+", required=True,
@@ -72,6 +72,8 @@ def config_from_args(args) -> RunConfig:
     ms = getattr(args, "m", None) or list(checks.DEFAULT_M)
     if any(m < 2 for m in ms):
         raise ValueError("m values must be >= 2")
+    if getattr(args, "d", None) is not None and args.lemma_id != "dickson-census":
+        raise ValueError(f"--d applies to lemma dickson-census only, not {args.lemma_id}")
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("TWDEG_WORKERS", "1"))
@@ -231,7 +233,7 @@ def main(argv=None) -> int:
         specs = checks.table4_specs(cfg)
     else:
         specs = checks.lemma_specs(cfg, args.lemma_id)
-        if args.lemma_id == "dickson-census" and args.d is not None:
+        if args.d is not None:
             specs = [s for s in specs if s[2].get("d") == args.d]
     if not specs:
         chosen = " ".join(f"--{k} " + " ".join(map(str, v if isinstance(v, list) else [v]))

@@ -505,13 +505,6 @@ def is_maximal(G: GroupTable, M: Subgroup) -> bool:
     return True
 
 
-def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
-    """Distinct T-conjugates of S, one per coset of the normalizer."""
-    N = normalizer(T, S)
-    reps = coset_representatives(T, N)
-    return [S.conjugate(g) for g in reps]
-
-
 def coset_representatives(
     T: GroupTable, S: Subgroup, within: np.ndarray | None = None
 ) -> list[int]:
@@ -575,33 +568,32 @@ def count_conjugate_overgroups(T: GroupTable, K: Subgroup, R: Subgroup) -> int:
 def dihedral_class_census(T: GroupTable, d: int) -> int:
     """Number of T-conjugacy classes of dihedral subgroups of order 2d.
 
-    Candidates are built as <c, j> from a cyclic group of order d and an
-    involution j inverting it, deduplicated by member set, then partitioned
-    into conjugacy orbits.
+    For d >= 3 a dihedral group D of order 2d holds exactly one cyclic
+    subgroup C of order d, so two such D over the same C are T-conjugate
+    iff they are N_T(C)-conjugate.  One C = <c> is taken per T-class of
+    cyclic subgroups of order d.  Each involution j inverting c gives
+    D = C u Cj, named by its smallest reflection.  An N_T(C)-orbit of such
+    j meets every D of one class, so the classes over C are the distinct
+    smallest names over the orbits.
     """
     q = T.degree - 1
     tori = [(q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)]
     if d <= 2 or not any(t % d == 0 for t in tori):
         raise NoSuchSubgroupError(f"no dihedral subgroup of order {2*d} for q={q}")
     invs = T.elements_of_order(2)
-    dihedrals = set()
-    covered = np.zeros(T.order, dtype=bool)
-    for c in T.elements_of_order(d).tolist():
-        if covered[c]:
-            continue  # each element of order d generates the <c'> it lies in
-        C = generate(T, [c])
-        covered[C.members] = True
-        for j in invs[T.product(invs, c, invs) == T.inverse(c)].tolist():  # j c j = c^-1
-            dihedrals.add(C.member_set | frozenset(T.product(C.members, j).tolist()))
+    labels = T.class_labels
+    taken = np.zeros(T.order, dtype=bool)  # by class label: the generators of each C taken
+    name = np.zeros(T.order, dtype=np.int64)
     classes = 0
-    remaining = set(dihedrals)
-    while remaining:
-        rep = next(iter(remaining))
-        orbit = {C.member_set for C in subgroup_conjugates(T, Subgroup(T, rep))}
-        if not orbit <= remaining:
-            raise AssertionError("census candidates are not closed under conjugation")
-        remaining -= orbit
-        classes += 1
+    for c in T.elements_of_order(d).tolist():
+        if taken[labels[c]]:
+            continue
+        C = generate(T, [c])
+        taken[labels[C.members[T.orders[C.members] == d]]] = True
+        J = invs[T.product(invs, c, invs) == T.inverse(c)]  # j c j = c^-1
+        name[J] = T.product(C.members[:, None], J).min(axis=0)  # column j is the coset Cj
+        orbits = conjugation_orbits(T, J, normalizer(T, C).generating_set())
+        classes += len({int(name[orbit].min()) for orbit in orbits})
     return classes
 
 

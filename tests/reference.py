@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -219,6 +219,57 @@ def first_two_generated(T: GroupTable, order_a: int, order_b: int, order_ab, siz
             if S.order == size and engine.fingerprint(S) == fp:
                 return S
     return None
+
+
+def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
+    """Distinct T-conjugates of S, one per coset of the normalizer."""
+    N = engine.normalizer(T, S)
+    reps = engine.coset_representatives(T, N)
+    return [S.conjugate(g) for g in reps]
+
+
+def dihedral_class_census(T: GroupTable, d: int) -> int:
+    """Number of T-conjugacy classes of dihedral subgroups of order 2d.
+
+    Candidates are built as <c, j> from a cyclic group of order d and an
+    involution j inverting it, deduplicated by member set, then partitioned
+    into conjugacy orbits.
+    """
+    q = T.degree - 1
+    tori = [(q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)]
+    if d <= 2 or not any(t % d == 0 for t in tori):
+        raise engine.NoSuchSubgroupError(f"no dihedral subgroup of order {2*d} for q={q}")
+    invs = T.elements_of_order(2)
+    dihedrals = set()
+    covered = np.zeros(T.order, dtype=bool)
+    for c in T.elements_of_order(d).tolist():
+        if covered[c]:
+            continue  # each element of order d generates the <c'> it lies in
+        C = engine.generate(T, [c])
+        covered[C.members] = True
+        for j in invs[T.product(invs, c, invs) == T.inverse(c)].tolist():  # j c j = c^-1
+            dihedrals.add(C.member_set | frozenset(T.product(C.members, j).tolist()))
+    classes = 0
+    remaining = set(dihedrals)
+    while remaining:
+        rep = next(iter(remaining))
+        orbit = {C.member_set for C in subgroup_conjugates(T, Subgroup(T, rep))}
+        if not orbit <= remaining:
+            raise AssertionError("census candidates are not closed under conjugation")
+        remaining -= orbit
+        classes += 1
+    return classes
+
+
+def coset_involution_check(T: GroupTable, P1: Subgroup) -> bool:
+    """atlas.coset_involution_check one coset at a time."""
+    orders = T.orders
+    for s in coset_representatives(T, P1):
+        if s in P1.member_set:
+            continue
+        if not (orders[T.product(P1.members, s)] == 2).any():
+            return False
+    return True
 
 
 def klein_subgroups(K: Subgroup) -> list[Subgroup]:

@@ -169,6 +169,23 @@ def test_coset_involution(q):
     assert atlas.coset_involution_check(T, point_stabilizer(T, q))
 
 
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
+def test_coset_involution_check_matches_one_coset_at_a_time(q, chunk, monkeypatch):
+    """On P1 and every atlas label at q, the chunked check equals the
+    per-coset reference, with the default chunks and with one coset per
+    chunk; DihedralPlus at q = 7 is a False case."""
+    if chunk is not None:
+        monkeypatch.setattr(atlas, "CHUNK_ENTRIES", chunk)
+    T = group_for(q)
+    labels = [label for label in atlas.LABELS if atlas.label_exists(q, label)]
+    got = {label: atlas.coset_involution_check(T, atlas.find_named_subgroup(T, label).subgroup)
+           for label in labels}
+    assert got == {label: reference.coset_involution_check(
+        T, atlas.find_named_subgroup(T, label).subgroup) for label in labels}
+    assert got["P1"] and (q != 7 or not got["DihedralPlus"])
+
+
 def test_witness_cache_roundtrip(tmp_path, T7):
     K = atlas.find_named_subgroup(T7, "S4").subgroup
     w = atlas.search_intersection(T7, K, IsoFingerprint.klein4(), kind="3.5a", label="S4")

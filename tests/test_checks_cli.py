@@ -160,6 +160,50 @@ def test_census_d_filter(capsys):
     assert "dickson-census.q11.d5" not in out
 
 
+def test_census_d_with_other_lemma_rejected(tmp_path, capsys):
+    """--d selects among the dickson-census checks only; with any other
+    lemma id it is a usage error, and no check runs."""
+    out = tmp_path / "r.json"
+    for lemma_id in ("3.3", "obstruction"):
+        printed = assert_usage_error(capsys, ["lemma", lemma_id, "--d", "5", "--out", str(out)],
+                                     f"--d applies to lemma dickson-census only, not {lemma_id}")
+        assert printed == "" and not out.exists()
+
+
+def test_worker_pool_capped_at_spec_count(monkeypatch):
+    """A pool forks all of its workers on the first submit, so it is never
+    larger than the number of checks; one check runs without a pool.  The
+    fake executor runs serially and starts no process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = RunConfig()
+    specs = checks.lemma_specs(serial, "3.3")
+    assert len(specs) == 6  # one per default q
+    wide = RunConfig(workers=500)
+    rows = [[(r.check_id, r.status, r.expected, r.actual) for r in checks.execute_specs(specs, cfg)]
+            for cfg in (wide, serial)]
+    assert rows[0] == rows[1]
+    assert sizes == [len(specs)]
+    checks.execute_specs(specs[:1], wide)
+    assert sizes == [len(specs)]
+
+
 def test_workers_match_serial(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from conftest import compose_index, group_for
-from twdeg import atlas, engine as eng
+from twdeg import atlas, checks, engine as eng
 from twdeg.engine import IsoFingerprint
 from twdeg.psl import point_stabilizer
 
@@ -227,6 +227,19 @@ def test_dihedral_class_census(q, d, expected):
     assert eng.dihedral_class_census(T, d) == expected
 
 
+CENSUS_QD = [(p["q"], p["d"]) for _, _, p in checks.lemma_specs(
+    checks.RunConfig(q_list=[4, 5, 7, 8, 9, 11, 13, 16, 17, 19], q_explicit=True),
+    "dickson-census")]
+
+
+@pytest.mark.parametrize("q,d", CENSUS_QD)
+def test_dihedral_class_census_matches_reference(q, d):
+    """The census over normalizer orbits equals the brute-force census of
+    dihedral member sets and their conjugates, at every valid d."""
+    T = group_for(q)
+    assert eng.dihedral_class_census(T, d) == reference.dihedral_class_census(T, d)
+
+
 def test_dihedral_census_rejects_bad_d(T7):
     with pytest.raises(eng.NoSuchSubgroupError):
         eng.dihedral_class_census(T7, 5)  # 5 divides neither 3 nor 4
@@ -323,12 +336,12 @@ def test_subgroup_conjugates(T7):
     from twdeg.psl import point_stabilizer
 
     P1 = point_stabilizer(T7, 7)
-    conj = eng.subgroup_conjugates(T7, P1)
+    conj = reference.subgroup_conjugates(T7, P1)
     assert len(conj) == 8  # one stabilizer per projective point
     assert len({c.member_set for c in conj}) == 8
     g = int(T7.elements_of_order(7)[0])
     C7 = eng.generate(T7, [g])
-    assert len(eng.subgroup_conjugates(T7, C7)) == 8  # Sylow count
+    assert len(reference.subgroup_conjugates(T7, C7)) == 8  # Sylow count
 
 
 # -- batched coset representatives and class labels ------------------------------

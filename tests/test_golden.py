@@ -43,7 +43,7 @@ COMMANDS = {
 # change lowers its count; never raise one to let a change pass.
 BUDGETS = {
     "lemma-3.1": (820, 51_000),
-    "lemma-3.3": (140, 25_000),
+    "lemma-3.3": (82, 25_000),
     "lemma-3.4": (120, 9_300),
     "lemma-3.5": (48, 1_300),
     "lemma-3.6": (52, 5_500),
@@ -53,15 +53,15 @@ BUDGETS = {
     "lemma-6.2": (740, 470_000),
     "lemma-7.4": (1_500, 450_000),
     "lemma-7.8": (1_100, 200_000),
-    "lemma-dickson-census": (9_000, 160_000),
-    "lemma-obstruction": (280, 24_000),
+    "lemma-dickson-census": (490, 59_000),
+    "lemma-obstruction": (250, 24_000),
     "report-replay": (3_300, 520_000),
     "table1": (2_800, 510_000),
     "table1-m4-5-6": (1_400, 330_000),
     "table1-q17-19-m2-3": (500, 500_000),
     "table2": (1_500, 250_000),
     "table2-q17-19": (160, 180_000),
-    "table4": (2_700, 1_800_000),
+    "table4": (2_600, 1_800_000),
     "table4-long-q29-59": (2_500, 25_000_000),
     "table4-q29": (630, 1_600_000),
 }
