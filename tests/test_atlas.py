@@ -178,11 +178,10 @@ def test_coset_involution_check_matches_one_coset_at_a_time(q, chunk, monkeypatc
     if chunk is not None:
         monkeypatch.setattr(atlas, "CHUNK_ENTRIES", chunk)
     T = group_for(q)
-    labels = [label for label in atlas.LABELS if atlas.label_exists(q, label)]
-    got = {label: atlas.coset_involution_check(T, atlas.find_named_subgroup(T, label).subgroup)
-           for label in labels}
-    assert got == {label: reference.coset_involution_check(
-        T, atlas.find_named_subgroup(T, label).subgroup) for label in labels}
+    subgroups = {label: atlas.find_named_subgroup(T, label).subgroup
+                 for label in atlas.LABELS if atlas.label_exists(q, label)}
+    got = {label: atlas.coset_involution_check(T, S) for label, S in subgroups.items()}
+    assert got == {label: reference.coset_involution_check(T, S) for label, S in subgroups.items()}
     assert got["P1"] and (q != 7 or not got["DihedralPlus"])
 
 
