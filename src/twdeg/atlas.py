@@ -15,6 +15,7 @@ import fcntl
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .engine import (
     Subgroup,
     coset_representatives,
     fingerprint,
-    first_subgroup_with_fingerprint,
     generate,
     intersect,
     normalizer,
@@ -45,7 +45,6 @@ class AtlasEntry:
     label: str
     subgroup: Subgroup
     maximal: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ def find_named_subgroup(T: GroupTable, label: str) -> AtlasEntry:
     q = q_of(T)
     if not label_exists(q, label):
         raise NotPresentError(f"{label} does not occur in PSL(2,{q})")
-    note = ""
     if label == "P1":
         S = point_stabilizer(T, q)
     elif label in ("DihedralPlus", "DihedralMinus"):
@@ -150,15 +148,13 @@ def find_named_subgroup(T: GroupTable, label: str) -> AtlasEntry:
     elif label == "S4":
         S = _first_two_generated(T, 2, 3, 4, 24, IsoFingerprint.sym4())
     elif label == "A5":
+        # at square q there are two classes of A5; this is the first in search order
         S = _first_two_generated(T, 2, 3, 5, 60, IsoFingerprint.alt5())
-        r = isqrt(q)
-        if r * r == q:
-            note = "two conjugacy classes exist for square q; first in search order"
     else:
         raise ValueError(f"unknown label {label!r}")
     if S is None or S.order != expected_order(q, label):
         raise AssertionError(f"failed to construct {label} in PSL(2,{q})")
-    return AtlasEntry(label, S, label_maximal(q, label), note)
+    return AtlasEntry(label, S, label_maximal(q, label))
 
 
 def search_intersection(
@@ -215,11 +211,16 @@ def coset_involution_check(T: GroupTable, P1: Subgroup) -> bool:
 
 
 def subgroup_of(K: Subgroup, target: IsoFingerprint) -> Subgroup:
-    """First subgroup of K with the given fingerprint; raises if absent."""
-    S = first_subgroup_with_fingerprint(K, target)
-    if S is None:
-        raise NoWitnessError(f"no subgroup with fingerprint {target} in {K!r}")
-    return S
+    """First subgroup of K with the given fingerprint generated by one
+    nontrivial member or two, in member-index order, each of an order that
+    divides the target's; raises if absent."""
+    T = K.parent
+    singles = [m for m in K.members.tolist() if m != T.identity and target.order % T.orders[m] == 0]
+    for gens in chain(([a] for a in singles), combinations(singles, 2)):
+        S = generate(T, gens)
+        if S.order == target.order and fingerprint(S) == target:
+            return S
+    raise NoWitnessError(f"no subgroup with fingerprint {target} in {K!r}")
 
 
 class NoWitnessError(ValueError):

@@ -221,6 +221,8 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "cache", None)):
             if path and not Path(path).parent.is_dir():
                 raise ValueError(f"no directory to hold {path}")
+            if path and Path(path).is_dir():
+                raise ValueError(f"{path} is a directory")
     except (OSError, ValueError) as e:
         parser.error(str(e))
     if args.command == "report":

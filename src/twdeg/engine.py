@@ -150,10 +150,6 @@ class GroupTable:
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
 
-    def conj(self, x: int, g: int) -> int:
-        """x^g = g^-1 x g."""
-        return int(self.product(self.inverse(g), x, g))
-
     @cached_property
     def orders(self) -> np.ndarray:
         """Element orders: round k multiplies g^(k-1) by g only for the
@@ -179,9 +175,6 @@ class GroupTable:
             if labels[v] < 0:
                 labels[self.product(everyone, v, self.inv)] = v
         return labels
-
-    def order_of(self, i: int) -> int:
-        return int(self.orders[i])
 
     def elements_of_order(self, k: int) -> np.ndarray:
         return np.nonzero(self.orders == k)[0]
@@ -401,8 +394,6 @@ def normalizer(G: GroupTable, S: Subgroup) -> Subgroup:
     if S.parent is not G:
         raise ParentMismatchError("subgroup not over this table")
     gens = S.generating_set()
-    if not gens:
-        return Subgroup(G, range(G.order))
     inS = member_mask(S)
     ok = np.ones(G.order, dtype=bool)
     everyone = np.arange(G.order)
@@ -595,28 +586,3 @@ def dihedral_class_census(T: GroupTable, d: int) -> int:
         orbits = conjugation_orbits(T, J, normalizer(T, C).generating_set())
         classes += len({int(name[orbit].min()) for orbit in orbits})
     return classes
-
-
-def first_subgroup_with_fingerprint(K: Subgroup, target: IsoFingerprint) -> Subgroup | None:
-    """First subgroup of K (by generator index order) matching a fingerprint."""
-    T = K.parent
-    mem = [int(m) for m in K.members]
-    if target.order == 1:
-        return Subgroup(T, [T.identity])
-    singles = [m for m in mem if m != T.identity]
-    for a in singles:
-        if target.order % T.order_of(a) != 0:
-            continue
-        S = generate(T, [a])
-        if S.order == target.order and fingerprint(S) == target:
-            return S
-    for i, a in enumerate(singles):
-        if target.order % T.order_of(a) != 0:
-            continue
-        for b in singles[i + 1 :]:
-            if target.order % T.order_of(b) != 0:
-                continue
-            S = generate(T, [a, b])
-            if S.order == target.order and fingerprint(S) == target:
-                return S
-    return None

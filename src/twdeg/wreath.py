@@ -97,14 +97,10 @@ class WrongCongruenceError(ValueError):
 # -- m = 2 wreath element arithmetic on triples (a, b, k) ---------------------
 
 def w2_product(T: GroupTable, u, v):
-    """u v for triples of ints, or of ints and index arrays broadcast
-    together."""
+    """u v for triples of ints and index arrays broadcast together; an int
+    acts as a 0-d array."""
     a, b, k = u
     c, d, l = v
-    if not any(isinstance(z, np.ndarray) for z in (*u, *v)):
-        if k == 0:
-            return (T.mul(a, c), T.mul(b, d), l)
-        return (T.mul(a, d), T.mul(b, c), 1 - l)
     swap = np.asarray(k) == 1
     return (T.product(a, np.where(swap, d, c)), T.product(b, np.where(swap, c, d)),
             np.where(swap, 1 - np.asarray(l), l))
@@ -208,15 +204,12 @@ class AlphaFn:
         return bool(np.all(self.values == self.T.identity))
 
     def evaluate(self, u):
-        """f at a wreath element (a, b, k): alpha(a b^-1) conjugated by b.
-        With index arrays for a and b, f at each of their pairs."""
+        """f at wreath elements (a, b, k): alpha(a b^-1) conjugated by b, at
+        each pair of a and b broadcast together."""
         T = self.T
         a, b, _ = u
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            binv = T.inv[b]
-            return T.product(binv, self.values[T.product(a, binv)], b)
-        v = int(self.values[T.mul(a, T.inverse(b))])
-        return T.conj(v, b)
+        binv = T.inv[b]
+        return T.product(binv, self.values[T.product(a, binv)], b)
 
 
 def identity_alpha(T: GroupTable) -> AlphaFn:
@@ -318,9 +311,6 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
     inv = T.inv
     a = alpha.values
     everyone = np.arange(n)
-    if alpha.is_identity():
-        found = [(0, y, k) for y in range(n) for k in (0, 1)]
-        return StabilizerResult(1, 2 * n * n, T, everyone, found)
     # anchor on the value class c minimizing |alpha^-1(c)| * |C_T(v)|
     cls = T.class_labels
     hits = np.bincount(cls[a], minlength=n)
@@ -718,20 +708,6 @@ def check_wreath_conditions(alpha: AlphaFn, K: Subgroup) -> bool:
     if not np.array_equal(T.product(T.inv, a[T.inv], t), a):
         return False
     return not alpha.is_identity()
-
-
-def propagate_full_invariance(alpha: AlphaFn) -> bool:
-    """Derive alpha == 1 from full T x T invariance by constraint propagation:
-    left invariance forces constancy, the conjugation rule forces the constant
-    into the (trivial) center."""
-    T = alpha.T
-    v = int(alpha.values[T.identity])
-    if not np.all(alpha.values == v):
-        return False
-    cen = centralizer(T, v)
-    if cen.order != T.order:
-        return False
-    return v == T.identity
 
 
 @dataclass

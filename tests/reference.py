@@ -82,6 +82,29 @@ def wm_inv(T: GroupTable, u):
     return (parts, inv_sig)
 
 
+# -- m = 2 elements and functions, one at a time -----------------------------------
+
+def w2_mul(T: GroupTable, u, v):
+    """wreath.w2_product for two triples of ints: one T.mul per coordinate."""
+    a, b, k = u
+    c, d, l = v
+    if k == 0:
+        return (T.mul(a, c), T.mul(b, d), l)
+    return (T.mul(a, d), T.mul(b, c), 1 - l)
+
+
+def conj(T: GroupTable, x: int, g: int) -> int:
+    """x^g = g^-1 x g."""
+    return T.mul(T.mul(T.inverse(g), x), g)
+
+
+def evaluate(alpha: AlphaFn, u) -> int:
+    """AlphaFn.evaluate at one triple of ints: alpha(a b^-1) conjugated by b."""
+    T = alpha.T
+    a, b, _ = u
+    return conj(T, int(alpha.values[T.mul(a, T.inverse(b))]), b)
+
+
 # -- m = 2 subgroups given by their member triples --------------------------------
 
 def w2_inv(T: GroupTable, u):
@@ -91,7 +114,8 @@ def w2_inv(T: GroupTable, u):
 
 def w2_order(T: GroupTable, u) -> int:
     a, b, k = u
-    return lcm(T.order_of(a), T.order_of(b)) if k == 0 else 2 * T.order_of(T.mul(a, b))
+    o = T.orders
+    return int(lcm(o[a], o[b]) if k == 0 else 2 * o[T.mul(a, b)])
 
 
 def triple_closure(T: GroupTable, gens) -> set:
@@ -101,7 +125,7 @@ def triple_closure(T: GroupTable, gens) -> set:
         nxt = []
         for u in frontier:
             for g in gens:
-                v = w2_product(T, u, g)
+                v = w2_mul(T, u, g)
                 if v not in closed:
                     closed.add(v)
                     nxt.append(v)
@@ -125,7 +149,7 @@ def wreath_members_fingerprint(T: GroupTable, members) -> IsoFingerprint:
     """Fingerprint of a subgroup of T wr S_2 given as a set of triples."""
     cnt = Counter(w2_order(T, u) for u in members)
     gens = explicit_generators(T, members)
-    abelian = all(w2_product(T, a, b) == w2_product(T, b, a)
+    abelian = all(w2_mul(T, a, b) == w2_mul(T, b, a)
                   for i, a in enumerate(gens) for b in gens[i + 1 :])
     return IsoFingerprint(len(members), tuple(sorted(cnt.items())), abelian)
 
@@ -134,7 +158,7 @@ def explicit_d_t_cap_L(T: GroupTable, members, t):
     """wreath.d_t_cap_L for D given by its member triples: t (x, x, k) t^-1
     tested against D one x at a time."""
     tinv = w2_inv(T, t)
-    masks = [[w2_product(T, w2_product(T, t, (x, x, k)), tinv) in members
+    masks = [[w2_mul(T, w2_mul(T, t, (x, x, k)), tinv) in members
               for x in range(T.order)] for k in (0, 1)]
     groups = zip(permutations(range(2)), (np.flatnonzero(mask) for mask in masks))
     return [(sig, xs) for sig, xs in groups if len(xs)]
@@ -149,8 +173,8 @@ def explicit_coset_fn(T: GroupTable, members, t, eta=None) -> AlphaFn:
     xinv = T.inv.tolist()
     values = np.full(T.order, T.identity)
     for a in range(T.order):
-        got = {T.conj(eta, x) for k in (0, 1) for x in range(T.order)
-               if w2_product(T, w2_product(T, (a, 0, 0), (xinv[x], xinv[x], k)), tinv) in members}
+        got = {conj(T, eta, x) for k in (0, 1) for x in range(T.order)
+               if w2_mul(T, w2_mul(T, (a, 0, 0), (xinv[x], xinv[x], k)), tinv) in members}
         assert len(got) <= 1, f"conflicting values at point {a}"
         if got:
             values[a] = got.pop()
@@ -221,6 +245,32 @@ def first_two_generated(T: GroupTable, order_a: int, order_b: int, order_ab, siz
     return None
 
 
+def first_subgroup_with_fingerprint(K: Subgroup, target: IsoFingerprint) -> Subgroup | None:
+    """atlas.subgroup_of as two loops, single generators then pairs, with
+    the trivial target answered directly and None when nothing matches."""
+    T = K.parent
+    mem = [int(m) for m in K.members]
+    if target.order == 1:
+        return Subgroup(T, [T.identity])
+    singles = [m for m in mem if m != T.identity]
+    for a in singles:
+        if target.order % T.orders[a] != 0:
+            continue
+        S = engine.generate(T, [a])
+        if S.order == target.order and engine.fingerprint(S) == target:
+            return S
+    for i, a in enumerate(singles):
+        if target.order % T.orders[a] != 0:
+            continue
+        for b in singles[i + 1 :]:
+            if target.order % T.orders[b] != 0:
+                continue
+            S = engine.generate(T, [a, b])
+            if S.order == target.order and engine.fingerprint(S) == target:
+                return S
+    return None
+
+
 def subgroup_conjugates(T: GroupTable, S: Subgroup) -> list[Subgroup]:
     """Distinct T-conjugates of S, one per coset of the normalizer."""
     N = engine.normalizer(T, S)
@@ -275,7 +325,7 @@ def coset_involution_check(T: GroupTable, P1: Subgroup) -> bool:
 def klein_subgroups(K: Subgroup) -> list[Subgroup]:
     """All Klein four subgroups of K, in deterministic order."""
     T = K.parent
-    invs = [int(m) for m in K.members if T.order_of(int(m)) == 2]
+    invs = [int(m) for m in K.members if T.orders[m] == 2]
     seen = set()
     out = []
     for i, a in enumerate(invs):

@@ -227,14 +227,14 @@ def test_criterion_9_obstructions_and_alpha_properties():
     for q in (4, 5):
         res = checks.lm_roundtrip({"q": q}, RunConfig())
         ok = ok and res.status == "pass"
-    # full-invariance constraint propagation with 10^4 samples
+    # full T x T invariance forces the identity, over 10^4 samples
     T4 = group_for(4)
     Tfull = eng.Subgroup(T4, range(T4.order))
     rng = np.random.default_rng(5150)
     for _ in range(10_000):
         alpha = wr.random_alpha(T4, rng)
         if wr.check_XY_conditions(alpha, Tfull, Tfull):
-            ok = ok and wr.propagate_full_invariance(alpha) and alpha.is_identity()
+            ok = ok and alpha.is_identity()
     ok = ok and wr.check_XY_conditions(wr.identity_alpha(T4), Tfull, Tfull)
     dt = report(9, ok, t0, "obstructions q in {7,8,11}; action axiom/round trip/propagation")
     assert ok

@@ -286,6 +286,27 @@ def test_entries_match_expected_fingerprints(q):
             assert fp == IsoFingerprint.alt5()
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
+def test_subgroup_of_matches_two_loop_search(q):
+    """One loop over single generators, then pairs, finds the subgroup the
+    two-loop search finds, for every fingerprint the lemma 3.1 checks name,
+    in every atlas subgroup; both find none together."""
+    from twdeg.checks import _R_FINGERPRINTS
+
+    T = group_for(q)
+    for label in atlas.LABELS:
+        if not atlas.label_exists(q, label):
+            continue
+        K = atlas.find_named_subgroup(T, label).subgroup
+        for fp in set(_R_FINGERPRINTS.values()):
+            S = reference.first_subgroup_with_fingerprint(K, fp)
+            if S is None:
+                with pytest.raises(atlas.NoWitnessError):
+                    atlas.subgroup_of(K, fp)
+            else:
+                assert np.array_equal(atlas.subgroup_of(K, fp).members, S.members)
+
+
 def test_no_witness_error(T7):
     S4 = atlas.find_named_subgroup(T7, "S4").subgroup
     with pytest.raises(atlas.NoWitnessError):

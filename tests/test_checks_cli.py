@@ -81,6 +81,15 @@ def test_bad_q_rejected(capsys):
     assert_usage_error(capsys, ["table4", "--q", "3"], "prime powers >= 4; got [3]")
 
 
+def test_q_past_max_group_order_rejected_before_any_build(capsys):
+    """|PSL(2,277)| and |PSL(2,521)| exceed psl.MAX_GROUP_ORDER: both are
+    usage errors before any table, field or check is built."""
+    for q, order in ((277, 10626828), (521, 70710120)):
+        printed = assert_usage_error(capsys, ["table1", "--q", str(q), "--m", "2"],
+                                     f"|PSL(2,{q})| = {order} exceeds 10000000")
+        assert printed == ""
+
+
 def test_bad_m_rejected(capsys):
     assert_usage_error(capsys, ["table1", "--m", "1"], "m values must be >= 2")
 
@@ -142,6 +151,21 @@ def test_bad_cache_rejected_before_any_check(tmp_path, capsys):
 def test_out_in_missing_directory_rejected_before_any_check(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     printed = assert_usage_error(capsys, ["lemma", "3.3", "--q", "4", "--out", str(out)], str(out))
+    assert printed == ""
+
+
+def test_out_naming_a_directory_rejected_before_any_check(tmp_path, capsys):
+    printed = assert_usage_error(capsys, ["lemma", "3.3", "--q", "4", "--out", str(tmp_path)],
+                                 f"{tmp_path} is a directory")
+    assert printed == ""
+
+
+def test_report_out_naming_a_directory_rejected(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run_cli(["lemma", "3.3", "--q", "4", "--out", str(report)]) == 0
+    capsys.readouterr()
+    printed = assert_usage_error(capsys, ["report", "--in", str(report), "--out", str(tmp_path)],
+                                 f"{tmp_path} is a directory")
     assert printed == ""
 
 

@@ -1,11 +1,14 @@
-"""Every definition in src/twdeg has a caller in the program itself.
+"""Every definition in src/twdeg has a caller in the program itself, and
+every dataclass field is read somewhere.
 
 A module-level function, class or constant, or a non-dunder method, that
 nothing in src/ or bench/ names outside its own definition serves only the
 tests, or nothing; such helpers belong in tests/reference.py or nowhere.
 Names count wherever the program spells them: as names, attributes and
 imports, and as the dotted parts of string constants, which is how the
-check registry and the benchmark's trace hooks refer to functions.
+check registry and the benchmark's trace hooks refer to functions.  A
+dataclass field that no file in src/, bench/ or tests/ reads as an
+attribute is set and never used.
 """
 
 import ast
@@ -78,3 +81,27 @@ def test_every_definition_is_named_by_the_program():
 
 def test_allowlist_holds_only_unnamed_definitions():
     assert set(ALLOWED) <= set(unnamed_definitions())
+
+
+def _dataclass_fields():
+    """module.Class.field of each annotated field of a @dataclass class in
+    src/twdeg, with the field's name."""
+    for path in sorted((ROOT / "src" / "twdeg").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    files = [path for part in ("src", "bench", "tests") for path in sorted((ROOT / part).rglob("*.py"))]
+    read = {sub.attr for path in files for sub in ast.walk(ast.parse(path.read_text()))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    fields = list(_dataclass_fields())
+    assert fields
+    assert [name for name, field in fields if field not in read] == []

@@ -189,7 +189,7 @@ def test_count_conjugate_overgroups_q17_nonnormal_klein():
     S4 = atlas.find_named_subgroup(T, "S4").subgroup
     # pick a Klein four subgroup that is not normal in S4
     nn = [V for V in reference.klein_subgroups(S4)
-          if not all(T.conj(v, k) in V.member_set
+          if not all(reference.conj(T, v, k) in V.member_set
                      for v in V.generating_set() for k in S4.generating_set())]
     assert nn
     y = eng.count_conjugate_overgroups(T, S4, nn[0])

@@ -73,7 +73,7 @@ def are_isomorphic(A: eng.Subgroup, B: eng.Subgroup) -> bool:
     b_members = [int(m) for m in B.members]
     orders_b = defaultdict(list)
     for m in b_members:
-        orders_b[TB.order_of(m)].append(m)
+        orders_b[int(TB.orders[m])].append(m)
 
     def try_images(imgs):
         phi = {TA.identity: TB.identity}
@@ -94,7 +94,7 @@ def are_isomorphic(A: eng.Subgroup, B: eng.Subgroup) -> bool:
     def backtrack(i, chosen):
         if i == len(gens):
             return try_images(chosen)
-        for cand in orders_b[TA.order_of(gens[i])]:
+        for cand in orders_b[int(TA.orders[gens[i]])]:
             if backtrack(i + 1, chosen + [cand]):
                 return True
         return False
