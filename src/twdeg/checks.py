@@ -24,7 +24,7 @@ import numpy as np
 from . import atlas, engine, wreath
 from .engine import IsoFingerprint
 from .field import Field
-from .psl import MAX_GROUP_ORDER, point_stabilizer, psl_group, psl_order
+from .psl import check_table_size, point_stabilizer, psl_group, psl_order
 from .wreath import SubdegreeCertificate
 
 DEFAULT_Q = [4, 7, 8, 9, 11, 13]
@@ -96,7 +96,7 @@ class RunConfig:
 
 
 def normalize_q_list(qs: list[int], notes: list[str]) -> list[int]:
-    """Prime powers >= 4 with |PSL(2,q)| <= MAX_GROUP_ORDER; q = 5 is
+    """Prime powers >= 4 whose PSL(2,q) table fits MAX_TABLE_BYTES; q = 5 is
     replaced by the isomorphic q = 4 case."""
     out = []
     for q in qs:
@@ -112,8 +112,7 @@ def normalize_q_list(qs: list[int], notes: list[str]) -> list[int]:
     if bad:
         raise ValueError(f"q values must be prime powers >= 4; got {bad}")
     for q in uniq:
-        if psl_order(q) > MAX_GROUP_ORDER:
-            raise ValueError(f"|PSL(2,{q})| = {psl_order(q)} exceeds {MAX_GROUP_ORDER}")
+        check_table_size(q)
     return uniq
 
 

@@ -3,8 +3,9 @@
 A GroupTable stores every element of a finite permutation group as a row of
 point images in a small-int (n, degree) array, in deterministic BFS order
 from a fixed generator list.  A base, a list of points whose images
-determine an element, is chosen greedily, and a dense lookup with one axis
-per base point maps an element's base images to its BFS index.  The
+determine an element, is named by the caller, and a dense lookup with one
+axis per base point maps an element's base images to its BFS index; the BFS
+fills it a level at a time and uses it to tell new elements.  The
 product g h is then read off without a multiplication table: h's row
 carries g's base images to those of g h.  Products broadcast over index
 arrays, so the algorithms below work in batches: a join <S, gens> grows a
@@ -45,68 +46,58 @@ class NoSuchSubgroupError(ValueError):
     pass
 
 
-def _greedy_base(elements: np.ndarray) -> list[int]:
-    """Points, in order, each splitting some set of elements that agree on
-    the points before it, until the base images separate all elements.
-
-    For PSL(2,q) this gives three points (PGL(2,q) is sharply 3-transitive
-    on the projective line); for T wr S_2 and T x T, three points per block.
-    """
-    n, degree = elements.shape
-    labels, classes, base = np.zeros(n, dtype=np.int64), 1, []
-    for p in range(degree):
-        if classes == n:
-            break
-        _, refined = np.unique(labels * degree + elements[:, p], return_inverse=True)
-        count = int(refined.max()) + 1
-        if count > classes:
-            base.append(p)
-            labels, classes = refined.reshape(n), count
-    return base
-
-
 class GroupTable:
     """A fully enumerated permutation group with base-image arithmetic."""
 
-    def __init__(self, degree: int, elements: np.ndarray, generators: list[int]):
+    def __init__(self, degree: int, elements: np.ndarray, generators: list[int],
+                 base: tuple[int, ...], lookup: np.ndarray):
         self.degree = degree
         self.elements = elements
         self.generators = generators
         self.order = len(elements)
-        self.base = _greedy_base(elements)
+        self.base = list(base)
         self._flat = elements.ravel()
         self._base_columns = tuple(np.ascontiguousarray(elements[:, b]) for b in self.base)
-        # BFS index by base images, one axis per base point, in the smallest
-        # signed dtype holding every index and the -1 of "no element"
-        self._lookup = np.full(
-            (degree,) * len(self.base), -1, dtype=np.min_scalar_type(-self.order)
-        )
-        self._lookup[self._base_columns] = np.arange(self.order)
+        self._lookup = lookup
 
     @classmethod
-    def from_generators(cls, degree: int, gens: tuple[Perm, ...]) -> "GroupTable":
+    def from_generators(cls, degree: int, gens: tuple[Perm, ...], base: tuple[int, ...],
+                        order: int) -> "GroupTable":
         """BFS closure from the identity; FIFO queue, generators in order.
 
-        A whole BFS level is expanded at once: its products with the
-        generators, row-major over (element, generator), come in the order
-        the FIFO queue visits them.
+        `base` must be a base of the group and `order` its order.  A whole
+        BFS level is expanded at once: its products with the generators,
+        row-major over (element, generator), come in the order the FIFO queue
+        visits them.  Each is keyed by the flat code of its base images; the
+        first of each code that the lookup does not yet hold is new.  The
+        lookup, one axis per base point, is in the smallest signed dtype
+        holding every index and the -1 of "no element".
         """
         dtype = np.min_scalar_type(degree - 1)
         gen_rows = np.array(gens, dtype=dtype).reshape(len(gens), degree)
-        frontier = np.arange(degree, dtype=dtype)[None]
-        seen = {frontier[0].tobytes(): 0}
-        levels = [frontier]
-        while len(frontier):
-            cand = gen_rows[np.arange(len(gens))[:, None], frontier[:, None, :]]
-            new = []
-            for row in cand.reshape(-1, degree):
-                key = row.tobytes()
-                if key not in seen:
-                    seen[key] = len(seen)
-                    new.append(row)
-            frontier = np.array(new, dtype=dtype).reshape(len(new), degree)
-            levels.append(frontier)
-        return cls(degree, np.concatenate(levels), [seen[g.tobytes()] for g in gen_rows])
+        elements = np.empty((order, degree), dtype=dtype)
+        elements[0] = np.arange(degree)
+        lookup = np.full((degree,) * len(base), -1, dtype=np.min_scalar_type(-order))
+        flat_lookup = lookup.reshape(-1)
+        lookup[tuple(base)] = 0
+        start, end = 0, 1
+        while start < end:
+            level = elements[start:end]
+            images = tuple(gen_rows.T[level[:, b]].reshape(-1) for b in base)
+            codes = np.ravel_multi_index(images, lookup.shape)
+            first = np.unique(codes, return_index=True)[1]  # stable: the first of each code
+            first = np.sort(first[flat_lookup[codes[first]] < 0])
+            codes = codes[first]
+            if end + len(first) > order:
+                raise ValueError(f"the generators give more than {order} elements")
+            rows, cols = np.divmod(first, len(gens))
+            elements[end:end + len(first)] = gen_rows[cols[:, None], level[rows]]
+            flat_lookup[codes] = np.arange(end, end + len(first))
+            start, end = end, end + len(first)
+        if end != order:
+            raise ValueError(f"the generators give {end} elements, not {order}")
+        gen_index = lookup[tuple(gen_rows[:, b] for b in base)]
+        return cls(degree, elements, gen_index.tolist(), base, lookup)
 
     # -- element arithmetic
 

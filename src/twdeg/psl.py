@@ -18,7 +18,7 @@ import numpy as np
 from .field import Field
 from .engine import GroupTable, Perm, Subgroup
 
-MAX_GROUP_ORDER = 10**7
+MAX_TABLE_BYTES = 1 << 30  # element array and lookup; admits every q <= 211
 
 
 class GroupTooLargeError(ValueError):
@@ -27,6 +27,20 @@ class GroupTooLargeError(ValueError):
 
 def psl_order(q: int) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
+
+
+def table_bytes(q: int) -> int:
+    """Bytes of psl_group's element array and base-image lookup, from the
+    order alone."""
+    order = psl_order(q)
+    return (order * (q + 1) * np.min_scalar_type(q).itemsize
+            + (q + 1) ** 3 * np.min_scalar_type(-order).itemsize)
+
+
+def check_table_size(q: int) -> None:
+    if table_bytes(q) > MAX_TABLE_BYTES:
+        raise GroupTooLargeError(f"|PSL(2,{q})| = {psl_order(q)} needs a {table_bytes(q)}-byte "
+                                 f"table, past the {MAX_TABLE_BYTES}-byte cap")
 
 
 def translation_perm(field: Field, a: int) -> Perm:
@@ -77,17 +91,11 @@ def psl_generators(field: Field) -> tuple[Perm, ...]:
 
 
 def psl_group(field: Field) -> GroupTable:
-    """Fully enumerated PSL(2,q) with stable BFS element indexing."""
-    q = field.q
-    expected = psl_order(q)
-    if expected > MAX_GROUP_ORDER:
-        raise GroupTooLargeError(f"|PSL(2,{q})| = {expected} exceeds {MAX_GROUP_ORDER}")
-    gens = psl_generators(field)
-    table = GroupTable.from_generators(q + 1, gens)
-    if table.order != expected:
-        raise AssertionError(
-            f"enumerated order {table.order} != q(q^2-1)/(2,q-1) = {expected}"
-        )
+    """Fully enumerated PSL(2,q) with stable BFS element indexing.  The
+    points 0, 1, 2 form a base: PGL(2,q) is sharply 3-transitive."""
+    check_table_size(field.q)
+    table = GroupTable.from_generators(field.q + 1, psl_generators(field), (0, 1, 2),
+                                       psl_order(field.q))
     table.field = field
     return table
 

@@ -119,10 +119,8 @@ def wreath_full_table(T: GroupTable, swap: bool = True) -> GroupTable:
         gens.append(tuple(range(d)) + tuple(d + p for p in g))
     if swap:
         gens.append(tuple(d + p for p in range(d)) + tuple(range(d)))
-    H = GroupTable.from_generators(2 * d, tuple(gens))
-    if H.order != n2:
-        raise AssertionError(f"wreath enumeration gave {H.order}, expected {n2}")
-    return H
+    # three points per block: each block's images determine its T-part
+    return GroupTable.from_generators(2 * d, tuple(gens), (0, 1, 2, d, d + 1, d + 2), n2)
 
 
 def wreath_perms(T: GroupTable, triples) -> np.ndarray:

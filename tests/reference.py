@@ -58,6 +58,55 @@ def field_order(F, x: int) -> int:
     return o
 
 
+# -- group enumeration ---------------------------------------------------------------
+
+def dict_bfs(degree: int, gens: tuple[Perm, ...]) -> tuple[np.ndarray, list[int]]:
+    """The element array and generator indices of GroupTable.from_generators
+    by a dict keyed by each element's whole row: BFS from the identity, FIFO
+    queue, generators in order, one row at a time."""
+    dtype = np.min_scalar_type(degree - 1)
+    gen_rows = np.array(gens, dtype=dtype).reshape(len(gens), degree)
+    frontier = np.arange(degree, dtype=dtype)[None]
+    seen = {frontier[0].tobytes(): 0}
+    levels = [frontier]
+    while len(frontier):
+        cand = gen_rows[np.arange(len(gens))[:, None], frontier[:, None, :]]
+        new = []
+        for row in cand.reshape(-1, degree):
+            key = row.tobytes()
+            if key not in seen:
+                seen[key] = len(seen)
+                new.append(row)
+        frontier = np.array(new, dtype=dtype).reshape(len(new), degree)
+        levels.append(frontier)
+    return np.concatenate(levels), [seen[g.tobytes()] for g in gen_rows]
+
+
+def greedy_base(elements: np.ndarray) -> list[int]:
+    """Points, in order, each splitting some set of elements that agree on
+    the points before it, until the base images separate all elements."""
+    n, degree = elements.shape
+    labels, classes, base = np.zeros(n, dtype=np.int64), 1, []
+    for p in range(degree):
+        if classes == n:
+            break
+        _, refined = np.unique(labels * degree + elements[:, p], return_inverse=True)
+        count = int(refined.max()) + 1
+        if count > classes:
+            base.append(p)
+            labels, classes = refined.reshape(n), count
+    return base
+
+
+def base_lookup(elements: np.ndarray, base: list[int]) -> np.ndarray:
+    """BFS index by base images, one axis per base point, in the smallest
+    signed dtype holding every index and -1 for "no element"."""
+    n, degree = elements.shape
+    lookup = np.full((degree,) * len(base), -1, dtype=np.min_scalar_type(-n))
+    lookup[tuple(elements[:, b] for b in base)] = np.arange(n)
+    return lookup
+
+
 # -- permutations ------------------------------------------------------------------
 
 def compose(g: Perm, h: Perm) -> Perm:

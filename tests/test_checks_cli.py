@@ -81,12 +81,21 @@ def test_bad_q_rejected(capsys):
     assert_usage_error(capsys, ["table4", "--q", "3"], "prime powers >= 4; got [3]")
 
 
-def test_q_past_max_group_order_rejected_before_any_build(capsys):
-    """|PSL(2,277)| and |PSL(2,521)| exceed psl.MAX_GROUP_ORDER: both are
-    usage errors before any table, field or check is built."""
-    for q, order in ((277, 10626828), (521, 70710120)):
-        printed = assert_usage_error(capsys, ["table1", "--q", str(q), "--m", "2"],
-                                     f"|PSL(2,{q})| = {order} exceeds 10000000")
+def test_q_past_max_group_order_rejected_before_any_build(monkeypatch, capsys):
+    """The tables of PSL(2,271), PSL(2,277) and PSL(2,521) exceed
+    psl.MAX_TABLE_BYTES: each is a usage error before any table, field or
+    check is built."""
+    from twdeg.engine import GroupTable
+
+    def no_build(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(GroupTable, "from_generators", no_build)
+    for q, order, size in ((271, 9951120, 5493903872), (277, 10626828, 5994456176),
+                           (521, 70710120, 74390311872)):
+        printed = assert_usage_error(
+            capsys, ["table1", "--q", str(q), "--m", "2"],
+            f"|PSL(2,{q})| = {order} needs a {size}-byte table, past the 1073741824-byte cap")
         assert printed == ""
 
 

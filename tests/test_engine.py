@@ -332,6 +332,24 @@ def test_p1_product_memory_q23(monkeypatch):
     assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_psl_build_memory_q83():
+    """PSL(2,83) is built into its final element array and lookup, a BFS
+    level at a time: its traced peak stays near the 26 MB those two hold.
+    A dict keyed by every row took the peak to 119 MB."""
+    import tracemalloc
+
+    from twdeg.field import Field
+    from twdeg.psl import psl_group
+
+    tracemalloc.start()
+    try:
+        psl_group(Field(83, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_subgroup_conjugates(T7):
     from twdeg.psl import point_stabilizer
 

@@ -3,15 +3,18 @@ import pytest
 
 import reference
 from conftest import group_for
-from twdeg import atlas, engine as eng
+from twdeg import atlas, engine as eng, wreath
+from twdeg.checks import factor_prime_power
 from twdeg.field import Field
 from twdeg.psl import (
+    MAX_TABLE_BYTES,
     GroupTooLargeError,
     inversion_perm,
     point_stabilizer,
     psl_generators,
     psl_group,
     psl_order,
+    table_bytes,
     translation_perm,
 )
 
@@ -102,6 +105,62 @@ def test_simple_spot_checks(q):
 def test_too_large():
     with pytest.raises(GroupTooLargeError):
         psl_group(Field(2, 9))  # order ~ 1.3e8
+
+
+PRIME_POWERS = [q for q, (p, f) in ((q, factor_prime_power(q)) for q in range(4, 84)) if p**f == q]
+
+
+def assert_matches_dict_bfs(H, gens):
+    """H equals the dict BFS of its generators: elements, generator
+    indices, and the greedy base with its lookup, dtypes included."""
+    elements, generators = reference.dict_bfs(H.degree, gens)
+    base = reference.greedy_base(elements)
+    lookup = reference.base_lookup(elements, base)
+    assert H.elements.dtype == elements.dtype and np.array_equal(H.elements, elements)
+    assert H.generators == generators
+    assert H.base == base
+    assert H._lookup.dtype == lookup.dtype and np.array_equal(H._lookup, lookup)
+
+
+@pytest.mark.parametrize("q", [q if q <= 32 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in PRIME_POWERS])
+def test_psl_build_matches_dict_bfs(q):
+    """The level-at-a-time build against base (0, 1, 2) gives what the dict
+    BFS and the greedy base give."""
+    F = Field(*factor_prime_power(q))
+    assert_matches_dict_bfs(psl_group(F), psl_generators(F))
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_wreath_build_matches_dict_bfs(T4, swap):
+    """T wr S_2 and T x T at q = 4, built against three points per block."""
+    triples = [t for g in T4.generators for t in ((g, 0, 0), (0, g, 0))] + [(0, 0, 1)] * swap
+    gens = tuple(map(tuple, wreath.wreath_perms(T4, triples).tolist()))
+    assert_matches_dict_bfs(wreath.wreath_full_table(T4, swap), gens)
+
+
+@pytest.mark.parametrize("order, base", [(167, (0, 1, 2)), (100, (0, 1, 2)),
+                                         (169, (0, 1, 2)), (168, (0, 1))])
+def test_wrong_order_or_base_raises(order, base):
+    """An order below the true one raises before a row past it is written;
+    one above it, or a base that does not separate the elements, leaves
+    rows unfilled and raises too."""
+    with pytest.raises(ValueError, match="the generators give"):
+        eng.GroupTable.from_generators(8, psl_generators(Field(7, 1)), base, order)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 23, 47])
+def test_table_bytes_matches_build(q):
+    T = psl_group(Field(*factor_prime_power(q)))
+    assert table_bytes(q) == T.elements.nbytes + T._lookup.nbytes
+
+
+def test_table_byte_cap():
+    """The cap admits every q <= 211 and no q >= 223; q = 271, which an
+    order cap of 10^7 admitted, needs some 5.5 GB."""
+    assert table_bytes(127) < 0.15e9
+    assert table_bytes(211) <= MAX_TABLE_BYTES < table_bytes(223)
+    assert table_bytes(271) > 5 * MAX_TABLE_BYTES
 
 
 def test_bad_point():
