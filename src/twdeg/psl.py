@@ -38,8 +38,10 @@ def table_bytes(q: int) -> int:
 
 
 def check_table_size(q: int) -> None:
-    if table_bytes(q) > MAX_TABLE_BYTES:
-        raise GroupTooLargeError(f"|PSL(2,{q})| = {psl_order(q)} needs a {table_bytes(q)}-byte "
+    """Refuse a q whose table would pass MAX_TABLE_BYTES, before any build."""
+    size = table_bytes(q)
+    if size > MAX_TABLE_BYTES:
+        raise GroupTooLargeError(f"|PSL(2,{q})| = {psl_order(q)} needs a {size}-byte "
                                  f"table, past the {MAX_TABLE_BYTES}-byte cap")
 
 
