@@ -32,6 +32,11 @@ COMMANDS = {
     "table4-q29": ["table4", "--q", "29"],
     # the exact q = 29 and q = 59 rows, as --long adds them to table4
     "table4-long-q29-59": ["table4", "--long", "--q", "29", "59"],
+    # the generic pair behind the obstruction gate, on a P1 x P1 divisor
+    # certificate (q = 27, 31, 43 are not scanned)
+    "table4-q27-31-43": ["table4", "--q", "27", "31", "43"],
+    # row4 at m = 2 and 3, with the C2 shift candidates on the A5 side
+    "table2-q29": ["table2", "--q", "29"],
     "report-replay": ["report", "--in", str(GOLDEN / "table1.json"),
                       str(GOLDEN / "table2.json"), "--replay"],
 }
@@ -61,8 +66,10 @@ BUDGETS = {
     "table1-q17-19-m2-3": (500, 500_000),
     "table2": (1_500, 250_000),
     "table2-q17-19": (160, 180_000),
+    "table2-q29": (720, 2_900_000),
     "table4": (2_600, 1_800_000),
     "table4-long-q29-59": (2_500, 25_000_000),
+    "table4-q27-31-43": (460, 1_900_000),
     "table4-q29": (630, 1_600_000),
 }
 
