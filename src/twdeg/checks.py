@@ -2,14 +2,17 @@
 
 Each check replays one finite computation (a table row instance or a
 lemma-tagged identity) and produces a CheckResult with expected/actual
-values as decimal strings or fingerprint strings.  Every check is a
-function of plain-dict params registered by the `check` decorator, which
-owns the check id, the timing and the failure record; the spec builders
-name checks by function name so a worker pool can run them in separate
-processes.  Every check a selection names runs; `--long` only widens the
-selection (table4's q = 29 and 59, lemma 3.1's q = 19) and makes the
-m = 2 scans at q = 13 exact.  Per-process context (group tables, atlas
-entries, the P1 x P1 coset functions) is cached lazily.
+values as decimal strings or fingerprint strings.  A spec (check id,
+check function name, plain-dict params) is the whole input of a check: the
+spec builders read the RunConfig and write every choice into the params
+(which scans are exact, which pairs pass the obstruction gate, the witness
+cache), so a worker pool can run the specs in separate processes.  The
+`check` decorator owns the check id, the timing and the failure record.
+Every check a selection names runs; `--long` acts only through the spec
+builders, which widen the selection (table4's q = 29 and 59, lemma 3.1's
+q = 19) and make the m = 2 scans at q = 13 exact.  The pairs of Tables 2
+and 4 are data rows over one pair check.  Per-process context (group
+tables, atlas entries, the P1 x P1 coset functions) is cached lazily.
 """
 
 from __future__ import annotations
@@ -140,23 +143,23 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 _CHECKS: dict = {}
 
 
-def check(check_id: str, error: str):
-    """Register a check function under its name.
+def check(check_id: str, error: str, name: str | None = None):
+    """Register a check function under `name`, by default its own name.
 
-    `check_id` and `error` are templates filled from the params.  The
-    registered check times the body, which returns (expected, actual,
-    witness); the check passes when expected and actual agree as strings.
-    Any exception the body raises becomes a fail record with expected
-    `error`.
+    A check is a function of its params alone.  `check_id` and `error` are
+    templates filled from the params.  The registered check times the body,
+    which returns (expected, actual, witness); the check passes when
+    expected and actual agree as strings.  Any exception the body raises
+    becomes a fail record with expected `error`.
     """
 
     def register(body):
         @functools.wraps(body)
-        def run(p: dict, cfg: RunConfig) -> CheckResult:
+        def run(p: dict) -> CheckResult:
             t0 = time.perf_counter()
             witness = None
             try:
-                expected, actual, witness = body(p, cfg)
+                expected, actual, witness = body(p)
                 status = "pass" if str(expected) == str(actual) else "fail"
             except Exception as e:  # noqa: BLE001 -- a failing check is a record
                 status, expected, actual = "fail", error.format(**p), f"error: {e}"
@@ -165,7 +168,7 @@ def check(check_id: str, error: str):
                                witness)
 
         run.check_id = check_id
-        _CHECKS[body.__name__] = run
+        _CHECKS[name or body.__name__] = run
         return run
 
     return register
@@ -261,12 +264,16 @@ def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> S
     return cert
 
 
-def subject_subdegree(q: int, m: int, subject, exact: bool) -> SubdegreeCertificate:
-    """A class-power certificate when `subject` is an element order, a
-    K wr S_m witness certificate when it is an atlas label."""
+def subject_subdegree(q: int, m: int, subject, exact: bool, shifts=None) -> SubdegreeCertificate:
+    """A class-power certificate when `subject` is an element order, the
+    P1 x P1 coset function's when it is "P1xP1", and a K wr S_m witness
+    certificate, its search restricted to `shifts`, when it is an atlas
+    label."""
     if isinstance(subject, int):
         return class_subdegree(q, m, subject, exact)
-    return witness_subdegree(q, m, subject, exact)
+    if subject == "P1xP1":
+        return p1_product_subdegree(q, exact)
+    return witness_subdegree(q, m, subject, exact, shifts)
 
 
 def _p1_shift(q: int) -> int:
@@ -328,87 +335,79 @@ def table1_specs(cfg: RunConfig) -> list[tuple]:
                 # exceeds the largest element centralizer, so no witness exists
                 ("row7", atlas.label_exists(q, "A5") and q >= 11, "A5", psl_order(q) // 60),
             ]
-            specs += [_spec("t1_row", row=row, q=q, m=m, subject=subject, expected=base**m)
+            exact = m == 2 and exact_scan_ok(q, cfg.long_running)
+            specs += [_spec("t1_row", row=row, q=q, m=m, subject=subject, expected=base**m,
+                            exact=exact)
                       for row, applies, subject, base in rows if applies]
     return specs
 
 
 @check("table1.{row}.q{q}.m{m}", error="{expected}")
-def t1_row(p, cfg):
-    q, m = p["q"], p["m"]
-    exact = m == 2 and exact_scan_ok(q, cfg.long_running)
-    cert = subject_subdegree(q, m, p["subject"], exact)
+def t1_row(p):
+    cert = subject_subdegree(p["q"], p["m"], p["subject"], p["exact"])
     return p["expected"], cert.value, cert.to_record()
 
 
-# -- table 2 --------------------------------------------------------------------
+# -- tables 2 and 4: coprime subdegree pairs --------------------------------------
+
+def _pair(p):
+    """The subdegrees of the sides r and d (element orders, atlas labels or
+    P1xP1), scanned exactly when `exact`, and their gcd.  The side that `c2`
+    names searches only the C2 shift candidates for its witness; with
+    `obstruction` the pair needs the obstruction ingredients, which back the
+    P1 x P1 divisor bound."""
+    q, m = p["q"], p["m"]
+    r_cert, d_cert = (
+        subject_subdegree(q, m, p[side], p["exact"],
+                          _c2_candidates(q, p[side]) if p.get("c2") == side else None)
+        for side in "rd"
+    )
+    if p.get("obstruction") and not ctx_obstruction(q).all_pass:
+        return "pair", "error: obstruction ingredients failed", None
+    return _pair_result(*p["expected"], r_cert, d_cert)
+
+
+t2_pair = check("table2.{row}.q{q}.m{m}", "pair", "t2_pair")(_pair)
+t4_pair = check("table4.q{q}.{tag}", "pair", "t4_pair")(_pair)
+
 
 def table2_specs(cfg: RunConfig) -> list[tuple]:
     specs = []
     for q in cfg.q_list:
+        scanned, half = exact_scan_ok(q, cfg.long_running), q * (q - 1) // 2
         for m in cfg.m_list:
-            row = {"q": q, "m": m}
-            if m == 2 and q % 4 == 3:
-                specs.append(_spec("t2_row1", **row))
-            # t2_pair: r and d are element orders or atlas labels, with the
-            # bases of the expected subdegrees
-            if m >= 3 and q % 4 == 3:
-                specs.append(_spec("t2_pair", row="row2", r=2, d="P1",
-                                   bases=(q * (q - 1) // 2, q + 1), **row))
-            if m >= 3 and q % 2 == 0:
-                specs.append(_spec("t2_pair", row="row3", r="DihedralPlus", d="P1",
-                                   bases=(q * (q - 1) // 2, q + 1), **row))
-            if q == 29:
-                specs.append(_spec("t2_row4", **row))
-            if q == 7:
-                specs.append(_spec("t2_pair", row="row5", r="S4", d=7, bases=(7, 24), **row))
-            if q == 11:
-                specs.append(_spec("t2_pair", row="row6", r="A5", d=11, bases=(11, 60), **row))
+            # (row, applies, t2_pair params beyond q, m and exact = (m == 2))
+            rows = [
+                # the divisor bound is attained for q = 3 mod 4, backed by the
+                # obstruction ingredients when the stabilizers are not scanned
+                ("row1", m == 2 and q % 4 == 3,
+                 {"r": 2, "d": "P1xP1", "expected": (half**2, 2 * (q + 1) ** 2),
+                  "exact": scanned, "obstruction": not scanned}),
+                ("row2", m >= 3 and q % 4 == 3,
+                 {"r": 2, "d": "P1", "expected": (half**m, (q + 1) ** m)}),
+                ("row3", m >= 3 and q % 2 == 0,
+                 {"r": "DihedralPlus", "d": "P1", "expected": (half**m, (q + 1) ** m)}),
+                # m = 2: both exact scans are asserted to be K wr S_2
+                ("row4", q == 29, {"r": "P1", "d": "A5", "expected": (30**m, 203**m),
+                                   "c2": "d" if m == 2 else None}),
+                ("row5", q == 7, {"r": "S4", "d": 7, "expected": (7**m, 24**m)}),
+                ("row6", q == 11, {"r": "A5", "d": 11, "expected": (11**m, 60**m)}),
+            ]
+            specs += [_spec("t2_pair", row=row, q=q, m=m, **({"exact": m == 2} | params))
+                      for row, applies, params in rows if applies]
     return specs
 
 
-@check("table2.row1.q{q}.m{m}", error="pair")
-def t2_row1(p, cfg):
-    q = p["q"]
-    exact = exact_scan_ok(q, cfg.long_running)
-    r_cert = class_subdegree(q, 2, 2, exact)
-    d_cert = p1_product_subdegree(q, exact)
-    if not exact and not ctx_obstruction(q).all_pass:
-        return "pair", "error: obstruction ingredients failed", None
-    # the divisor bound is attained for q = 3 mod 4 (backed by the
-    # obstruction ingredients when the stabilizer is not scanned)
-    return _pair_result((q * (q - 1) // 2) ** 2, 2 * (q + 1) ** 2, r_cert, d_cert)
-
-
-@check("table2.{row}.q{q}.m{m}", error="pair")
-def t2_pair(p, cfg):
-    q, m = p["q"], p["m"]
-    r_cert = subject_subdegree(q, m, p["r"], m == 2)
-    d_cert = subject_subdegree(q, m, p["d"], m == 2)
-    r_base, d_base = p["bases"]
-    return _pair_result(r_base**m, d_base**m, r_cert, d_cert)
-
-
-@check("table2.row4.q{q}.m{m}", error="pair")
-def t2_row4(p, cfg):
-    q, m = p["q"], p["m"]
-    # m = 2: exact stabilizer scans, each asserted to be K wr S_2
-    r_cert = witness_subdegree(q, m, "P1", m == 2)
-    d_cert = witness_subdegree(
-        q, m, "A5", m == 2, shifts=_c2_candidates(q, "A5") if m == 2 else None
-    )
-    return _pair_result(30**m, 203**m, r_cert, d_cert)
-
-
-# -- table 4 --------------------------------------------------------------------
-
-# q -> (tag, check function, params) beyond the generic q = 3 mod 4 pair
+# q -> (tag, check function, params) beyond the generic q = 3 mod 4 pair; the
+# sides of a t4_pair are element orders, atlas labels or P1xP1.  The side of
+# an element order gamma is the centralizer function, whose stabilizer
+# build_centralizer_fn proves to be C_T(gamma) wr S_2.
 TABLE4_PAIRS = {
-    7: [("pair2", "t4_class_pair", {"gamma": 7, "label": "S4", "expected": (24**2, 7**2)})],
-    11: [("pair2", "t4_class_pair", {"gamma": 11, "label": "A5", "expected": (60**2, 11**2)}),
+    7: [("pair2", "t4_pair", {"r": 7, "d": "S4", "expected": (24**2, 7**2)})],
+    11: [("pair2", "t4_pair", {"r": 11, "d": "A5", "expected": (60**2, 11**2)}),
          ("pair3", "t4_q11_a4", {})],
-    19: [("pair2", "t4_p1_pair", {"label": "A5", "expected": (2 * 20**2, 57**2)})],
-    23: [("pair2", "t4_p1_pair", {"label": "S4", "expected": (2 * 24**2, 253**2)})],
+    19: [("pair2", "t4_pair", {"r": "P1xP1", "d": "A5", "expected": (2 * 20**2, 57**2)})],
+    23: [("pair2", "t4_pair", {"r": "P1xP1", "d": "S4", "expected": (2 * 24**2, 253**2)})],
     29: [("pair1", "t4_long_pair", {"index": 203})],
     59: [("pair2", "t4_long_pair", {"index": 1711})],
 }
@@ -425,59 +424,23 @@ def table4_q_list(cfg: RunConfig) -> list[int]:
 
 
 def table4_specs(cfg: RunConfig) -> list[tuple]:
-    """The m = 2 pairs of Table 4; none unless m = 2 is selected."""
+    """The m = 2 pairs of Table 4; none unless m = 2 is selected.  They are
+    scanned exactly at the q of Table 4's rows.  The generic q = 3 mod 4 pair
+    has stabilizers P1 x P1 and D_{q+1} wr S_2, and the obstruction
+    ingredients back its exactness claim structurally."""
     specs = []
     for q in table4_q_list(cfg) if 2 in cfg.m_list else []:
-        pairs = [("pair1", "t4_generic", {})] if q % 4 == 3 else []
+        generic = {"r": "P1xP1", "d": 2, "expected": (2 * (q + 1) ** 2, (q * (q - 1) // 2) ** 2),
+                   "obstruction": True}
+        pairs = [("pair1", "t4_pair", generic)] if q % 4 == 3 else []
         for tag, fn, params in pairs + TABLE4_PAIRS.get(q, []):
-            specs.append(_spec(fn, q=q, tag=tag, **params))
+            specs.append(_spec(fn, q=q, m=2, tag=tag, exact=q <= 23 or q in TABLE4_LONG_Q,
+                               **params))
     return specs
 
 
 @check("table4.q{q}.{tag}", error="pair")
-def t4_generic(p, cfg):
-    """q = 3 mod 4: stabilizers P1 x P1 and D_{q+1} wr S_2, scanned exactly
-    at the q of Table 4's rows."""
-    q = p["q"]
-    exact = q <= 23 or q in TABLE4_LONG_Q
-    f_cert = p1_product_subdegree(q, exact)
-    g_cert = class_subdegree(q, 2, 2, exact)
-    # the obstruction ingredients back the exactness claim structurally
-    if not ctx_obstruction(q).all_pass:
-        return "pair", "error: obstruction ingredients failed", None
-    return _pair_result(2 * (q + 1) ** 2, (q * (q - 1) // 2) ** 2, f_cert, g_cert)
-
-
-@check("table4.q{q}.{tag}", error="pair")
-def t4_class_pair(p, cfg):
-    """The two-point stabilizer of the centralizer function of gamma contains
-    C x C for C = <gamma>, so its subdegree divides twice the expected one;
-    the other side is an exact K wr S_2 stabilizer."""
-    q, order = p["q"], p["gamma"]
-    f_expected, g_expected = p["expected"]
-    T = ctx_group(q)
-    gamma = int(T.elements_of_order(order)[0])
-    f_alpha, f_res, f_cert = wreath.build_centralizer_fn(T, gamma)
-    C = engine.generate(T, [gamma])
-    if not wreath.inside_stabilizer(wreath.product_sub(C), f_alpha):
-        return "containment", f"error: C{order} x C{order} not inside the stabilizer", None
-    if (2 * f_expected) % f_res.subdegree != 0:
-        return "divisibility", f"error: {f_res.subdegree}", None
-    g_cert = witness_subdegree(q, 2, p["label"], True)
-    return _pair_result(f_expected, g_expected, f_cert, g_cert)
-
-
-@check("table4.q{q}.{tag}", error="pair")
-def t4_p1_pair(p, cfg):
-    """The exact P1 x P1 stabilizer against an exact K wr S_2 stabilizer."""
-    q = p["q"]
-    f_cert = p1_product_subdegree(q, True)
-    g_cert = witness_subdegree(q, 2, p["label"], True)
-    return _pair_result(*p["expected"], f_cert, g_cert)
-
-
-@check("table4.q{q}.{tag}", error="pair")
-def t4_q11_a4(p, cfg):
+def t4_q11_a4(p):
     """The (P1 x P1, A4 wr S_2) pair; A4 wr S_2 is not maximal in H, so the
     stabilizer is computed exactly and its observed shape reported."""
     q = p["q"]
@@ -493,7 +456,7 @@ def t4_q11_a4(p, cfg):
 
 
 @check("table4.q{q}.{tag}", error="pair")
-def t4_long_pair(p, cfg):
+def t4_long_pair(p):
     """The rows at q = 29 and 59, which --long adds to the default q: the exact
     subdegree over P1 x P1, 2(q+1)^2, divides 2*60^2 (and equals it at
     q = 59), and is coprime to the exact A5 wr S_2 side, |T : A5|^2."""
@@ -528,7 +491,7 @@ def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
     ]
     for q in qs:
         p, f = factor_prime_power(q)
-        search = {"q": q, "expected": "witness"}
+        search = {"q": q, "expected": "witness", "cache": cfg.cache}
         s4 = f == 1 and q % 8 in (1, 7)
         exact = exact_scan_ok(q, long_running)
         rows += [
@@ -541,8 +504,7 @@ def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
             ("3.5", s4 and q >= 17, "lm_search",
              search | {"lemma": "3.5b", "K": "S4", "R": "C2", "kind": "3.5b"}),
             ("3.6", p == 2 and f >= 2, "lm_search",
-             {"lemma": "3.6", "q": q, "K": "DihedralPlus", "R": "C2", "kind": "3.6",
-              "expected": "witness"}),
+             search | {"lemma": "3.6", "K": "DihedralPlus", "R": "C2", "kind": "3.6"}),
             ("7.4", exact, "lm_xy_conditions", {"q": q}),
             ("7.8", exact, "lm_wreath_conditions", {"q": q}),
             ("obstruction", q % 2 == 0 or q % 4 == 3, "lm_obstruction", {"q": q}),
@@ -554,7 +516,7 @@ def lemma_specs(cfg: RunConfig, lemma_id: str) -> list[tuple]:
     rows += [
         ("4.2-triple", 11 in qs, "lm_search",
          {"lemma": "4.2-triple", "q": 11, "K": "A5", "R": "C2", "kind": "thm4.2-q11-triple",
-          "expected": "witness", "triple": True}),
+          "expected": "witness", "triple": True, "cache": cfg.cache}),
         ("6.1", True, "lm_max_census_h", {"q": 4}),
         ("6.2", True, "lm_max_census_t2", {"q": 4}),
         ("5-properties", True, "lm_action_axiom", {"q": 7, "samples": 10000}),
@@ -577,7 +539,7 @@ _R_FINGERPRINTS = {
 
 
 @check("lemma3.1.q{q}.{K}.{R}", error="identity")
-def lm_double_count(p, cfg):
+def lm_double_count(p):
     q, rlabel = p["q"], p["R"]
     T = ctx_group(q)
     K = ctx_atlas(q, p["K"]).subgroup
@@ -591,28 +553,28 @@ def lm_double_count(p, cfg):
 
 
 @check("lemma3.3.q{q}", error="True")
-def lm_coset_involution(p, cfg):
+def lm_coset_involution(p):
     return True, atlas.coset_involution_check(ctx_group(p["q"]), ctx_p1(p["q"])), None
 
 
 @check("lemma{lemma}.q{q}", error="{expected}")
-def lm_search(p, cfg):
+def lm_search(p):
     """The deterministic intersection search K cap K^s (K cap K^r cap K^s
     when `triple`) for the subgroup R, replayed from the witness cache when
     it holds a record."""
-    q, klabel, kind = p["q"], p["K"], p["kind"]
+    q, klabel, kind, cache = p["q"], p["K"], p["kind"], p["cache"]
     T = ctx_group(q)
     K = ctx_atlas(q, klabel).subgroup
     rec = None
-    if cfg.cache:
-        rec = atlas.cached_witness(atlas.load_witness_cache(cfg.cache), q, kind, klabel)
+    if cache:
+        rec = atlas.cached_witness(atlas.load_witness_cache(cache), q, kind, klabel)
     if rec is not None:
         out = atlas.replay_witness(T, K, rec)
     else:
         search = atlas.search_triple_intersection if p.get("triple") else atlas.search_intersection
         out = search(T, K, _R_FINGERPRINTS[p["R"]], kind=kind, label=klabel)
-        if cfg.cache and isinstance(out, atlas.IntersectionWitness):
-            atlas.append_witness_cache(cfg.cache, out)
+        if cache and isinstance(out, atlas.IntersectionWitness):
+            atlas.append_witness_cache(cache, out)
     if isinstance(out, atlas.IntersectionWitness):
         return p["expected"], "witness", atlas.witness_record(out)
     return p["expected"], "NotFound", {"scanned": out.scanned}
@@ -629,14 +591,14 @@ def census_rule(q: int, d: int) -> int:
 
 
 @check("dickson-census.q{q}.d{d}", error="?")
-def lm_census(p, cfg):
+def lm_census(p):
     q, d = p["q"], p["d"]
     expected = census_rule(q, d)
     return expected, engine.dihedral_class_census(ctx_group(q), d), {"torus": p.get("torus")}
 
 
 @check("lemma7.4.q{q}", error="True")
-def lm_xy_conditions(p, cfg):
+def lm_xy_conditions(p):
     q = p["q"]
     T = ctx_group(q)
     P1 = ctx_p1(q)
@@ -652,7 +614,7 @@ def lm_xy_conditions(p, cfg):
 
 
 @check("lemma7.8.q{q}", error="True")
-def lm_wreath_conditions(p, cfg):
+def lm_wreath_conditions(p):
     q = p["q"]
     T = ctx_group(q)
     P1 = ctx_p1(q)
@@ -671,7 +633,7 @@ def lm_wreath_conditions(p, cfg):
 
 
 @check("obstruction.q{q}", error="True")
-def lm_obstruction(p, cfg):
+def lm_obstruction(p):
     rep = ctx_obstruction(p["q"])
     witness = {
         "centralizer_of_p1_trivial": rep.centralizer_of_p1_trivial,
@@ -704,7 +666,7 @@ def _chunk_sizes(samples: int):
 
 
 @check("lemma5.action-axiom.q{q}", error="True")
-def lm_action_axiom(p, cfg):
+def lm_action_axiom(p):
     q, samples = p["q"], p["samples"]
     T = ctx_group(q)
     rng = np.random.default_rng(12345)
@@ -720,7 +682,7 @@ def lm_action_axiom(p, cfg):
 
 
 @check("lemma5.roundtrip.q{q}", error="True")
-def lm_roundtrip(p, cfg):
+def lm_roundtrip(p):
     """The alpha formula defines a twisted-equivariant function on all of H."""
     T = ctx_group(p["q"])
     n = T.order
@@ -749,7 +711,7 @@ def lm_roundtrip(p, cfg):
 
 
 @check("lemma5.invariance.q{q}", error="True")
-def lm_invariance(p, cfg):
+def lm_invariance(p):
     """Full two-sided invariance forces the identity function."""
     T = ctx_group(p["q"])
     n = T.order
@@ -787,9 +749,8 @@ def _h_maximal_types(T, H):
     for name, second in (("diag", t), ("twisted", _frobenius_conj_index(T))):
         types[f"type2.{name}"] = _embed_triples(T, H, t[:, None], second[:, None], [0, 1])
     for label in ("A4", "DihedralPlus", "DihedralMinus"):
-        K = ctx_atlas(4, label).subgroup
-        triples = np.array(list(wreath.wreath_sub(K).member_triples()))
-        types[f"type3.{label}"] = _embed_triples(T, H, *triples.T)
+        K = ctx_atlas(4, label).subgroup.members
+        types[f"type3.{label}"] = _embed_triples(T, H, K[:, None, None], K[:, None], [0, 1])
     return types
 
 
@@ -837,7 +798,7 @@ def _grow_to_maximal(G, S, rng):
 
 
 @check("lemma6.1.q4", error="True")
-def lm_max_census_h(p, cfg):
+def lm_max_census_h(p):
     """Every listed maximal type of T wr S_2 at q=4 passes the overgroup test,
     and sampled proper subgroups grow into one of the types."""
     T = ctx_group(4)
@@ -876,7 +837,7 @@ def lm_max_census_h(p, cfg):
 
 
 @check("lemma6.2.q4", error="True")
-def lm_max_census_t2(p, cfg):
+def lm_max_census_t2(p):
     """Maximal subgroups of T x T at q=4: factor-maximal products and the
     automorphism-graph diagonals."""
     T = ctx_group(4)
@@ -902,10 +863,10 @@ def lm_max_census_t2(p, cfg):
 
 # -- runner -----------------------------------------------------------------------
 
-def _run_one(spec_cfg) -> CheckResult:
-    (check_id, fn_name, params), cfg = spec_cfg
+def _run_one(spec) -> CheckResult:
+    check_id, fn_name, params = spec
     try:
-        return _CHECKS[fn_name](params, cfg)
+        return _CHECKS[fn_name](params)
     except Exception as e:  # noqa: BLE001 -- the runner boundary: one record per spec
         return CheckResult(check_id, "fail", "?", f"error: {e}", 0.0)
 
@@ -916,7 +877,7 @@ def execute_specs(specs: list[tuple], cfg: RunConfig) -> list[CheckResult]:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [(s, cfg) for s in specs]))
+            results = list(pool.map(_run_one, specs))
     else:
-        results = [_run_one((s, cfg)) for s in specs]
+        results = [_run_one(s) for s in specs]
     return sorted(results, key=lambda r: r.check_id)

@@ -161,13 +161,6 @@ class WreathSub2:
         out = [(g, 0, 0) for g in gens] + [(0, g, 0) for g in gens]
         return out + [(0, 0, 1)] if self.kind == "wreath" else out
 
-    def member_triples(self):
-        for a in self.K:
-            for b in self.K:
-                yield (a, b, 0)
-                if self.kind == "wreath":
-                    yield (a, b, 1)
-
 
 def product_sub(K: Subgroup) -> WreathSub2:
     return WreathSub2(K.parent, "product", K)
@@ -771,6 +764,10 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
 def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
     """Recompute the certified value from the stored witness data."""
     w = cert.witness
+    # an exact scan and the P1 x P1 divisor exist at m = 2 only, and no
+    # certificate is defined below m = 2
+    if cert.m < 2 or cert.m != 2 and cert.kind in ("exact-stabilizer", "lemma-4.3-divisor"):
+        raise AssertionError(f"no {cert.kind} certificate has m = {cert.m}")
     # numpy wraps a negative index around, so every stored element index is
     # checked against T before any construction runs
     for key in ("gamma", "shift", "eta", "t_tuple"):

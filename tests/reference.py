@@ -404,6 +404,15 @@ def greedy_generating_set(S: Subgroup) -> list[int]:
 
 # -- exact stabilizers ---------------------------------------------------------------
 
+def member_triples(D: wreath.WreathSub2):
+    """Every member (a, b, k) of D, a and b over K in order, k = 0 before 1."""
+    for a in D.K:
+        for b in D.K:
+            yield (a, b, 0)
+            if D.kind == "wreath":
+                yield (a, b, 1)
+
+
 def stabilizer_members(res: wreath.StabilizerResult) -> list[tuple[int, int, int]]:
     """Every member of H_f in a stabilizer scan's result, in (y, k, x) order."""
     return [(x, y, k) for x0, y, k in res.found

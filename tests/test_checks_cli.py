@@ -469,6 +469,28 @@ def test_report_replay_rejects_forged_p1_product(tmp_path, capsys):
     assert "FAIL  replay.table2.row1.q11.m2  expected=576  actual=288" in text
 
 
+def test_report_replay_rejects_edited_arity(tmp_path, capsys):
+    """An exact-stabilizer certificate exists at m = 2 only (its true m = 3
+    value is 21^3 = 9261, not 441), and no certificate has m < 2: both
+    edited records fail replay."""
+    out = tmp_path / "r.json"
+    run_cli(["table1", "--q", "7", "--m", "2", "3", "--out", str(out)])
+    data = json.loads(out.read_text())
+    recs = {r["check_id"]: r for r in data["results"]}
+    exact, power = recs["table1.row2.q7.m2"]["witness"], recs["table1.row2.q7.m3"]["witness"]
+    assert (exact["kind"], exact["value"], power["kind"]) == (
+        "exact-stabilizer", "441", "lemma-2.10-class")
+    exact["m"] = 3
+    power["m"], power["value"] = 0, "1"
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = run_cli(["report", "--in", str(out), "--replay"])
+    text = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  replay.table1.row2.q7.m2  expected=441  actual=error: " in text
+    assert "FAIL  replay.table1.row2.q7.m3  expected=1  actual=error: " in text
+
+
 def test_p1_product_scanned_once_per_process(monkeypatch, scan_log):
     """table4 at q = 11 scans each coset function once, P1 x P1 included."""
     monkeypatch.setattr(checks, "_CTX", {})
@@ -785,7 +807,7 @@ def test_action_axiom_fails_on_broken_action(monkeypatch, fault):
         real = wreath.act_alpha_batch
         monkeypatch.setattr(wreath, "act_alpha_batch",
                             lambda T, v, h: real(T, v, (h[0], h[1], np.zeros_like(h[2]))))
-    res = checks.lm_action_axiom({"q": 7, "samples": 300}, RunConfig())
+    res = checks.lm_action_axiom({"q": 7, "samples": 300})
     assert (res.status, res.actual) == ("fail", "False")
 
 
@@ -795,7 +817,7 @@ def test_roundtrip_fails_on_broken_action(monkeypatch, fault):
         monkeypatch.setattr(wreath, "_act", _act_without_conjugation)
     else:
         monkeypatch.setattr(wreath, "w2_product", _unswapped_product(wreath.w2_product))
-    res = checks.lm_roundtrip({"q": 4}, RunConfig())
+    res = checks.lm_roundtrip({"q": 4})
     assert (res.status, res.actual) == ("fail", "False")
 
 
@@ -804,7 +826,7 @@ def test_roundtrip_fails_on_untwisted_evaluation(monkeypatch):
     twisted-equivariant."""
     monkeypatch.setattr(wreath.AlphaFn, "evaluate",
                         lambda self, u: self.values[self.T.product(u[0], self.T.inv[u[1]])])
-    res = checks.lm_roundtrip({"q": 4}, RunConfig())
+    res = checks.lm_roundtrip({"q": 4})
     assert (res.status, res.actual) == ("fail", "False")
 
 
@@ -815,7 +837,7 @@ def test_invariance_fails_when_conjugation_rule_dropped(monkeypatch):
     monkeypatch.setattr(wreath, "check_XY_conditions",
                         lambda alpha, X, Y, full_scan=False: real(
                             alpha, X, engine.Subgroup(X.parent, [0]), full_scan))
-    res = checks.lm_invariance({"q": 4}, RunConfig())
+    res = checks.lm_invariance({"q": 4})
     assert (res.status, res.actual) == ("fail", "False")
 
 
@@ -831,7 +853,7 @@ def test_action_axiom_draws_bulk_per_chunk(monkeypatch):
         return real(T, values, h)
 
     monkeypatch.setattr(wreath, "act_alpha_batch", recording)
-    res = checks.lm_action_axiom({"q": 7, "samples": 300}, RunConfig())
+    res = checks.lm_action_axiom({"q": 7, "samples": 300})
     assert res.status == "pass"
     assert len(calls) == 3 * 2  # three batch actions per chunk, chunks of 256 and 44
     T = checks.ctx_group(7)

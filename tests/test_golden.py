@@ -86,6 +86,22 @@ def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS) == sorted(BUDGETS)
 
 
+def _specs(argv):
+    """The specs a table or lemma command runs, built as cli.main builds
+    them, without running any."""
+    args = cli.build_parser().parse_args(argv)
+    cfg = cli.config_from_args(args)
+    if args.command == "lemma":
+        return checks.lemma_specs(cfg, args.lemma_id)
+    return getattr(checks, f"{args.command}_specs")(cfg)
+
+
+def test_every_check_is_pinned_by_a_golden():
+    """Every registered check function runs in some golden command."""
+    names = {fn for argv in COMMANDS.values() if argv[0] != "report" for _, fn, _ in _specs(argv)}
+    assert names == set(checks._CHECKS)
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_report(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("TWDEG_WORKERS", raising=False)
