@@ -376,7 +376,7 @@ def table2_specs(cfg: RunConfig) -> list[tuple]:
     for q in cfg.q_list:
         scanned, half = exact_scan_ok(q, cfg.long_running), q * (q - 1) // 2
         for m in cfg.m_list:
-            # (row, applies, t2_pair params beyond q, m and exact = (m == 2))
+            # (row, applies, t2_pair params beyond q and m); exact is m == 2 unless set
             rows = [
                 # the divisor bound is attained for q = 3 mod 4, backed by the
                 # obstruction ingredients when the stabilizers are not scanned
