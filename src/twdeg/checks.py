@@ -10,9 +10,10 @@ cache), so a worker pool can run the specs in separate processes.  The
 `check` decorator owns the check id, the timing and the failure record.
 Every check a selection names runs; `--long` acts only through the spec
 builders, which widen the selection (table4's q = 29 and 59, lemma 3.1's
-q = 19) and make the m = 2 scans at q = 13 exact.  The pairs of Tables 2
-and 4 are data rows over one pair check.  Per-process context (group
-tables, atlas entries, the P1 x P1 coset functions) is cached lazily.
+q = 19) and make the m = 2 scans at q = 13 exact.  Every pair of Tables 2
+and 4 is a data row over one pair check; Table 4's rows are TABLE4_PAIRS,
+data alone.  Per-process context (group tables, atlas entries, the
+P1 x P1 coset functions) is cached lazily.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .wreath import SubdegreeCertificate
 
 DEFAULT_Q = [4, 7, 8, 9, 11, 13]
 DEFAULT_M = [2, 3]
-TABLE4_DEFAULT_Q = [7, 11, 19, 23]
 TABLE4_LONG_Q = [29, 59]
 
 # exact m=2 stabilizer scans in tables 1 and 2 and lemmas 7.4 and 7.8: up to
@@ -249,8 +249,9 @@ def class_subdegree(q: int, m: int, gamma_order: int, exact: bool) -> SubdegreeC
 
 def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> SubdegreeCertificate:
     """Certificate from the Lemma 2.6 witness for K wr S_m; for m = 2 the
-    exact stabilizer is computed and asserted to be K wr S_2 when requested.
-    `shifts` restricts the single-shift candidates of the witness search."""
+    exact stabilizer is computed when requested, and asserted to be K wr S_2
+    when K is maximal (else recorded as `stabilizer_is_wreath`).  `shifts`
+    restricts the single-shift candidates of the witness search."""
     T = ctx_group(q)
     entry = ctx_atlas(q, label)
     K = entry.subgroup
@@ -259,7 +260,9 @@ def witness_subdegree(q: int, m: int, label: str, exact: bool, shifts=None) -> S
         raise atlas.NoWitnessError(f"no central witness for {label} wr S_{m} at q={q}")
     if m == 2 and exact:
         cert, _, is_wreath = wreath.exact_coset_certificate(wreath.wreath_sub(K), cert.witness)
-        if not is_wreath:
+        if not entry.maximal:
+            cert.witness["stabilizer_is_wreath"] = is_wreath
+        elif not is_wreath:
             raise AssertionError(f"stabilizer is not {label} wr S_2")
     return cert
 
@@ -291,15 +294,6 @@ def p1_product_subdegree(q: int, exact: bool) -> SubdegreeCertificate:
     return SubdegreeCertificate(
         q, 2, "lemma-4.3-divisor", wreath.p1_product_divisor(ctx_p1(q), s),
         {"construction": "p1-product", "shift": [s]},
-    )
-
-
-def _pair_result(r_expected, d_expected, r_cert, d_cert) -> tuple:
-    g = gcd(r_cert.value, d_cert.value)
-    return (
-        f"({r_expected},{d_expected},gcd=1)",
-        f"({r_cert.value},{d_cert.value},gcd={g})",
-        {"r": r_cert.to_record(), "d": d_cert.to_record()},
     )
 
 
@@ -364,7 +358,9 @@ def _pair(p):
     )
     if p.get("obstruction") and not ctx_obstruction(q).all_pass:
         return "pair", "error: obstruction ingredients failed", None
-    return _pair_result(*p["expected"], r_cert, d_cert)
+    (r_expected, d_expected), r, d = p["expected"], r_cert.value, d_cert.value
+    return (f"({r_expected},{d_expected},gcd=1)", f"({r},{d},gcd={gcd(r, d)})",
+            {"r": r_cert.to_record(), "d": d_cert.to_record()})
 
 
 t2_pair = check("table2.{row}.q{q}.m{m}", "pair", "t2_pair")(_pair)
@@ -398,79 +394,44 @@ def table2_specs(cfg: RunConfig) -> list[tuple]:
     return specs
 
 
-# q -> (tag, check function, params) beyond the generic q = 3 mod 4 pair; the
-# sides of a t4_pair are element orders, atlas labels or P1xP1.  The side of
-# an element order gamma is the centralizer function, whose stabilizer
-# build_centralizer_fn proves to be C_T(gamma) wr S_2.
+# q -> (tag, t4_pair params beyond q, m and exact) of the pairs beyond the
+# generic q = 3 mod 4 pair; the sides are element orders, atlas labels or
+# P1xP1.  The side of an element order gamma is the centralizer function,
+# whose stabilizer build_centralizer_fn proves to be C_T(gamma) wr S_2.  A4
+# is not maximal in PSL(2,11): q = 11's pair3 records whether its stabilizer
+# is A4 wr S_2.
 TABLE4_PAIRS = {
-    7: [("pair2", "t4_pair", {"r": 7, "d": "S4", "expected": (24**2, 7**2)})],
-    11: [("pair2", "t4_pair", {"r": 11, "d": "A5", "expected": (60**2, 11**2)}),
-         ("pair3", "t4_q11_a4", {})],
-    19: [("pair2", "t4_pair", {"r": "P1xP1", "d": "A5", "expected": (2 * 20**2, 57**2)})],
-    23: [("pair2", "t4_pair", {"r": "P1xP1", "d": "S4", "expected": (2 * 24**2, 253**2)})],
-    29: [("pair1", "t4_long_pair", {"index": 203})],
-    59: [("pair2", "t4_long_pair", {"index": 1711})],
+    7: [("pair2", {"r": 7, "d": "S4", "expected": (24**2, 7**2)})],
+    11: [("pair2", {"r": 11, "d": "A5", "expected": (60**2, 11**2)}),
+         ("pair3", {"r": "P1xP1", "d": "A4", "expected": (2 * 12**2, 55**2)})],
+    19: [("pair2", {"r": "P1xP1", "d": "A5", "expected": (2 * 20**2, 57**2)})],
+    23: [("pair2", {"r": "P1xP1", "d": "S4", "expected": (2 * 24**2, 253**2)})],
+    29: [("pair1", {"r": "P1xP1", "d": "A5", "expected": (2 * 30**2, 203**2), "c2": "d"})],
+    59: [("pair2", {"r": "P1xP1", "d": "A5", "expected": (2 * 60**2, 1711**2), "c2": "d",
+                    "obstruction": True})],
 }
 
 
 def table4_q_list(cfg: RunConfig) -> list[int]:
+    """By default the keys of TABLE4_PAIRS, those in TABLE4_LONG_Q under --long only."""
     if cfg.q_explicit:
-        qs = [q for q in cfg.q_list if q % 4 == 3 or q in TABLE4_PAIRS]
-    else:
-        qs = list(TABLE4_DEFAULT_Q)
-        if cfg.long_running:
-            qs += TABLE4_LONG_Q
-    return qs
+        return [q for q in cfg.q_list if q % 4 == 3 or q in TABLE4_PAIRS]
+    return [q for q in TABLE4_PAIRS if cfg.long_running or q not in TABLE4_LONG_Q]
 
 
 def table4_specs(cfg: RunConfig) -> list[tuple]:
     """The m = 2 pairs of Table 4; none unless m = 2 is selected.  They are
-    scanned exactly at the q of Table 4's rows.  The generic q = 3 mod 4 pair
-    has stabilizers P1 x P1 and D_{q+1} wr S_2, and the obstruction
-    ingredients back its exactness claim structurally."""
+    scanned exactly at the q of Table 4's rows, the keys of TABLE4_PAIRS.
+    The generic q = 3 mod 4 pair has stabilizers P1 x P1 and D_{q+1} wr S_2,
+    and the obstruction ingredients back its exactness claim structurally."""
     specs = []
     for q in table4_q_list(cfg) if 2 in cfg.m_list else []:
         generic = {"r": "P1xP1", "d": 2, "expected": (2 * (q + 1) ** 2, (q * (q - 1) // 2) ** 2),
                    "obstruction": True}
-        pairs = [("pair1", "t4_pair", generic)] if q % 4 == 3 else []
-        for tag, fn, params in pairs + TABLE4_PAIRS.get(q, []):
-            specs.append(_spec(fn, q=q, m=2, tag=tag, exact=q <= 23 or q in TABLE4_LONG_Q,
-                               **params))
+        pairs = [("pair1", generic)] if q % 4 == 3 else []
+        specs += [_spec("t4_pair", q=q, m=2, tag=tag, exact=q in TABLE4_PAIRS, **params)
+                  for tag, params in pairs + TABLE4_PAIRS.get(q, [])]
     return specs
-
-
-@check("table4.q{q}.{tag}", error="pair")
-def t4_q11_a4(p):
-    """The (P1 x P1, A4 wr S_2) pair; A4 wr S_2 is not maximal in H, so the
-    stabilizer is computed exactly and its observed shape reported."""
-    q = p["q"]
-    T = ctx_group(q)
-    f_cert = p1_product_subdegree(q, True)
-    A4 = ctx_atlas(q, "A4").subgroup
-    cert = wreath.find_witness_t(T, A4, 2, label="A4", maximal=False)
-    if cert is None:
-        return "witness", "error: no central element over A4 wr S_2", None
-    g_cert, _, is_wreath = wreath.exact_coset_certificate(wreath.wreath_sub(A4), cert.witness)
-    g_cert.witness["stabilizer_is_wreath"] = is_wreath
-    return _pair_result(2 * 12**2, 55**2, f_cert, g_cert)
-
-
-@check("table4.q{q}.{tag}", error="pair")
-def t4_long_pair(p):
-    """The rows at q = 29 and 59, which --long adds to the default q: the exact
-    subdegree over P1 x P1, 2(q+1)^2, divides 2*60^2 (and equals it at
-    q = 59), and is coprime to the exact A5 wr S_2 side, |T : A5|^2."""
-    q, index = p["q"], p["index"]
-    bound = 2 * 60**2
-    f_cert = p1_product_subdegree(q, True)
-    if q % 4 == 3 and not ctx_obstruction(q).all_pass:
-        return "obstructions", "error: ingredients failed", None
-    d_cert = witness_subdegree(q, 2, "A5", True, shifts=_c2_candidates(q, "A5"))
-    ok = f_cert.value == 2 * (q + 1) ** 2 and bound % f_cert.value == 0
-    ok = ok and d_cert.value == index**2 and gcd(bound, d_cert.value) == 1
-    expected = f"({2 * (q + 1) ** 2},{index**2},gcd=1)"
-    actual = expected if ok else f"({f_cert.value},{d_cert.value})"
-    return expected, actual, {"f": f_cert.to_record(), "g": d_cert.to_record()}
 
 
 # -- lemma checks -----------------------------------------------------------------

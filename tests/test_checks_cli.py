@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import reference
 from conftest import group_for
 from twdeg import checks, cli, engine, wreath
 from twdeg.checks import RunConfig
+from twdeg.psl import psl_order
 
 
 def run_cli(args):
@@ -390,6 +392,22 @@ def test_table4_default_q():
     assert checks.table4_q_list(cfg_long) == [7, 11, 19, 23, 29, 59]
     cfg_explicit = RunConfig(q_list=[7, 8, 11], q_explicit=True)
     assert checks.table4_q_list(cfg_explicit) == [7, 11]
+    # the scans are exact at the keys of TABLE4_PAIRS, q = 29 and 59 included
+    args = cli.build_parser().parse_args(["table4", "--q", "7", "23", "27", "31", "59"])
+    exact = {params["q"]: params["exact"] for _, _, params in
+             checks.table4_specs(cli.config_from_args(args))}
+    assert exact == {7: True, 23: True, 27: False, 31: False, 59: True}
+
+
+@pytest.mark.parametrize("q", [29, 59])
+def test_table4_long_rows_are_coprime_to_the_a5_bound(q):
+    """The q = 29 and 59 rows of Table 4 expect (2(q+1)^2, |T : A5|^2):
+    2(q+1)^2 divides 2 * 60^2, which is coprime to |T : A5|^2."""
+    ((_, row),) = checks.TABLE4_PAIRS[q]
+    f, g = row["expected"]
+    assert (row["r"], row["d"]) == ("P1xP1", "A5")
+    assert (f, g) == (2 * (q + 1) ** 2, (psl_order(q) // 60) ** 2)
+    assert (2 * 60**2) % f == 0 and gcd(2 * 60**2, g) == 1
 
 
 # what --long adds to a default run: table4's q = 29 and 59, lemma 3.1's
@@ -526,6 +544,17 @@ def test_exact_wreath_certificate_checks_containment_once(monkeypatch, containme
     assert containment_log == ["wreath"]
 
 
+def test_witness_subdegree_records_wreath_shape_over_non_maximal_k():
+    """An exact certificate over a maximal K (S4 at q = 7) is asserted to be
+    K wr S_2 and records nothing more; over a non-maximal K (A4 at q = 11)
+    it records whether the stabilizer is K wr S_2."""
+    a4 = checks.witness_subdegree(11, 2, "A4", True).to_record()
+    assert (a4["kind"], a4["value"]) == ("exact-stabilizer", str(55**2))
+    assert a4["witness"]["stabilizer_is_wreath"] is True
+    s4 = checks.witness_subdegree(7, 2, "S4", True).to_record()
+    assert s4["kind"] == "exact-stabilizer" and "stabilizer_is_wreath" not in s4["witness"]
+
+
 def test_table4_scans_verify_generators(monkeypatch, act_log, capsys):
     """Default table4 acts with at most 200 elements in all, containment
     checks included: its scans verify generators, not one element per
@@ -593,6 +622,19 @@ def test_report_replay_rejects_lemma_2_6_over_non_maximal(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["report", "--in", str(out), "--replay"]) == 1
     assert "FAIL  replay.table4.q11.pair3" in capsys.readouterr().out
+
+
+def test_report_replay_reads_f_g_records(tmp_path, capsys):
+    """Reports of earlier versions keyed the q = 29 pair's certificates f
+    and g: replay re-derives both, and fails a doctored value."""
+    (rec,) = json.loads((Path(__file__).parent / "golden" / "table4-q29.json").read_text())[
+        "results"]
+    rec["witness"] = {"f": rec["witness"]["r"], "g": rec["witness"]["d"]}
+    rc, out = _replay_results(tmp_path, capsys, rec)
+    assert rc == 0 and "PASS  replay.table4.q29.pair1" in out
+    rec["witness"]["g"]["value"] = str(205**2)
+    rc, out = _replay_results(tmp_path, capsys, rec)
+    assert rc == 1 and "FAIL  replay.table4.q29.pair1  expected=42025" in out
 
 
 def _replay_results(tmp_path, capsys, *results):

@@ -6,6 +6,7 @@ import pytest
 
 import reference
 from conftest import compose_index, group_for
+from test_golden import BUDGETS
 from twdeg import atlas, checks, engine as eng
 from twdeg.engine import IsoFingerprint
 from twdeg.psl import point_stabilizer
@@ -539,13 +540,14 @@ def test_lemma_6_1_closures_from_scratch(monkeypatch):
 
 def test_default_table4_product_count(monkeypatch):
     """The exact scans of the default table4 work in whole-array steps: from
-    empty contexts its checks make 2,383 GroupTable.product calls.  One
-    small product per coset representative, per anchor point, per orbit
-    generator and level, and a class loop in every scan made 5,703.  The
-    products hold about 1.67 million entries in all: coset sweeps of no more
-    elements than cosets left, joins stopped at join_cap and L-filters over
-    double cosets; full batches of CHUNK_ENTRIES, joins capped at |G|/2 and
-    masks over all of T held 2,675,750."""
+    empty contexts its checks make 2,084 GroupTable.product calls, within
+    the golden budget of table4.  One small product per coset
+    representative, per anchor point, per orbit generator and level, and a
+    class loop in every scan made 5,703.  The products hold 1,499,872
+    entries in all: coset sweeps of no more elements than cosets left, joins
+    stopped at join_cap and L-filters over double cosets; full batches of
+    CHUNK_ENTRIES, joins capped at |G|/2 and masks over all of T held
+    2,675,750."""
     from twdeg import checks
 
     calls = []
@@ -563,8 +565,9 @@ def test_default_table4_product_count(monkeypatch):
     cfg = checks.RunConfig()
     results = checks.execute_specs(checks.table4_specs(cfg), cfg)
     assert [r.status for r in results] == ["pass"] * 9
-    assert len(calls) <= 3000
-    assert sum(entries) <= 2_000_000
+    max_calls, max_entries = BUDGETS["table4"]
+    assert len(calls) <= max_calls
+    assert sum(entries) <= max_entries
 
 
 # -- Lagrange-bounded joins ---------------------------------------------------------
