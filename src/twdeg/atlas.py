@@ -287,6 +287,9 @@ def cached_witness(records: list[dict], q: int, kind: str, label: str) -> dict |
 def replay_witness(T: GroupTable, K: Subgroup, record: dict) -> IntersectionWitness:
     """Re-run the stored intersection and check it reproduces the fingerprint."""
     els = [int(e) for e in record["element_indices"]]
+    # numpy wraps a negative index around: check every index against T first
+    if not all(0 <= g < T.order for g in els):
+        raise AssertionError("element_indices must hold elements of T")
     I = K
     for g in els:
         I = intersect(I, K.conjugate(g))

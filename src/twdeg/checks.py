@@ -28,7 +28,7 @@ import numpy as np
 from . import atlas, engine, wreath
 from .engine import IsoFingerprint
 from .field import Field
-from .psl import check_table_size, point_stabilizer, psl_group, psl_order
+from .psl import check_table_size, psl_group, psl_order
 from .wreath import SubdegreeCertificate
 
 DEFAULT_Q = [4, 7, 8, 9, 11, 13]
@@ -184,52 +184,39 @@ def _spec(fn: str, **params) -> tuple:
 _CTX: dict = {}
 
 
-def ctx_group(q: int) -> engine.GroupTable:
-    key = ("T", q)
+def _memo(key: tuple, build):
+    """_CTX[key], built by build() on first use in this process."""
     if key not in _CTX:
-        p, f = factor_prime_power(q)
-        if p**f != q:
-            raise ValueError(f"q = {q} is not a prime power")
-        _CTX[key] = psl_group(Field(p, f))
+        _CTX[key] = build()
     return _CTX[key]
+
+
+def ctx_group(q: int) -> engine.GroupTable:
+    p, f = factor_prime_power(q)
+    if p**f != q:
+        raise ValueError(f"q = {q} is not a prime power")
+    return _memo(("T", q), lambda: psl_group(Field(p, f)))
 
 
 def ctx_p1(q: int) -> engine.Subgroup:
-    key = ("P1", q)
-    if key not in _CTX:
-        _CTX[key] = point_stabilizer(ctx_group(q), q)
-    return _CTX[key]
+    return ctx_atlas(q, "P1").subgroup
 
 
 def ctx_atlas(q: int, label: str) -> atlas.AtlasEntry:
-    key = ("atlas", q, label)
-    if key not in _CTX:
-        T = ctx_group(q)
-        if label == "P1":
-            entry = atlas.AtlasEntry("P1", ctx_p1(q), True)
-        else:
-            entry = atlas.find_named_subgroup(T, label)
-        _CTX[key] = entry
-    return _CTX[key]
+    return _memo(("atlas", q, label), lambda: atlas.find_named_subgroup(ctx_group(q), label))
 
 
 def ctx_obstruction(q: int) -> "wreath.ObstructionReport":
-    key = ("obstruction", q)
-    if key not in _CTX:
-        _CTX[key] = wreath.obstruction_checks(ctx_group(q), ctx_p1(q))
-    return _CTX[key]
+    return _memo(("obstruction", q), lambda: wreath.obstruction_checks(ctx_group(q), ctx_p1(q)))
 
 
 def ctx_p1_product(q: int) -> tuple:
     """(alpha, certificate) of the coset function over P1 x P1, built and
     scanned exactly once per process."""
-    key = ("P1xP1", q)
-    if key not in _CTX:
-        cert, alpha, _ = wreath.exact_coset_certificate(
-            wreath.product_sub(ctx_p1(q)), {"construction": "p1-product", "shift": [_p1_shift(q)]}
-        )
-        _CTX[key] = (alpha, cert)
-    return _CTX[key]
+    witness = {"construction": "p1-product", "shift": [_p1_shift(q)]}
+    D = wreath.product_sub(ctx_p1(q))
+    cert, alpha, _ = _memo(("P1xP1", q), lambda: wreath.exact_coset_certificate(D, witness))
+    return alpha, cert
 
 
 def exact_scan_ok(q: int, long_running: bool) -> bool:

@@ -322,32 +322,15 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
             xs, ys, ks = xs[keep], ys[keep], ks[keep]
         return xs, ys, ks
 
-    def verify_outside(points, covered, candidates, passed):
-        """Verify the candidates in order, each only when its point is not
-        covered; passed(h) adds each h that fixes f and updates `covered`
-        in place."""
-        i = 0
-        while True:
-            rest = np.flatnonzero(~covered[points[i:]])
-            if not len(rest):
-                return
-            i += int(rest[0])
-            h = tuple(int(z[i]) for z in candidates)
-            if act_alpha(alpha, h) == alpha:
-                passed(h)
-            i += 1
-
     fiber = np.flatnonzero(a == v0)
     zeros = np.zeros(len(fiber), dtype=np.int64)
     xs = survivors(T.product(fiber, inv[s0]), zeros, zeros)[0]
     gens: list[tuple[int, int, int]] = []  # every element verified to fix f
     in_lam = everyone == T.identity
-
-    def lam_passed(h):
-        gens.append(h)
-        engine._extend(T, in_lam, [x for x, _, _ in gens])
-
-    verify_outside(xs, in_lam, (xs, zeros, zeros), lam_passed)
+    for x in xs.tolist():  # verify each candidate outside the closure so far
+        if not in_lam[x] and act_alpha(alpha, (x, 0, 0)) == alpha:
+            gens.append((x, 0, 0))
+            engine._extend(T, in_lam, [g for g, _, _ in gens])
     lam = np.flatnonzero(in_lam)
     # one representative per coset Lambda p inside the fiber of class c, a
     # union of such cosets: alpha(lambda t) = alpha(t) for lambda in Lambda
@@ -367,15 +350,11 @@ def stabilizer_subdegree(alpha: AlphaFn) -> StabilizerResult:
     x0 = np.full(2 * n, -1, dtype=np.int64)
     x0[2 * T.identity] = T.identity
     _grow_coset_orbit(T, x0, gens, np.array([2 * T.identity]), gens)
-    on_orbit = x0 >= 0
-
-    def coset_passed(h):
-        gens.append(h)
-        _grow_coset_orbit(T, x0, gens, np.flatnonzero(on_orbit), [h])
-        on_orbit[:] = x0 >= 0
-
-    verify_outside(2 * cand[1] + cand[2], on_orbit, cand, coset_passed)
-    orbit = np.flatnonzero(on_orbit)
+    for h in zip(*(z.tolist() for z in cand)):  # verify each survivor off the orbit so far
+        if x0[2 * h[1] + h[2]] < 0 and act_alpha(alpha, h) == alpha:
+            gens.append(h)
+            _grow_coset_orbit(T, x0, gens, np.flatnonzero(x0 >= 0), [h])
+    orbit = np.flatnonzero(x0 >= 0)
     found = list(zip(x0[orbit].tolist(), (orbit // 2).tolist(), (orbit % 2).tolist()))
     count = len(found) * len(lam)
     order_h = 2 * n * n

@@ -325,6 +325,41 @@ def test_cache_reused(tmp_path, capsys):
     assert rc2 == 0
 
 
+def _lemma_3_5_q7_wrapped(tmp_path):
+    """(cache path, report path) of lemma 3.5 at q = 7, the cached witness's
+    element index 1 replaced by 1 - |T| = -167, the index numpy wraps to 1."""
+    cache, out = tmp_path / "wit.json", tmp_path / "r.json"
+    assert run_cli(["lemma", "3.5", "--q", "7", "--cache", str(cache), "--out", str(out)]) == 0
+    records = json.loads(cache.read_text())
+    assert records[0]["element_indices"] == [1]
+    records[0]["element_indices"] = [-167]
+    cache.write_text(json.dumps(records))
+    return cache, out
+
+
+def test_cached_witness_rejects_negative_index(tmp_path, capsys):
+    """A cached witness replays only when every element index lies in T."""
+    cache, out = _lemma_3_5_q7_wrapped(tmp_path)
+    capsys.readouterr()
+    assert run_cli(["lemma", "3.5", "--q", "7", "--cache", str(cache), "--out", str(out)]) == 1
+    assert "FAIL  lemma3.5a.q7" in capsys.readouterr().out
+    (rec,) = json.loads(out.read_text())["results"]
+    assert rec["status"] == "fail" and "element_indices must hold elements of T" in rec["actual"]
+
+
+def test_report_replay_rejects_negative_witness_index(tmp_path, capsys):
+    """`report --replay` of a stored intersection witness checks every
+    element index against T, as replay_certificate does."""
+    _, out = _lemma_3_5_q7_wrapped(tmp_path)
+    data = json.loads(out.read_text())
+    data["results"][0]["witness"]["element_indices"] = [-167]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["report", "--in", str(out), "--replay"]) == 1
+    assert ("FAIL  replay.lemma3.5a.q7  expected=reproduced  "
+            "actual=error: element_indices must hold elements of T") in capsys.readouterr().out
+
+
 def _child_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -518,6 +553,9 @@ def test_p1_product_scanned_once_per_process(monkeypatch, scan_log):
     results = checks.execute_specs(specs, cfg)
     assert all(r.status == "pass" for r in results)
     assert scan_log and len(set(scan_log)) == len(scan_log)
+    # P1 is the atlas entry's subgroup, memoized once under the atlas key
+    assert checks.ctx_p1(11) is checks.ctx_atlas(11, "P1").subgroup
+    assert ("P1", 11) not in checks._CTX and ("atlas", 11, "P1") in checks._CTX
 
 
 def test_lemma_7_8_scans_each_alpha_once(monkeypatch, scan_log):
@@ -556,13 +594,24 @@ def test_witness_subdegree_records_wreath_shape_over_non_maximal_k():
 
 
 def test_table4_scans_verify_generators(monkeypatch, act_log, capsys):
-    """Default table4 acts with at most 200 elements in all, containment
-    checks included: its scans verify generators, not one element per
-    member coset (1,834 act_alpha calls in the scans alone before)."""
+    """Default table4 acts with exactly 155 elements in all, containment
+    checks included: its scans verify generators, each candidate only when
+    the closure or orbit of those verified before it does not hold it (1,834
+    act_alpha calls in the scans alone when every member coset was
+    verified).  The count is pinned, not bounded: verifying covered
+    candidates too would still fit the golden product budget."""
     monkeypatch.setattr(checks, "_CTX", {})
     assert cli.main(["table4"]) == 0
     capsys.readouterr()
-    assert 0 < len(act_log) <= 200
+    assert len(act_log) == 155
+
+
+def test_table4_long_scans_verify_generators(monkeypatch, act_log, capsys):
+    """table4 --long at q = 29 and 59 acts with exactly 59 elements in all."""
+    monkeypatch.setattr(checks, "_CTX", {})
+    assert cli.main(["table4", "--long", "--q", "29", "59"]) == 0
+    capsys.readouterr()
+    assert len(act_log) == 59
 
 
 def test_exact_q29_scans_verify_generators(monkeypatch, act_log):
