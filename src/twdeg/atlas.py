@@ -15,6 +15,7 @@ import fcntl
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from math import gcd, isqrt
 from pathlib import Path
@@ -182,13 +183,13 @@ def search_triple_intersection(
     """
     q = q_of(T)
     reps = coset_representatives(T, K)
+    conjugate = cache(K.conjugate)  # each K^s once, not once per pair
     scanned = 0
     for r in reps:
-        Kr = K.conjugate(r)
-        I2 = intersect(K, Kr)
+        I2 = intersect(K, conjugate(r))
         for s in reps:
             scanned += 1
-            I = intersect(I2, K.conjugate(s))
+            I = intersect(I2, conjugate(s))
             if I.order == target.order and fingerprint(I) == target:
                 shifts = (r, s, T.mul(s, T.inverse(r)))
                 if target.order < K.order and any(g in K.member_set for g in shifts):

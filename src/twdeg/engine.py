@@ -8,16 +8,16 @@ axis per base point maps an element's base images to its BFS index; the BFS
 fills it a level at a time and uses it to tell new elements.  The
 product g h is then read off without a multiplication table: h's row
 carries g's base images to those of g h.  Products broadcast over index
-arrays, so the algorithms below work in batches: a join <S, gens> grows a
-BFS level of right cosets S r at a time from a known subgroup S, or from the
-trivial one, whose cosets are its elements (Dimino's algorithm), and
-conjugations, coset representatives and commutation tests cover many
-elements in one product, at most CHUNK_ENTRIES entries for the coset
-representatives.  A join that only has to tell whether it is G stops at
-Lagrange's bound, join_cap.  Subgroups are sorted index lists into their
-parent table.  All operations are pure functions over this immutable data;
-scans over the element range can be partitioned freely without changing
-results.
+arrays, so the algorithms below work in batches.  One routine grows right
+cosets S r a BFS level at a time (Dimino's algorithm): a join <S, gens>
+from a known subgroup S, or from the trivial one, whose cosets are its
+elements, and each double coset M s M of is_maximal.  Conjugation orbits,
+coset representatives and commutation tests cover many elements in one
+product, at most CHUNK_ENTRIES entries for the coset representatives.  A
+join that only has to tell whether it is G stops at Lagrange's bound,
+join_cap.  Subgroups are sorted index lists into their parent table.  All
+operations are pure functions over this immutable data; scans over the
+element range can be partitioned freely without changing results.
 """
 
 from __future__ import annotations
@@ -298,64 +298,49 @@ class IsoFingerprint:
         return IsoFingerprint.dihedral(6)
 
 
-def _mark_orbit(
-    G: GroupTable, seen: np.ndarray, frontier, gens, cap: int | None = None,
-    conjugate: bool = False,
-):
-    """Mark in the mask `seen` every element reached from `frontier` by
-    right multiplication with `gens` (by conjugation x -> g^-1 x g if
-    `conjugate`), a whole BFS level at a time.
+def _grow_cosets(G: GroupTable, seen: np.ndarray, S: np.ndarray, start, gens,
+                 cap: int | None = None) -> np.ndarray:
+    """Mark in `seen`, a mask that is a union of right cosets of the subgroup
+    with sorted members S, the cosets S r for r in `start` and for every r
+    that right multiplication with `gens` and their inverses reaches from
+    them, a whole BFS level at a time (Dimino's algorithm).
 
-    With a cap, growth stops as soon as more than `cap` elements are marked.
+    Each reached r outside `seen` lies in a new coset S r, marked whole by
+    one product, and the smallest member of each new coset represents it on
+    the next level; the cosets of the trivial group are its elements, and
+    take no product.  With a cap, growth stops as soon as more than `cap`
+    elements are marked, and once a single coset more would pass it, only
+    one more is marked.  A capped stop leaves `seen` partial, so only a
+    caller that tests the cap may pass one.
     """
     gens = np.asarray(gens, dtype=np.int64)
     gens = np.concatenate([gens, G.inv[gens]])  # inverses shorten the BFS
-    left = (G.inv[gens],) if conjugate else ()
-    seen[frontier] = True
     size = np.count_nonzero(seen)
-    while len(frontier) and (cap is None or size <= cap):
-        new = np.zeros(G.order, dtype=bool)
-        new[G.product(*left, frontier[:, None], gens)] = True
-        new &= ~seen
-        seen |= new
-        frontier = new.nonzero()[0]
-        size += len(frontier)
+    reached = np.zeros(G.order, dtype=bool)
+    reached[start] = True
+    while (cand := np.flatnonzero(reached & ~seen)).size:
+        if cap is not None and size + len(S) > cap:
+            cand = cand[:1]  # one more coset passes the cap
+        if len(S) > 1:
+            cosets = G.product(S[:, None], cand)  # column j is the coset S cand[j]
+            seen[cosets] = True
+            cand = unique(cosets.min(axis=0))  # the smallest member represents its coset
+        seen[cand] = True
+        size += len(S) * len(cand)
+        if cap is not None and size > cap:
+            break
+        reached[:] = False
+        reached[G.product(cand[:, None], gens)] = True
     return seen
 
 
 def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np.ndarray:
     """Mark in `seen`, the mask of a subgroup S that some of `gens`
-    generate, the join <S, gens>, as a union of right cosets S r.
-
-    The cosets are grown a BFS level of representatives at a time: each
-    product of the last level with the generators and their inverses that
-    lies outside `seen` is in a new coset S r, which is marked whole, and
-    the smallest member of each new coset represents it on the next level.
-    See _mark_orbit for the cap; once a single coset more would pass it,
-    only one more is marked.  A capped stop leaves `seen` partial, so only
-    a caller that tests the cap may pass one.
-    """
-    S = np.flatnonzero(seen)
+    generate, the join <S, gens>: the right cosets S r grown from the
+    generators and their inverses (see _grow_cosets for the cap)."""
     gens = np.asarray(gens, dtype=np.int64)
-    if len(S) == 1:  # the cosets of the trivial group are its elements
-        return _mark_orbit(G, seen, np.concatenate([S, gens, G.inv[gens]]), gens, cap)
-    gens = np.concatenate([gens, G.inv[gens]])
-    frontier = np.array([G.identity], dtype=np.int64)
-    size = len(S)
-    while len(frontier) and (cap is None or size <= cap):
-        new = np.zeros(G.order, dtype=bool)
-        new[G.product(frontier[:, None], gens)] = True
-        cand = np.flatnonzero(new & ~seen)
-        if cap is not None and size + len(S) > cap:
-            cand = cand[:1]  # one more coset passes the cap
-        cosets = G.product(S[:, None], cand)  # column j is the coset S cand[j]
-        seen[cosets] = True
-        # the smallest member of each new coset is its representative
-        new[:] = False
-        new[cosets.min(axis=0)] = True
-        frontier = np.flatnonzero(new)
-        size += len(S) * len(frontier)
-    return seen
+    return _grow_cosets(G, seen, np.flatnonzero(seen), np.concatenate([gens, G.inv[gens]]),
+                        gens, cap)
 
 
 def generate(
@@ -399,13 +384,14 @@ def member_mask(S: Subgroup) -> np.ndarray:
     return mask
 
 
-def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
-    """Orbits of <gens> acting by conjugation on `points`, a set of element
-    indices closed under that action.
+def conjugation_orbits(G: GroupTable, points, N: Subgroup) -> list[np.ndarray]:
+    """Orbits of the subgroup N acting by conjugation on `points`, a set of
+    element indices closed under that action.
 
-    Each orbit is a sorted index array grown by a batched BFS from the
-    smallest point not yet covered, so its first entry is its smallest
-    index; the orbits come in the order of those representatives.
+    Each orbit is the sorted array of the conjugates n^-1 p n over every n
+    in N of the smallest point p not yet covered, formed in one product, so
+    its first entry is its smallest index; the orbits come in the order of
+    those representatives.
     """
     points = unique(np.asarray(points, dtype=np.int64))
     inside = np.zeros(G.order, dtype=bool)
@@ -415,10 +401,9 @@ def conjugation_orbits(G: GroupTable, points, gens) -> list[np.ndarray]:
     for p in points.tolist():
         if covered[p]:
             continue
-        seen = _mark_orbit(G, np.zeros(G.order, dtype=bool), np.array([p]), gens, conjugate=True)
-        orbit = np.flatnonzero(seen)
+        orbit = unique(G.product(G.inv[N.members], p, N.members))
         if not inside[orbit].all():
-            raise ValueError("points are not closed under conjugation by gens")
+            raise ValueError("points are not closed under conjugation by N")
         covered[orbit] = True
         orbits.append(orbit)
     return orbits
@@ -461,9 +446,9 @@ def is_maximal(G: GroupTable, M: Subgroup) -> bool:
     """True iff <M, g> = G for every g outside M.
 
     Only one representative per double coset MgM is tested: <M, g> depends
-    on g only through MgM, which is marked off whole by closing Mg under
-    right multiplication with the generators of M.  Each join stops once it
-    passes join_cap, which only G does.
+    on g only through MgM, which is marked off whole as the right cosets of
+    M that right multiplication with the generators of M reaches from Mg.
+    Each join stops once it passes join_cap, which only G does.
     """
     if M.parent is not G:
         raise ParentMismatchError("subgroup not over this table")
@@ -478,7 +463,7 @@ def is_maximal(G: GroupTable, M: Subgroup) -> bool:
     for s in range(G.order):
         if visited[s]:
             continue
-        _mark_orbit(G, visited, G.product(M.members, s), gens)  # the double coset M s M
+        _grow_cosets(G, visited, M.members, [s], gens)  # the double coset M s M
         size = np.count_nonzero(_extend(G, member_mask(M), gens + [s], cap))
         if size <= cap:
             M._maximal_cache = False
@@ -574,6 +559,6 @@ def dihedral_class_census(T: GroupTable, d: int) -> int:
         taken[labels[C.members[T.orders[C.members] == d]]] = True
         J = invs[T.product(invs, c, invs) == T.inverse(c)]  # j c j = c^-1
         name[J] = T.product(C.members[:, None], J).min(axis=0)  # column j is the coset Cj
-        orbits = conjugation_orbits(T, J, normalizer(T, C).generating_set())
+        orbits = conjugation_orbits(T, J, normalizer(T, C))
         classes += len({int(name[orbit].min()) for orbit in orbits})
     return classes

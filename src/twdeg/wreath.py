@@ -494,9 +494,8 @@ def build_centralizer_fn(T: GroupTable, gamma: int):
     materialized and its stabilizer shown to be exactly C wr S_2; returns
     alpha, the scan and the certificate.
     """
-    if gamma == T.identity:
-        raise TrivialElementError("gamma must be nontrivial")
     C = centralizer(T, gamma)
+    cert = class_certificate(C, gamma, 2, "exact-stabilizer")  # refuses gamma = 1
     values = np.full(T.order, T.identity, dtype=np.int64)
     values[C.members] = gamma
     alpha = AlphaFn(T, values)
@@ -504,7 +503,7 @@ def build_centralizer_fn(T: GroupTable, gamma: int):
     D = wreath_sub(C)
     if not (inside_stabilizer(D, alpha) and res.stabilizer_order == D.order):
         raise AssertionError("stabilizer is not the centralizer wreath")
-    return alpha, res, class_certificate(C, gamma, 2, "exact-stabilizer")
+    return alpha, res, cert
 
 
 # -- certificates ---------------------------------------------------------------
@@ -534,8 +533,11 @@ class SubdegreeCertificate:
 
 
 def class_certificate(C: Subgroup, gamma: int, m: int, kind: str = "lemma-2.10-class"):
-    """|T : C|^m for C = C_T(gamma), the m-th power of the class size of gamma."""
+    """|T : C|^m for C = C_T(gamma), the m-th power of the class size of
+    gamma; gamma = 1 would give the trivial value 1, and is refused."""
     T = C.parent
+    if gamma == T.identity:
+        raise TrivialElementError("gamma must be nontrivial")
     return SubdegreeCertificate(
         T.degree - 1, m, kind, (T.order // C.order) ** m,
         {"construction": "centralizer", "gamma": gamma, "centralizer_order": C.order},
@@ -728,7 +730,7 @@ def obstruction_checks(T: GroupTable, P1: Subgroup) -> ObstructionReport:
     fps = []
     invs = T.elements_of_order(2)
     outside = invs[~member_mask(P1)[invs]]
-    for orbit in engine.conjugation_orbits(T, outside, gens):
+    for orbit in engine.conjugation_orbits(T, outside, P1):
         t = int(orbit[0])
         I = intersect(P1, P1.conjugate(t))
         X = engine.generate(T, list(I.members) + [t])

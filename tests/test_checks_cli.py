@@ -707,6 +707,21 @@ def test_report_replay_fails_witness_for_absent_label(tmp_path, capsys):
     assert "FAIL  replay.lemma3.4.q7  expected=reproduced  actual=error: A5 does not occur" in out
 
 
+def test_report_replay_rejects_class_certificate_on_identity(tmp_path, capsys):
+    """The golden table1 record of row 2 at q = 11, m = 3 with gamma moved
+    to the identity and its value to |T : T|^3 = 1: the centralizer is all
+    of T, and the class certificate on gamma = 1 is refused."""
+    golden = json.loads((Path(__file__).parent / "golden" / "table1.json").read_text())
+    rec = next(r for r in golden["results"] if r["check_id"] == "table1.row2.q11.m3")
+    assert rec["witness"]["kind"] == "lemma-2.10-class"
+    rec["witness"]["witness"]["gamma"] = 0
+    rec["witness"]["value"] = "1"
+    rc, out = _replay_results(tmp_path, capsys, rec)
+    assert rc == 1
+    assert ("FAIL  replay.table1.row2.q11.m3  expected=1  "
+            "actual=error: gamma must be nontrivial") in out
+
+
 def test_report_replay_fails_non_decimal_value(tmp_path, capsys):
     cert = {"q": 7, "m": 2, "kind": "lemma-2.10-class", "value": "abc",
             "witness": {"construction": "centralizer", "gamma": 1}}

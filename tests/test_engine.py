@@ -67,7 +67,7 @@ def test_conjugation_orbits_of_involutions_outside_p1(T11):
     P1 = point_stabilizer(T11, 11)
     invs = T11.elements_of_order(2)
     outside = invs[~eng.member_mask(P1)[invs]]
-    orbits = eng.conjugation_orbits(T11, outside, P1.generating_set())
+    orbits = eng.conjugation_orbits(T11, outside, P1)
     joined = np.concatenate(orbits)
     assert len(joined) == len(set(joined.tolist())) == len(outside)
     assert set(joined.tolist()) == set(outside.tolist())
@@ -82,7 +82,7 @@ def test_conjugation_orbits_of_involutions_outside_p1(T11):
 def test_conjugation_orbits_reject_open_points(T7):
     g = int(T7.elements_of_order(2)[0])
     with pytest.raises(ValueError):
-        eng.conjugation_orbits(T7, [g], T7.generators)
+        eng.conjugation_orbits(T7, [g], eng.generate(T7, T7.generators))
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
@@ -460,6 +460,41 @@ def test_extend_matches_closure(q):
     assert 0 < whole < 12  # both outcomes of the cap
 
 
+def _brute_closure(G, gens) -> np.ndarray:
+    """The mask of <gens>: the identity times words in gens, one product of
+    everything marked with gens per round, until a round adds nothing."""
+    seen = np.arange(G.order) == G.identity
+    while True:
+        grown = seen.copy()
+        grown[G.product(np.flatnonzero(seen)[:, None], gens)] = True
+        if np.array_equal(grown, seen):
+            return seen
+        seen = grown
+
+
+@pytest.mark.parametrize("q", [4, 7, 9, "wr"])
+def test_grow_cosets_marks_double_cosets(q):
+    """From the mask of M, the cosets of M grown from s under the
+    generators of M are exactly the double coset M s M = {m s m'}, every
+    product of two members of M taken.  From the trivial subgroup and the
+    bare generators, the cosets are elements: with or without a cap, the
+    marked count exceeds the cap exactly when the full closure does."""
+    G = _table(q)
+    trivial = np.arange(G.order) == G.identity
+    for M, s in _join_cases(G, seed=G.order + 1):
+        grown = eng._grow_cosets(G, eng.member_mask(M), M.members, [s], M.generating_set())
+        want = eng.member_mask(M)
+        want[G.product(M.members[:, None], s, M.members)] = True
+        assert np.array_equal(grown, want)
+        gens = M.generating_set() + [s]
+        full = _brute_closure(G, gens)
+        assert np.array_equal(eng._grow_cosets(G, trivial.copy(), [G.identity], gens, gens), full)
+        size = np.count_nonzero(full)
+        for cap in (1, size - 1, size, G.order // 2):
+            capped = eng._grow_cosets(G, trivial.copy(), [G.identity], gens, gens, cap)
+            assert (np.count_nonzero(capped) > cap) == (size > cap)
+
+
 @pytest.mark.parametrize("q", [4, 7, 9, "wr"])
 def test_generating_set_matches_greedy_from_scratch(q):
     G = _table(q)
@@ -540,10 +575,10 @@ def test_lemma_6_1_closures_from_scratch(monkeypatch):
 
 def test_default_table4_product_count(monkeypatch):
     """The exact scans of the default table4 work in whole-array steps: from
-    empty contexts its checks make 2,084 GroupTable.product calls, within
+    empty contexts its checks make 2,053 GroupTable.product calls, within
     the golden budget of table4.  One small product per coset
     representative, per anchor point, per orbit generator and level, and a
-    class loop in every scan made 5,703.  The products hold 1,499,872
+    class loop in every scan made 5,703.  The products hold 1,469,410
     entries in all: coset sweeps of no more elements than cosets left, joins
     stopped at join_cap and L-filters over double cosets; full batches of
     CHUNK_ENTRIES, joins capped at |G|/2 and masks over all of T held

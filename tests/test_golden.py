@@ -47,29 +47,29 @@ COMMANDS = {
 # added anywhere shows here without timing noise.  Lower a bound when a
 # change lowers its count; never raise one to let a change pass.
 BUDGETS = {
-    "lemma-3.1": (820, 51_000),
+    "lemma-3.1": (809, 48_000),
     "lemma-3.3": (82, 25_000),
     "lemma-3.4": (120, 9_300),
-    "lemma-3.5": (48, 1_300),
+    "lemma-3.5": (44, 1_300),
     "lemma-3.6": (52, 5_500),
-    "lemma-4.2-triple": (80, 6_800),
+    "lemma-4.2-triple": (70, 6_410),
     "lemma-5-properties": (1_000, 12_000_000),
-    "lemma-6.1": (1_800, 2_000_000),
-    "lemma-6.2": (740, 470_000),
-    "lemma-7.4": (1_500, 450_000),
-    "lemma-7.8": (1_100, 200_000),
-    "lemma-dickson-census": (490, 59_000),
-    "lemma-obstruction": (250, 24_000),
-    "report-replay": (3_300, 520_000),
-    "table1": (2_800, 510_000),
-    "table1-m4-5-6": (1_400, 330_000),
-    "table1-q17-19-m2-3": (500, 500_000),
-    "table2": (1_500, 250_000),
-    "table2-q17-19": (160, 180_000),
-    "table2-q29": (720, 2_900_000),
-    "table4": (2_600, 1_800_000),
-    "table4-long-q29-59": (2_500, 25_000_000),
-    "table4-q27-31-43": (460, 1_900_000),
+    "lemma-6.1": (1_570, 1_260_000),
+    "lemma-6.2": (722, 211_000),
+    "lemma-7.4": (1_470, 450_000),
+    "lemma-7.8": (1_060, 200_000),
+    "lemma-dickson-census": (270, 58_700),
+    "lemma-obstruction": (208, 23_600),
+    "report-replay": (3_190, 520_000),
+    "table1": (2_770, 496_000),
+    "table1-m4-5-6": (1_400, 316_000),
+    "table1-q17-19-m2-3": (500, 465_000),
+    "table2": (1_490, 244_000),
+    "table2-q17-19": (132, 169_000),
+    "table2-q29": (720, 2_880_000),
+    "table4": (2_570, 1_800_000),
+    "table4-long-q29-59": (2_500, 24_700_000),
+    "table4-q27-31-43": (412, 1_900_000),
     "table4-q29": (630, 1_600_000),
 }
 

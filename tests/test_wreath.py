@@ -671,7 +671,7 @@ def test_obstruction_builds_one_closure_per_orbit(monkeypatch):
     P1 = point_stabilizer(T, 23)
     invs = T.elements_of_order(2)
     outside = invs[~eng.member_mask(P1)[invs]]
-    orbits = eng.conjugation_orbits(T, outside, P1.generating_set())
+    orbits = eng.conjugation_orbits(T, outside, P1)
     assert len(outside) == 253 and len(orbits) == 1
     built = []
     generate = wr.engine.generate
