@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         pt = sub.add_parser(name)
         add_common(pt)
         pt.add_argument("--m", type=int, nargs="+", default=None,
-                        help="wreath arities (default 2 3)")
+                        help=f"wreath arities, 2 to {wreath.MAX_M} (default 2 3)")
     pl = sub.add_parser("lemma")
     pl.add_argument("lemma_id", choices=checks.LEMMA_IDS, metavar="lemma_id",
                     help=f"one of {', '.join(checks.LEMMA_IDS)}")
@@ -70,8 +70,8 @@ def config_from_args(args) -> RunConfig:
     q_explicit = args.q is not None
     qs = checks.normalize_q_list(args.q if q_explicit else list(checks.DEFAULT_Q), notes)
     ms = getattr(args, "m", None) or list(checks.DEFAULT_M)
-    if any(m < 2 for m in ms):
-        raise ValueError("m values must be >= 2")
+    if any(not 2 <= m <= wreath.MAX_M for m in ms):
+        raise ValueError(f"m values must be >= 2 and <= MAX_M = {wreath.MAX_M}")
     if getattr(args, "d", None) is not None and args.lemma_id != "dickson-census":
         raise ValueError(f"--d applies to lemma dickson-census only, not {args.lemma_id}")
     workers = args.workers

@@ -35,10 +35,11 @@ with eta != 1 is kept, and replay rebuilds t from the certificate alone.
 The members of D^t cap L never form a per-member list: filter_L_members
 groups them as (sigma, xs), one sorted index array per sigma, computed once
 per distinct set of pairs (t_j, t_(j sigma)); d_t_cap_L is its m = 2 form,
-with the sigma = 1 group alone for K x K.  central_members makes one
-centrality pass over the groups: one product for the T-parts, one array
-pass for the sigmas that hold a central T-part.
-Search, replay, build_coset_fn and p1_product_divisor share it.
+with the sigma = 1 group alone for K x K.  central_members yields the
+central groups lazily: one product for the T-parts, then one array pass
+per group that holds a central T-part, only when the next group is asked
+for.  Search, replay, build_coset_fn and p1_product_divisor share it, and
+each takes the first group or asks whether one exists.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ from .atlas import (
 from . import engine
 
 FULL_ENUM_CAP = 3_000_000
+# the largest arity m: filter_L_members lists all m! sigma-groups, which
+# peak near 2 GB at m = 10, and a value |T : K|^m grows past reach with m
+MAX_M = 10
 
 
 class WreathTooLargeError(ValueError):
@@ -391,40 +395,32 @@ def d_t_cap_L(D: WreathSub2, t) -> list[tuple[tuple, np.ndarray]]:
     return groups if D.kind == "wreath" else [(sig, xs) for sig, xs in groups if sig == (0, 1)]
 
 
-def central_members(T: GroupTable, groups) -> list[tuple[tuple, np.ndarray]]:
-    """The central members of a subgroup of L, given and returned grouped as
-    (sigma, xs) in (sigma, x) order: L is T x S_m, so (x, sigma) is central
-    iff x commutes with every T-part and sigma with every S_m-part.  Only
-    x != 1 is kept, and groups left empty are dropped.
+def central_members(T: GroupTable, groups):
+    """The central members of a subgroup of L, given as a list of groups
+    (sigma, xs) and yielded lazily as such groups in (sigma, x) order: L is
+    T x S_m, so (x, sigma) is central iff x commutes with every T-part and
+    sigma with every S_m-part.  Only x != 1 is kept; empty groups are skipped.
 
     The T-parts form a subgroup P, and each x in P is tested against all of
-    P in one |P| x |P| product; sigma is tested, all candidates in one array
-    pass, only when its group holds a central x.
-    """
+    P in one chunked |P| x |P| product.  A group's sigma is tested against
+    every S_m-part in one array pass, once the group is asked for and holds
+    a central x."""
     parts = unique(np.concatenate([xs for _, xs in groups]))
     central = np.zeros(T.order, dtype=bool)
-    central[parts[_row_test(
-        lambda xs: T.commutes_with(xs[:, None], parts).all(axis=1), parts, len(parts)
-    )]] = True
+    step = max(1, CHUNK_ENTRIES // len(parts))  # rows x per chunk
+    for xs in np.split(parts, range(step, len(parts), step)):
+        central[xs] = T.commutes_with(xs[:, None], parts).all(axis=1)
     central[T.identity] = False
-    found = [(sig, xs[central[xs]]) for sig, xs in groups]
-    found = [(sig, xs) for sig, xs in found if len(xs)]
-    if not found:
-        return []
-    sigmas = np.array([sig for sig, _ in found], dtype=np.int8)
-    taus = np.array([tau for tau, _ in groups], dtype=np.int8)
-    # sigma tau and tau sigma as point-image rows, one (sigma, tau) pair each
-    commute = _row_test(
-        lambda s: (taus[:, s].transpose(1, 0, 2) == s[:, taus]).all(axis=(1, 2)), sigmas, taus.size
-    )
-    return [g for g, ok in zip(found, commute) if ok]
-
-
-def _row_test(test, rows: np.ndarray, width: int) -> np.ndarray:
-    """test(chunk) over consecutive chunks of rows, concatenated; a chunk
-    holds at most CHUNK_ENTRIES / width rows."""
-    step = max(1, CHUNK_ENTRIES // width)
-    return np.concatenate([test(rows[i : i + step]) for i in range(0, len(rows), step)])
+    taus = None
+    for sig, xs in groups:
+        xs = xs[central[xs]]
+        if not len(xs):
+            continue
+        if taus is None:
+            taus = np.array([tau for tau, _ in groups], dtype=np.int8)
+        s = np.array(sig, dtype=np.int8)
+        if (taus[:, s] == s[taus]).all():  # sigma tau = tau sigma as point images, every tau
+            yield sig, xs
 
 
 def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
@@ -440,9 +436,9 @@ def build_coset_fn(D: WreathSub2, t, eta: int | None = None) -> AlphaFn:
         raise ValueError("use a representative t with trivial swap part")
     found = central_members(T, d_t_cap_L(D, t))
     if eta is None:
-        if not found:
+        eta = next((int(xs[0]) for _, xs in found), None)
+        if eta is None:
             raise NotCentralError("Z(D^t cap L) has no element with nontrivial part")
-        eta = int(found[0][1][0])
     elif not any(eta in xs for _, xs in found):
         raise NotCentralError("supplied eta is not a central member part")
     inv = T.inv
@@ -482,7 +478,7 @@ def p1_product_divisor(P1: Subgroup, s: int) -> int:
     at t = (1, s) divides; raises NotCentralError when Z(D^t cap L) gives
     no such function."""
     T = P1.parent
-    if not central_members(T, d_t_cap_L(product_sub(P1), (0, s, 0))):
+    if next(central_members(T, d_t_cap_L(product_sub(P1), (0, s, 0))), None) is None:
         raise NotCentralError("no central element over P1 x P1")
     return 2 * (T.order // P1.order) ** 2
 
@@ -601,12 +597,12 @@ def find_witness_t(
         raise engine.NotMaximalError("K must be maximal in T")
     index = T.order // K.order
     for shift, t_tuple in witness_candidates(T, K, m, shifts):
-        found = central_members(T, filter_L_members(T, K, t_tuple))
-        if found:
+        found = next(central_members(T, filter_L_members(T, K, t_tuple)), None)
+        if found is not None:
             witness = {"construction": "coset-fn", "label": label, "shift": list(shift)}
             if m > 2:
                 witness["t_tuple"] = list(t_tuple)
-            witness |= {"eta": int(found[0][1][0]), "index": index}
+            witness |= {"eta": int(found[1][0]), "index": index}
             return SubdegreeCertificate(T.degree - 1, m, "lemma-2.6-witness", index**m, witness)
     return None
 
@@ -746,7 +742,9 @@ def replay_certificate(cert: SubdegreeCertificate, T: GroupTable) -> int:
     """Recompute the certified value from the stored witness data."""
     w = cert.witness
     # an exact scan and the P1 x P1 divisor exist at m = 2 only, and no
-    # certificate is defined below m = 2
+    # certificate is defined below m = 2 or built above MAX_M
+    if cert.m > MAX_M:
+        raise AssertionError(f"m = {cert.m} is above MAX_M = {MAX_M}")
     if cert.m < 2 or cert.m != 2 and cert.kind in ("exact-stabilizer", "lemma-4.3-divisor"):
         raise AssertionError(f"no {cert.kind} certificate has m = {cert.m}")
     # numpy wraps a negative index around, so every stored element index is

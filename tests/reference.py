@@ -217,7 +217,7 @@ def explicit_coset_fn(T: GroupTable, members, t, eta=None) -> AlphaFn:
     """wreath.build_coset_fn for D given by its member triples: alpha at a is
     x^-1 eta x for every (x, x, k) with (a, 1)(x, x, k)^-1 t^-1 in D."""
     if eta is None:
-        eta = int(wreath.central_members(T, explicit_d_t_cap_L(T, members, t))[0][1][0])
+        eta = int(next(wreath.central_members(T, explicit_d_t_cap_L(T, members, t)))[1][0])
     tinv = w2_inv(T, t)
     xinv = T.inv.tolist()
     values = np.full(T.order, T.identity)

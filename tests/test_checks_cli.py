@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
@@ -103,6 +104,18 @@ def test_q_past_max_group_order_rejected_before_any_build(monkeypatch, capsys):
 
 def test_bad_m_rejected(capsys):
     assert_usage_error(capsys, ["table1", "--m", "1"], "m values must be >= 2")
+    assert_usage_error(capsys, ["table1", "--m", "11"], "<= MAX_M = 10")
+
+
+@pytest.mark.parametrize("ms", [["7", "8"], pytest.param(["9"], marks=pytest.mark.slow)])
+def test_table1_past_the_goldens(capsys, ms):
+    """The goldens stop at m = 6; table1 at q = 7 passes every row at
+    m = 7 and 8, and at m = 9 under the slow marker."""
+    rc = run_cli(["table1", "--q", "7", "--m", *ms])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert f"-- {6 * len(ms)} passed, 0 failed, 0 skipped" in lines
+    assert all(line.startswith("PASS") for line in lines[:-1])
 
 
 def test_unknown_lemma(capsys):
@@ -264,6 +277,25 @@ def test_table4_q29_runs_without_long(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS  table4.q29.pair1  expected=(1800,41209,gcd=1)" in out
+
+
+def test_table4_fails_pair_without_obstruction_ingredients(monkeypatch, capsys):
+    """The generic pair at q = 7 rests on the obstruction ingredients: with
+    one of them false it fails, and the other pair still passes."""
+    monkeypatch.setattr(checks, "ctx_obstruction",
+                        lambda q: wreath.ObstructionReport(q, True, False, True, []))
+    rc = run_cli(["table4", "--q", "7"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("FAIL  table4.q7.pair1  expected=pair  "
+            "actual=error: obstruction ingredients failed") in out
+    assert "PASS  table4.q7.pair2" in out
+
+
+def test_lemma_3_1_q19(capsys):
+    """The one lemma 3.1 check with its own expected value."""
+    assert run_cli(["lemma", "3.1", "--q", "19"]) == 0
+    assert "PASS  lemma3.1.q19.A5.C2  expected=ok(y=5)  actual=ok(y=5)" in capsys.readouterr().out
 
 
 def test_report_reads_skipped_long_records_of_earlier_versions(tmp_path, capsys):
@@ -720,6 +752,21 @@ def test_report_replay_rejects_class_certificate_on_identity(tmp_path, capsys):
     assert rc == 1
     assert ("FAIL  replay.table1.row2.q11.m3  expected=1  "
             "actual=error: gamma must be nontrivial") in out
+
+
+def test_report_replay_rejects_arity_above_max_m(tmp_path, capsys):
+    """The golden table1 record of row 2 at q = 11, m = 3 with m moved past
+    MAX_M fails at once: |T : C|^m is never computed."""
+    golden = json.loads((Path(__file__).parent / "golden" / "table1.json").read_text())
+    rec = next(r for r in golden["results"] if r["check_id"] == "table1.row2.q11.m3")
+    for m in (11, 10**8):
+        rec["witness"]["m"] = m
+        start = time.perf_counter()
+        rc, out = _replay_results(tmp_path, capsys, rec)
+        assert time.perf_counter() - start < 1
+        assert rc == 1
+        assert (f"FAIL  replay.table1.row2.q11.m3  expected=166375  "
+                f"actual=error: m = {m} is above MAX_M = 10") in out
 
 
 def test_report_replay_fails_non_decimal_value(tmp_path, capsys):

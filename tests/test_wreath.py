@@ -1,4 +1,5 @@
 import functools
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -513,7 +514,7 @@ def test_coset_fn_chunked_build(monkeypatch, T4, T7, chunk):
     D = wr.product_sub(P1)
     parts = [y for y, _ in flatten(wr.d_t_cap_L(D, (0, s, 0)))]
     bad = next(g for g in range(1, T7.order) if not all(T7.mul(g, y) == T7.mul(y, g) for y in parts))
-    monkeypatch.setattr(wr, "central_members", lambda T, groups: [((0, 1), np.array([bad]))])
+    monkeypatch.setattr(wr, "central_members", lambda T, groups: iter([((0, 1), np.array([bad]))]))
     with pytest.raises(wr.InconsistentFunctionError):
         wr.build_coset_fn(D, (0, s, 0))
 
@@ -903,8 +904,9 @@ def test_grouped_search_matches_member_list(q):
     and the full sequence of central members of the one-member-at-a-time
     reference, for every maximal atlas label and m = 2..6: on every
     candidate the search visits, up to and including the first with a
-    central member, and on every single-shift candidate.  find_witness_t
-    keeps the reference's first pick."""
+    central member, and on every single-shift candidate.  central_members
+    is an iterator whose first group holds the reference's first central
+    member, and find_witness_t keeps the reference's first pick."""
     T = group_for(q)
     labels = [lb for lb in atlas.LABELS
               if atlas.label_exists(q, lb) and atlas.label_maximal(q, lb)]
@@ -926,6 +928,10 @@ def test_grouped_search_matches_member_list(q):
                 assert flatten(groups) == flat, (label, m, t)
                 central = reference.all_central(T, flat)
                 assert flatten(wr.central_members(T, groups)) == central, (label, m, t)
+                lazy = wr.central_members(T, groups)
+                assert iter(lazy) is lazy
+                head = [(int(xs[0]), sig) for sig, xs in islice(lazy, 1)]
+                assert head == central[:1], (label, m, t)
                 if first is None and central:
                     first = (list(shift), central[0][0])
             cert = wr.find_witness_t(T, K, m, label=label)
