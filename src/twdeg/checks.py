@@ -19,6 +19,7 @@ P1 x P1 coset functions) is cached lazily.
 from __future__ import annotations
 
 import functools
+import random
 import time
 from dataclasses import dataclass, field as dc_field
 from math import gcd
@@ -343,10 +344,12 @@ def _pair(p):
                           _c2_candidates(q, p[side]) if p.get("c2") == side else None)
         for side in "rd"
     )
+    r_expected, d_expected = p["expected"]
+    expected = f"({r_expected},{d_expected},gcd=1)"
     if p.get("obstruction") and not ctx_obstruction(q).all_pass:
-        return "pair", "error: obstruction ingredients failed", None
-    (r_expected, d_expected), r, d = p["expected"], r_cert.value, d_cert.value
-    return (f"({r_expected},{d_expected},gcd=1)", f"({r},{d},gcd={gcd(r, d)})",
+        return expected, "error: obstruction ingredients failed", None
+    r, d = r_cert.value, d_cert.value
+    return (expected, f"({r},{d},gcd={gcd(r, d)})",
             {"r": r_cert.to_record(), "d": d_cert.to_record()})
 
 
@@ -553,7 +556,7 @@ def lm_xy_conditions(p):
     alpha = ctx_p1_product(q)[0]
     ok = wreath.check_XY_conditions(alpha, P1, P1)
     full = wreath.check_XY_conditions(alpha, P1, P1, full_scan=True)
-    rng = np.random.default_rng(q)
+    rng = Sampler(q)
     Tfull = engine.Subgroup(T, range(T.order))
     alphas = _alpha_rows(T, rng, 50)
     passing = wreath.check_XY_conditions(alphas, Tfull, Tfull)
@@ -592,13 +595,77 @@ def lm_obstruction(p):
     return True, rep.all_pass, witness
 
 
-def _alpha_rows(T: engine.GroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
+class Sampler:
+    """Uniform integer draws for the randomized checks, from the 32-bit words
+    of the stdlib Mersenne Twister seeded with `seed`.  NumPy's random module
+    is never imported: its import loads OpenSSL (through secrets and
+    hashlib), about 6 MB of resident memory and 10 ms or more per process.
+
+    A word w gives low + (w * span >> 32) for span = high - low, unless the
+    low 32 bits of w * span fall below 2^32 mod span: that word is rejected
+    and the draw takes the next one, so every value is equally likely.  The
+    values of an array take their words in C order, so one draw of shape
+    (k, n) is k draws of shape (n,) in turn, and a draw of size k is k
+    scalar draws.
+    """
+
+    def __init__(self, seed: int):
+        self._mt = random.Random(seed)
+
+    def _words(self, count: int) -> np.ndarray:
+        return np.frombuffer(self._mt.randbytes(4 * count), dtype="<u4")
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        """Values in [low, high), or in [0, low) without `high`: a scalar, or
+        an array of shape `size` (or of low and high broadcast together)
+        when either is given as an array.  Refuses a range that holds no
+        value or 2^32 values or more."""
+        if high is None:
+            low, high = 0, low
+        if size is None and np.ndim(low) == np.ndim(high) == 0:
+            span = int(high) - int(low)
+            _check_spans(span, span)
+            floor = (1 << 32) % span
+            while True:
+                w = self._mt.getrandbits(32) * span
+                if (w & 0xFFFFFFFF) >= floor:
+                    return dtype(int(low) + (w >> 32))
+        low, high = np.asarray(low, dtype=np.int64), np.asarray(high, dtype=np.int64)
+        shape = np.broadcast_shapes(low.shape, high.shape) if size is None else size
+        span = high - low
+        if span.size:
+            _check_spans(int(span.min()), int(span.max()))
+        span = span.astype(np.uint64)
+        # flat views; one range for all values (the usual case) copies nothing
+        span, floor = (np.broadcast_to(x, shape).reshape(-1) for x in (span, (1 << 32) % span))
+        words, parts, done = self._words(span.size), [], 0
+        while True:
+            w = np.multiply(words, span[done:], dtype=np.uint64)
+            rejected = np.flatnonzero((w & 0xFFFFFFFF) < floor[done:])
+            stop = int(rejected[0]) if rejected.size else w.size
+            w >>= 32
+            parts.append(w[:stop])
+            if not rejected.size:
+                break
+            # draws from the rejected one on move one word along the stream
+            done += stop
+            words = np.concatenate([words[stop + 1:], self._words(1)])
+        out = np.concatenate(parts).view(np.int64).reshape(shape)
+        return (out + low).astype(dtype, copy=False)
+
+
+def _check_spans(smallest: int, largest: int) -> None:
+    if smallest < 1 or largest >= 1 << 32:
+        raise ValueError(f"a range must hold 1 to 2^32 - 1 integers, not {smallest}..{largest}")
+
+
+def _alpha_rows(T: engine.GroupTable, rng: Sampler, size: int) -> np.ndarray:
     """`size` random alpha value rows in one draw: the same stream as `size`
     wreath.random_alpha calls in turn."""
     return rng.integers(0, T.order, (size, T.order), dtype=np.int64)
 
 
-def _action_samples(T: engine.GroupTable, rng: np.random.Generator, size: int):
+def _action_samples(T: engine.GroupTable, rng: Sampler, size: int):
     """`size` samples (alpha, h1, h2): all alpha rows in one draw, then the
     six ints (x, y, k) of h1 and h2 for every sample in another; returned as
     the alpha rows and the two elements as triples of index arrays."""
@@ -617,7 +684,7 @@ def _chunk_sizes(samples: int):
 def lm_action_axiom(p):
     q, samples = p["q"], p["samples"]
     T = ctx_group(q)
-    rng = np.random.default_rng(12345)
+    rng = Sampler(12345)
     ok = True
     for size in _chunk_sizes(samples):
         alphas, h1, h2 = _action_samples(T, rng, size)
@@ -635,7 +702,7 @@ def lm_roundtrip(p):
     T = ctx_group(p["q"])
     n = T.order
     inv = T.inv
-    rng = np.random.default_rng(99)
+    rng = Sampler(99)
     ok = True
     for _ in range(3):
         alpha = wreath.random_alpha(T, rng)
@@ -664,7 +731,7 @@ def lm_invariance(p):
     T = ctx_group(p["q"])
     n = T.order
     Tfull = engine.Subgroup(T, range(n))
-    rng = np.random.default_rng(7)
+    rng = Sampler(7)
     ok = wreath.check_XY_conditions(wreath.identity_alpha(T), Tfull, Tfull)
     constants = np.repeat(np.arange(1, n)[:, None], n, axis=1)
     ok &= not wreath.check_XY_conditions(constants, Tfull, Tfull).any()
@@ -716,21 +783,24 @@ def _t2_maximal_types(T, T2):
 
 
 def _random_proper_subgroup(G, rng):
-    """<g1, g2> for the first random pair (g1, g2) that does not generate G."""
+    """<g1, g2> for the first random pair (g1, g2) that does not generate G.
+    A closure is dropped, unfinished, once it passes engine.join_cap(|G|, 1):
+    no proper subgroup is that large."""
+    cap = engine.join_cap(G.order, 1)
     while True:
-        S = engine.generate(G, [int(rng.integers(G.order)), int(rng.integers(G.order))])
-        if S.order < G.order:
+        S = engine.generate(G, [int(rng.integers(G.order)), int(rng.integers(G.order))],
+                            cap=cap)
+        if S is not None:
             return S
 
 
 def _grow_to_maximal(G, S, rng):
-    """Grow a proper subgroup to a maximal one (verified by the overgroup test)
-    in rounds of 40 random probes g, each round taking the first proper join
-    <S, g>.  A join is dropped, unfinished, once it passes engine.join_cap:
-    no proper subgroup containing S is that large, so it is G.  A round that
-    grows nothing ends the search if S is maximal; otherwise another round
-    runs, and some round grows S with probability 1."""
-    while True:
+    """Grow a proper subgroup to a maximal one: while S fails the overgroup
+    test, a round of 40 random probes g takes the first proper join <S, g>.
+    A join is dropped, unfinished, once it passes engine.join_cap: no proper
+    subgroup containing S is that large, so it is G.  Some round grows a
+    subgroup that is not maximal with probability 1."""
+    while not engine.is_maximal(G, S):
         cap = engine.join_cap(G.order, S.order)
         for _ in range(40):
             g = int(rng.integers(G.order))
@@ -740,9 +810,7 @@ def _grow_to_maximal(G, S, rng):
             if S2 is not None:
                 S = S2
                 break
-        else:
-            if engine.is_maximal(G, S):
-                return S
+    return S
 
 
 @check("lemma6.1.q4", error="True")
@@ -755,7 +823,7 @@ def lm_max_census_h(p):
     all_max = all(engine.is_maximal(H, S) for S in types.values())
     n = T.order
     t2_set = types["type1.T2"].member_set
-    rng = np.random.default_rng(2024)
+    rng = Sampler(2024)
     classified = 0
     samples = 6
     for _ in range(samples):
@@ -794,7 +862,7 @@ def lm_max_census_t2(p):
     types = _t2_maximal_types(T, T2)
     all_max = all(engine.is_maximal(T2, S) for S in types.values())
     # trichotomy on sampled proper subgroups
-    rng = np.random.default_rng(55)
+    rng = Sampler(55)
     classified = 0
     samples = 6
     for _ in range(samples):

@@ -8,6 +8,7 @@ package against them.
 from __future__ import annotations
 
 import functools
+import random
 from collections import Counter
 from itertools import permutations
 from math import gcd, lcm
@@ -15,6 +16,7 @@ from math import gcd, lcm
 import numpy as np
 
 from twdeg import engine, wreath
+from twdeg.checks import Sampler
 from twdeg.engine import GroupTable, IsoFingerprint, Perm, Subgroup, member_mask
 from twdeg.wreath import AlphaFn, w2_product
 
@@ -436,9 +438,24 @@ def grow_coset_orbit(T: GroupTable, x0: np.ndarray, gens, frontier: np.ndarray, 
 
 # -- random function samples -------------------------------------------------------
 
-def alpha_rows_one_at_a_time(T: GroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
+def alpha_rows_one_at_a_time(T: GroupTable, rng: Sampler, size: int) -> np.ndarray:
     """`size` random alpha value rows, one wreath.random_alpha draw each."""
     return np.array([wreath.random_alpha(T, rng).values for _ in range(size)])
+
+
+def sampler_draws(seed: int, spans) -> tuple[list[int], int]:
+    """One value in [0, span) per span, in turn, and the number of words
+    taken: a 32-bit word w of random.Random(seed) gives w * span >> 32,
+    unless (w * span) mod 2^32 < 2^32 mod span, and then the next word is
+    tried."""
+    mt, values, words = random.Random(seed), [], 0
+    for span in spans:
+        while True:
+            w, words = mt.getrandbits(32) * span, words + 1
+            if w % 2**32 >= 2**32 % span:
+                values.append(w >> 32)
+                break
+    return values, words
 
 
 # -- the Lemma 2.6 search, one member at a time -----------------------------------

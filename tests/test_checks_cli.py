@@ -287,7 +287,7 @@ def test_table4_fails_pair_without_obstruction_ingredients(monkeypatch, capsys):
     rc = run_cli(["table4", "--q", "7"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert ("FAIL  table4.q7.pair1  expected=pair  "
+    assert ("FAIL  table4.q7.pair1  expected=(128,441,gcd=1)  "
             "actual=error: obstruction ingredients failed") in out
     assert "PASS  table4.q7.pair2" in out
 
@@ -1011,7 +1011,7 @@ def test_action_axiom_draws_bulk_per_chunk(monkeypatch):
     assert len(calls) == 3 * 2  # three batch actions per chunk, chunks of 256 and 44
     T = checks.ctx_group(7)
     n = T.order
-    rng = np.random.default_rng(12345)
+    rng = checks.Sampler(12345)
     for chunk, size in zip((0, 3), (256, 44)):
         # per chunk: alpha under h1 h2, alpha under h1, then alpha^h1 under h2
         alphas, h1, h2 = calls[chunk + 1][0], calls[chunk + 1][1], calls[chunk + 2][1]
@@ -1025,6 +1025,117 @@ def test_alpha_rows_match_one_draw_per_row(q):
     """checks._alpha_rows draws in one call what one random_alpha call per
     row draws, at n = 60, 168, 660 and 7200 (T wr S_2 at q = 4)."""
     T = wreath.wreath_full_table(group_for(4)) if q == "wr" else group_for(q)
-    bulk = checks._alpha_rows(T, np.random.default_rng(5), 7)
-    one_by_one = reference.alpha_rows_one_at_a_time(T, np.random.default_rng(5), 7)
+    bulk = checks._alpha_rows(T, checks.Sampler(5), 7)
+    one_by_one = reference.alpha_rows_one_at_a_time(T, checks.Sampler(5), 7)
     assert bulk.shape == (7, T.order) and np.array_equal(bulk, one_by_one)
+
+
+def test_sampler_same_seed_same_draws():
+    def draws(seed):
+        rng = checks.Sampler(seed)
+        return [rng.integers(60), rng.integers(0, 168, (3, 168)).tolist(),
+                rng.integers(0, [7, 7, 2], (4, 3)).tolist(), rng.integers(2)]
+
+    assert draws(2024) == draws(2024)
+    assert draws(2024) != draws(2025)
+
+
+def test_sampler_values_lie_in_range():
+    """Scalars, (size, n) arrays and broadcast highs stay in [low, high)."""
+    rng = checks.Sampler(4)
+    for low, high in ((0, 1), (0, 60), (-7, 5), (10, 7210), (0, 2**32 - 1)):
+        assert all(low <= rng.integers(low, high) < high for _ in range(50))
+        values = rng.integers(low, high, (40, 30))
+        assert values.shape == (40, 30) and values.dtype == np.int64
+        assert low <= values.min() and values.max() < high
+    highs = [168, 168, 2, 168, 168, 2]
+    ints = rng.integers(0, highs, (500, 6))
+    assert ints.shape == (500, 6) and (ints >= 0).all() and (ints < highs).all()
+    assert set(ints[:, 2].tolist()) == set(ints[:, 5].tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_sampler_hits_every_value(seed):
+    assert set(checks.Sampler(seed).integers(60, size=10_000).tolist()) == set(range(60))
+
+
+@pytest.mark.parametrize("low, high", [(0, 2**32), (-1, 2**32 - 1), (5, 5), (5, 4)])
+def test_sampler_refuses_range_outside_1_to_2_32(low, high):
+    for size in (None, 3):
+        with pytest.raises(ValueError, match="2\\^32"):
+            checks.Sampler(1).integers(low, high, size)
+    with pytest.raises(ValueError, match="2\\^32"):
+        checks.Sampler(1).integers(0, [5, high - low], (2, 2))
+
+
+@pytest.mark.parametrize("spans", [[60] * 500, [7200, 7200, 2] * 100,
+                                   [3 << 30] * 200 + [5] * 50, [2**32 - 1, 1, 2**31 + 1] * 60])
+def test_sampler_matches_value_by_value_reference(spans):
+    """One array draw, one scalar draw per value and the word-by-word
+    reference agree, also where words are rejected (2^32 mod 3 * 2^30 is
+    2^30, so about one word in four is)."""
+    expected, words = reference.sampler_draws(11, spans)
+    rng = checks.Sampler(11)
+    assert [int(rng.integers(span)) for span in spans] == expected
+    assert checks.Sampler(11).integers(0, spans).tolist() == expected
+    if 3 << 30 in spans:
+        assert words > len(spans)
+
+
+class _NoDraws:
+    def integers(self, *args, **kwargs):
+        raise AssertionError("drew from the sampler")
+
+
+class _Scripted:
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, high):
+        return next(self.values)
+
+
+def test_grow_to_maximal_keeps_maximal_subgroup_without_drawing():
+    """A subgroup that is already maximal costs one overgroup test."""
+    T = checks.ctx_group(4)
+    H = wreath.wreath_full_table(T)
+    S = checks._h_maximal_types(T, H)["type1.T2"]
+    assert checks._grow_to_maximal(H, S, _NoDraws()) is S
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_random_proper_subgroup_is_proper(swap):
+    """A pair that generates G (T wr S_2 or T x T at q = 4) is passed over,
+    and every subgroup returned is proper."""
+    G = wreath.wreath_full_table(checks.ctx_group(4), swap=swap)
+    rng = checks.Sampler(1)
+    while True:
+        pair = [int(rng.integers(G.order)), int(rng.integers(G.order))]
+        if engine.generate(G, pair).order == G.order:
+            break
+    x = (G.identity + 1) % G.order
+    S = checks._random_proper_subgroup(G, _Scripted(pair + [G.identity, x]))
+    assert S == engine.generate(G, [x])
+    for seed in range(6):
+        S = checks._random_proper_subgroup(G, checks.Sampler(seed))
+        assert S.order < G.order and G.order % S.order == 0
+
+
+GUARD_CHILD = """
+import sys
+from twdeg import cli
+for argv in (["lemma", "5-properties"], ["lemma", "6.1"], ["lemma", "6.2"], ["lemma", "7.4"],
+             ["table1"], ["table2"], ["table4"]):
+    assert cli.main(argv) == 0, argv
+print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_randomized_checks_never_import_numpy_random():
+    """The randomized checks and the default tables load neither
+    numpy.random nor OpenSSL's _hashlib, which its import maps."""
+    env = {k: v for k, v in _child_env().items() if k != "TWDEG_WORKERS"}
+    proc = subprocess.run([sys.executable, "-c", GUARD_CHILD],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
