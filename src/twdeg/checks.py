@@ -615,26 +615,18 @@ class Sampler:
     def _words(self, count: int) -> np.ndarray:
         return np.frombuffer(self._mt.randbytes(4 * count), dtype="<u4")
 
-    def integers(self, low, high=None, size=None, dtype=np.int64):
-        """Values in [low, high), or in [0, low) without `high`: a scalar, or
-        an array of shape `size` (or of low and high broadcast together)
-        when either is given as an array.  Refuses a range that holds no
-        value or 2^32 values or more."""
+    def integers(self, low, high=None, size=None):
+        """Values in [low, high), or in [0, low) without `high`, as int64: a
+        scalar, or an array of shape `size` (or of low and high broadcast
+        together) when either is given.  Refuses a range that holds no value
+        or 2^32 values or more."""
         if high is None:
             low, high = 0, low
-        if size is None and np.ndim(low) == np.ndim(high) == 0:
-            span = int(high) - int(low)
-            _check_spans(span, span)
-            floor = (1 << 32) % span
-            while True:
-                w = self._mt.getrandbits(32) * span
-                if (w & 0xFFFFFFFF) >= floor:
-                    return dtype(int(low) + (w >> 32))
         low, high = np.asarray(low, dtype=np.int64), np.asarray(high, dtype=np.int64)
         shape = np.broadcast_shapes(low.shape, high.shape) if size is None else size
         span = high - low
-        if span.size:
-            _check_spans(int(span.min()), int(span.max()))
+        if span.min() < 1 or span.max() >= 1 << 32:
+            raise ValueError(f"range sizes must lie in 1..2^32 - 1, not {span.min()}..{span.max()}")
         span = span.astype(np.uint64)
         # flat views; one range for all values (the usual case) copies nothing
         span, floor = (np.broadcast_to(x, shape).reshape(-1) for x in (span, (1 << 32) % span))
@@ -650,19 +642,13 @@ class Sampler:
             # draws from the rejected one on move one word along the stream
             done += stop
             words = np.concatenate([words[stop + 1:], self._words(1)])
-        out = np.concatenate(parts).view(np.int64).reshape(shape)
-        return (out + low).astype(dtype, copy=False)
-
-
-def _check_spans(smallest: int, largest: int) -> None:
-    if smallest < 1 or largest >= 1 << 32:
-        raise ValueError(f"a range must hold 1 to 2^32 - 1 integers, not {smallest}..{largest}")
+        return np.concatenate(parts).view(np.int64).reshape(shape) + low
 
 
 def _alpha_rows(T: engine.GroupTable, rng: Sampler, size: int) -> np.ndarray:
     """`size` random alpha value rows in one draw: the same stream as `size`
     wreath.random_alpha calls in turn."""
-    return rng.integers(0, T.order, (size, T.order), dtype=np.int64)
+    return rng.integers(0, T.order, (size, T.order))
 
 
 def _action_samples(T: engine.GroupTable, rng: Sampler, size: int):
@@ -706,10 +692,10 @@ def lm_roundtrip(p):
     ok = True
     for _ in range(3):
         alpha = wreath.random_alpha(T, rng)
-        ells = np.array([(rng.integers(n), rng.integers(n), rng.integers(2)) for _ in range(8)])
+        ells = rng.integers(0, [n, n, 2], (8, 3))
         xs, ks = ells[:, :1], ells[:, 2:]  # ell = (x, x, k), one row each
         # z = (a, b, k) over a, b in (1, one random b per a), k in (0, 1)
-        bs = np.array([(0, rng.integers(n)) for _ in range(n)])
+        bs = np.stack([np.zeros(n, dtype=np.int64), rng.integers(0, n, n)], axis=1)
         z = (np.repeat(np.arange(n), 4), np.repeat(bs.ravel(), 2), np.tile([0, 1], 2 * n))
         lhs = alpha.evaluate(wreath.w2_product(T, z, (xs, xs, ks)))
         ok &= np.array_equal(lhs, T.product(inv[xs], alpha.evaluate(z), xs))
@@ -717,7 +703,7 @@ def lm_roundtrip(p):
     alphas, hs = [], []
     for _ in range(20):
         alphas.append(wreath.random_alpha(T, rng))
-        hs.append((rng.integers(n), rng.integers(n), rng.integers(2)))
+        hs.append(rng.integers(0, [n, n, 2]))
     acted = wreath.act_alpha_batch(T, np.array([a.values for a in alphas]), np.array(hs).T)
     t = np.arange(n)
     for alpha, h, row in zip(alphas, hs, acted):

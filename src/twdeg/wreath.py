@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, permutations, product
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,9 +68,6 @@ from .atlas import (
     search_triple_intersection,
 )
 from . import engine
-
-if TYPE_CHECKING:
-    from .checks import Sampler
 
 FULL_ENUM_CAP = 3_000_000
 # the largest arity m: filter_L_members lists all m! sigma-groups, which
@@ -215,8 +211,9 @@ def identity_alpha(T: GroupTable) -> AlphaFn:
     return AlphaFn(T, np.full(T.order, T.identity, dtype=np.int64))
 
 
-def random_alpha(T: GroupTable, rng: Sampler) -> AlphaFn:
-    return AlphaFn(T, rng.integers(0, T.order, T.order, dtype=np.int64))
+def random_alpha(T: GroupTable, rng) -> AlphaFn:
+    """A uniform alpha; `rng` has numpy's integers(low, high, size)."""
+    return AlphaFn(T, rng.integers(0, T.order, T.order))
 
 
 def act_alpha(alpha: AlphaFn, h) -> AlphaFn:

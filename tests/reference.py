@@ -16,7 +16,6 @@ from math import gcd, lcm
 import numpy as np
 
 from twdeg import engine, wreath
-from twdeg.checks import Sampler
 from twdeg.engine import GroupTable, IsoFingerprint, Perm, Subgroup, member_mask
 from twdeg.wreath import AlphaFn, w2_product
 
@@ -438,7 +437,7 @@ def grow_coset_orbit(T: GroupTable, x0: np.ndarray, gens, frontier: np.ndarray, 
 
 # -- random function samples -------------------------------------------------------
 
-def alpha_rows_one_at_a_time(T: GroupTable, rng: Sampler, size: int) -> np.ndarray:
+def alpha_rows_one_at_a_time(T: GroupTable, rng, size: int) -> np.ndarray:
     """`size` random alpha value rows, one wreath.random_alpha draw each."""
     return np.array([wreath.random_alpha(T, rng).values for _ in range(size)])
 
