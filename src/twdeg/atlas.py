@@ -90,7 +90,8 @@ def label_exists(q: int, label: str) -> bool:
 
 
 def label_maximal(q: int, label: str) -> bool:
-    """Maximality of the labelled subgroup, per the subgroup list of PSL(2,q)."""
+    """Maximality of the labelled subgroup (Bray, Holt and Roney-Dougal,
+    Tables 8.1-8.2); at q = 9, S4 is PGL(2,3), a maximal subfield subgroup."""
     if label == "P1":
         return True
     if label == "DihedralPlus":
@@ -98,11 +99,13 @@ def label_maximal(q: int, label: str) -> bool:
     if label == "DihedralMinus":
         return q in (4, 8) or q >= 13
     if label == "S4":
-        return label_exists(q, "S4")
+        return label_exists(q, "S4") and (is_prime(q) or q == 9)
     if label == "A5":
-        return label_exists(q, "A5")
-    if label == "A4":
-        return label_exists(q, "A4") and not label_exists(q, "S4") and not label_exists(q, "A5")
+        r = isqrt(q)
+        return label_exists(q, "A5") and is_prime(q) or r * r == q and is_prime(r) and r % 10 in (3, 7)
+    if label == "A4":  # right for every q <= 211, not at q = 3^9 or 13^3
+        alone = label_exists(q, "A4") and not label_exists(q, "S4")
+        return q in (4, 5) or alone and q % 5 in (2, 3)
     raise ValueError(f"unknown label {label!r}")
 
 

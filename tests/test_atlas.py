@@ -73,8 +73,14 @@ def test_capped_lookups_match_full_closures(q):
         assert np.array_equal(got.members, want.members), (q, label)
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                               37, 41, 43, 47, 49, *(pytest.param(q, marks=pytest.mark.slow)
+                                                     for q in (64, 81))])
 def test_maximal_flags_agree(q):
+    """The atlas's maximality flag is the overgroup test's answer, at every
+    prime power q <= 49 and at 64 and 81: A4 lies in a subfield A5 at
+    q = 16 and 64, S4 in PGL(2,5) and PGL(2,7) at q = 25 and 49, and S4 and
+    A5 in PSL(2,9) at q = 81."""
     T = group_for(q)
     for label in atlas.LABELS:
         if not atlas.label_exists(q, label):

@@ -118,6 +118,16 @@ def test_table1_past_the_goldens(capsys, ms):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+@pytest.mark.parametrize("q", [81, pytest.param(121, marks=pytest.mark.slow)])
+def test_table1_leaves_out_row7_over_a_subfield_a5(capsys, q):
+    """A5 lies in PSL(2,9) or PSL(2,11) at q = 81 and 121, so it is not
+    maximal, Lemma 2.6 does not apply, and row 7 is left out."""
+    rc = run_cli(["table1", "--q", str(q)])
+    out = capsys.readouterr().out
+    assert rc == 0 and "table1.row7" not in out
+    assert "-- 10 passed, 0 failed, 0 skipped" in out
+
+
 def test_unknown_lemma(capsys):
     assert_usage_error(capsys, ["lemma", "9.99"], "invalid choice: '9.99'")
 
@@ -705,6 +715,20 @@ def test_report_replay_rejects_lemma_2_6_over_non_maximal(tmp_path, capsys):
     assert "FAIL  replay.table4.q11.pair3" in capsys.readouterr().out
 
 
+def test_report_replay_rejects_lemma_2_6_over_s4_at_q49(tmp_path, capsys):
+    """S4 lies in PGL(2,7) < PSL(2,49), so it is not maximal there, and a
+    Lemma 2.6 certificate over it does not replay, though its eta is
+    central."""
+    T = checks.ctx_group(49)
+    S4 = checks.ctx_atlas(49, "S4").subgroup
+    cert = wreath.find_witness_t(T, S4, 2, label="S4", maximal=False).to_record()
+    assert cert["kind"] == "lemma-2.6-witness" and cert["value"] == str(2450**2)
+    rec = {"check_id": "table1.row6.q49.m2", "status": "pass", "expected": cert["value"],
+           "actual": cert["value"], "witness": cert}
+    rc, out = _replay_results(tmp_path, capsys, rec)
+    assert rc == 1 and "Lemma 2.6 needs S4 maximal at q = 49" in out
+
+
 def test_report_replay_reads_f_g_records(tmp_path, capsys):
     """Reports of earlier versions keyed the q = 29 pair's certificates f
     and g: replay re-derives both, and fails a doctored value."""
@@ -1082,11 +1106,6 @@ def test_sampler_matches_value_by_value_reference(spans):
         assert words > len(spans)
 
 
-class _NoDraws:
-    def integers(self, *args, **kwargs):
-        raise AssertionError("drew from the sampler")
-
-
 class _Scripted:
     def __init__(self, values):
         self.values = iter(values)
@@ -1095,12 +1114,46 @@ class _Scripted:
         return next(self.values)
 
 
-def test_grow_to_maximal_keeps_maximal_subgroup_without_drawing():
-    """A subgroup that is already maximal costs one overgroup test."""
+@pytest.mark.parametrize("swap", [True, False])
+def test_conjugate_rows_list_every_conjugate(swap):
+    """At q = 4 the rows r^-1 M r over the coset representatives r of a
+    listed type M are its conjugates M^r, and hold every conjugate: |G : M|
+    distinct ones for a self-normalizing M, one for the normal T x T of
+    T wr S_2."""
     T = checks.ctx_group(4)
-    H = wreath.wreath_full_table(T)
-    S = checks._h_maximal_types(T, H)["type1.T2"]
-    assert checks._grow_to_maximal(H, S, _NoDraws()) is S
+    G = wreath.wreath_full_table(T, swap=swap)
+    types = (checks._h_maximal_types if swap else checks._t2_maximal_types)(T, G)
+    if swap:
+        assert {name: G.order // M.order for name, M in types.items()} == {
+            "type1.T2": 2, "type2.diag": 60, "type2.twisted": 60, "type3.A4": 25,
+            "type3.DihedralPlus": 36, "type3.DihedralMinus": 100}
+    rng = checks.Sampler(5)
+    for name, M in types.items():
+        rows = checks._conjugate_rows(G, M)
+        for r, row in zip(engine.coset_representatives(G, M), rows):
+            assert np.array_equal(np.sort(row), M.conjugate(r).members), name
+        distinct = {tuple(np.sort(row).tolist()) for row in rows}
+        assert len(distinct) == (1 if name == "type1.T2" else G.order // M.order), name
+        x = int(rng.integers(G.order))
+        assert tuple(M.conjugate(x).members.tolist()) in distinct, name
+
+
+@pytest.mark.parametrize("name", ["type1.T2", "type2.diag", "type2.twisted", "type3.A4",
+                                  "type3.DihedralPlus", "type3.DihedralMinus"])
+def test_lemma_6_1_fails_on_a_sample_outside_the_listed_types(monkeypatch, name):
+    """With one type dropped from the list and drawn as every sample, the
+    census fails: no conjugate of another type holds it."""
+    listed = checks._h_maximal_types
+    dropped = []
+
+    def without(T, H):
+        types = listed(T, H)
+        dropped.append(types.pop(name))
+        return types
+
+    monkeypatch.setattr(checks, "_h_maximal_types", without)
+    monkeypatch.setattr(checks, "_random_proper_subgroup", lambda G, rng: dropped[0])
+    assert checks.lm_max_census_h({"q": 4}).status == "fail"
 
 
 @pytest.mark.parametrize("swap", [True, False])
