@@ -19,7 +19,6 @@ P1 x P1 coset functions) is cached lazily.
 from __future__ import annotations
 
 import functools
-import random
 import time
 from dataclasses import dataclass, field as dc_field
 from math import gcd
@@ -596,24 +595,34 @@ def lm_obstruction(p):
 
 
 class Sampler:
-    """Uniform integer draws for the randomized checks, from the 32-bit words
-    of the stdlib Mersenne Twister seeded with `seed`.  NumPy's random module
+    """Uniform integer draws for the randomized checks, from SplitMix64
+    (Steele, Lea and Flood, OOPSLA 2014) over a counter: word k = 1, 2, ...
+    is mix(seed + k * 0x9E3779B97F4A7C15 mod 2^64).  NumPy's random module
     is never imported: its import loads OpenSSL (through secrets and
     hashlib), about 6 MB of resident memory and 10 ms or more per process.
 
-    A word w gives low + (w * span >> 32) for span = high - low, unless the
-    low 32 bits of w * span fall below 2^32 mod span: that word is rejected
-    and the draw takes the next one, so every value is equally likely.  The
-    values of an array take their words in C order, so one draw of shape
-    (k, n) is k draws of shape (n,) in turn, and a draw of size k is k
-    scalar draws.
+    Each value takes one word w, in C order, and is low + w mod span for
+    span = high - low < 2^32, so each value's chance is 1/span to within a
+    relative span / 2^64 < 2^-32.  One draw of shape (k, n) is k draws of
+    shape (n,) in turn, and a draw of size k is k scalar draws.
     """
 
     def __init__(self, seed: int):
-        self._mt = random.Random(seed)
+        self._seed = np.uint64(seed % 2**64)
+        self._taken = 0
 
     def _words(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._mt.randbytes(4 * count), dtype="<u4")
+        z = np.arange(self._taken + 1, self._taken + count + 1, dtype=np.uint64)
+        self._taken += count
+        # in place: one (count,) temporary at a time
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += self._seed
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     def integers(self, low, high=None, size=None):
         """Values in [low, high), or in [0, low) without `high`, as int64: a
@@ -627,38 +636,14 @@ class Sampler:
         span = high - low
         if span.min() < 1 or span.max() >= 1 << 32:
             raise ValueError(f"range sizes must lie in 1..2^32 - 1, not {span.min()}..{span.max()}")
-        span = span.astype(np.uint64)
-        # flat views; one range for all values (the usual case) copies nothing
-        span, floor = (np.broadcast_to(x, shape).reshape(-1) for x in (span, (1 << 32) % span))
-        words, parts, done = self._words(span.size), [], 0
-        while True:
-            w = np.multiply(words, span[done:], dtype=np.uint64)
-            rejected = np.flatnonzero((w & 0xFFFFFFFF) < floor[done:])
-            stop = int(rejected[0]) if rejected.size else w.size
-            w >>= 32
-            parts.append(w[:stop])
-            if not rejected.size:
-                break
-            # draws from the rejected one on move one word along the stream
-            done += stop
-            words = np.concatenate([words[stop + 1:], self._words(1)])
-        return np.concatenate(parts).view(np.int64).reshape(shape) + low
+        span = np.broadcast_to(span.astype(np.uint64), shape)
+        return (self._words(span.size).reshape(span.shape) % span).view(np.int64) + low
 
 
 def _alpha_rows(T: engine.GroupTable, rng: Sampler, size: int) -> np.ndarray:
     """`size` random alpha value rows in one draw: the same stream as `size`
     wreath.random_alpha calls in turn."""
     return rng.integers(0, T.order, (size, T.order))
-
-
-def _action_samples(T: engine.GroupTable, rng: Sampler, size: int):
-    """`size` samples (alpha, h1, h2): all alpha rows in one draw, then the
-    six ints (x, y, k) of h1 and h2 for every sample in another; returned as
-    the alpha rows and the two elements as triples of index arrays."""
-    n = T.order
-    alphas = _alpha_rows(T, rng, size)
-    ints = rng.integers(0, [n, n, 2, n, n, 2], (size, 6))
-    return alphas, tuple(ints[:, :3].T), tuple(ints[:, 3:].T)
 
 
 def _chunk_sizes(samples: int):
@@ -670,10 +655,13 @@ def _chunk_sizes(samples: int):
 def lm_action_axiom(p):
     q, samples = p["q"], p["samples"]
     T = ctx_group(q)
+    n = T.order
     rng = Sampler(12345)
     ok = True
     for size in _chunk_sizes(samples):
-        alphas, h1, h2 = _action_samples(T, rng, size)
+        alphas = _alpha_rows(T, rng, size)
+        ints = rng.integers(0, [n, n, 2, n, n, 2], (size, 6))
+        h1, h2 = tuple(ints[:, :3].T), tuple(ints[:, 3:].T)
         lhs = wreath.act_alpha_batch(T, alphas, wreath.w2_product(T, h1, h2))
         rhs = wreath.act_alpha_batch(T, wreath.act_alpha_batch(T, alphas, h1), h2)
         if not np.array_equal(lhs, rhs):
@@ -700,14 +688,13 @@ def lm_roundtrip(p):
         lhs = alpha.evaluate(wreath.w2_product(T, z, (xs, xs, ks)))
         ok &= np.array_equal(lhs, T.product(inv[xs], alpha.evaluate(z), xs))
     # direct-action agreement on random group elements
-    alphas, hs = [], []
-    for _ in range(20):
-        alphas.append(wreath.random_alpha(T, rng))
-        hs.append(rng.integers(0, [n, n, 2]))
-    acted = wreath.act_alpha_batch(T, np.array([a.values for a in alphas]), np.array(hs).T)
+    alphas = _alpha_rows(T, rng, 20)
+    hs = rng.integers(0, [n, n, 2], (20, 3))
+    acted = wreath.act_alpha_batch(T, alphas, hs.T)
     t = np.arange(n)
-    for alpha, h, row in zip(alphas, hs, acted):
-        ok &= np.array_equal(alpha.evaluate(wreath.w2_product(T, h, (t, 0, 0))), row)
+    for values, h, row in zip(alphas, hs, acted):
+        lhs = wreath.AlphaFn(T, values).evaluate(wreath.w2_product(T, h, (t, 0, 0)))
+        ok &= np.array_equal(lhs, row)
     return True, ok, None
 
 

@@ -343,18 +343,14 @@ def _extend(G: GroupTable, seen: np.ndarray, gens, cap: int | None = None) -> np
                         gens, cap)
 
 
-def generate(
-    parent: GroupTable, gens, known: Subgroup | None = None, cap: int | None = None,
-) -> Subgroup | None:
+def generate(parent: GroupTable, gens, cap: int | None = None) -> Subgroup | None:
     """Closure of a set of element indices under multiplication/inverse.
 
-    The closure grows by cosets (see _extend) from `known`, a subgroup that
-    some of `gens` generate, or else from the trivial subgroup.  With a
-    cap, growth stops once more than `cap` elements are reached, and the
-    result is then None.
+    The closure grows by cosets (see _extend) from the trivial subgroup.
+    With a cap, growth stops once more than `cap` elements are reached, and
+    the result is then None.
     """
-    start = np.arange(parent.order) == parent.identity if known is None else member_mask(known)
-    seen = _extend(parent, start, list(gens), cap)
+    seen = _extend(parent, np.arange(parent.order) == parent.identity, list(gens), cap)
     members = np.flatnonzero(seen)
     if cap is not None and len(members) > cap:
         return None

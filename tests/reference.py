@@ -8,7 +8,6 @@ package against them.
 from __future__ import annotations
 
 import functools
-import random
 from collections import Counter
 from itertools import permutations
 from math import gcd, lcm
@@ -442,19 +441,21 @@ def alpha_rows_one_at_a_time(T: GroupTable, rng, size: int) -> np.ndarray:
     return np.array([wreath.random_alpha(T, rng).values for _ in range(size)])
 
 
-def sampler_draws(seed: int, spans) -> tuple[list[int], int]:
-    """One value in [0, span) per span, in turn, and the number of words
-    taken: a 32-bit word w of random.Random(seed) gives w * span >> 32,
-    unless (w * span) mod 2^32 < 2^32 mod span, and then the next word is
-    tried."""
-    mt, values, words = random.Random(seed), [], 0
-    for span in spans:
-        while True:
-            w, words = mt.getrandbits(32) * span, words + 1
-            if w % 2**32 >= 2**32 % span:
-                values.append(w >> 32)
-                break
-    return values, words
+def splitmix64_words(seed: int, count: int) -> list[int]:
+    """The first `count` SplitMix64 outputs for `seed`, one Python int at a
+    time: the state steps by the golden gamma before each word, mod 2^64."""
+    state, words = seed % 2**64, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        words.append(z ^ z >> 31)
+    return words
+
+
+def sampler_draws(seed: int, spans) -> list[int]:
+    """One value in [0, span) per span, in turn: word k mod the k-th span."""
+    return [w % span for w, span in zip(splitmix64_words(seed, len(spans)), spans)]
 
 
 # -- the Lemma 2.6 search, one member at a time -----------------------------------

@@ -1096,14 +1096,18 @@ def test_sampler_refuses_range_outside_1_to_2_32(low, high):
                                    [3 << 30] * 200 + [5] * 50, [2**32 - 1, 1, 2**31 + 1] * 60])
 def test_sampler_matches_value_by_value_reference(spans):
     """One array draw, one scalar draw per value and the word-by-word
-    reference agree, also where words are rejected (2^32 mod 3 * 2^30 is
-    2^30, so about one word in four is)."""
-    expected, words = reference.sampler_draws(11, spans)
+    reference agree, for small spans and for spans up to 2^32 - 1."""
+    expected = reference.sampler_draws(11, spans)
     rng = checks.Sampler(11)
     assert [int(rng.integers(span)) for span in spans] == expected
     assert checks.Sampler(11).integers(0, spans).tolist() == expected
-    if 3 << 30 in spans:
-        assert words > len(spans)
+
+
+def test_sampler_words_are_published_splitmix64():
+    """The first three words for seed 0 are SplitMix64's published outputs."""
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert checks.Sampler(0)._words(3).tolist() == published
+    assert reference.splitmix64_words(0, 3) == published
 
 
 class _Scripted:
@@ -1154,6 +1158,22 @@ def test_lemma_6_1_fails_on_a_sample_outside_the_listed_types(monkeypatch, name)
     monkeypatch.setattr(checks, "_h_maximal_types", without)
     monkeypatch.setattr(checks, "_random_proper_subgroup", lambda G, rng: dropped[0])
     assert checks.lm_max_census_h({"q": 4}).status == "fail"
+
+
+@pytest.mark.parametrize("name", ["KxT.A4", "TxK.A4", "KxT.DihedralPlus", "TxK.DihedralPlus",
+                                  "KxT.DihedralMinus", "TxK.DihedralMinus", "diag",
+                                  "diag.twisted", "TxT"])
+def test_lemma_6_2_classifies_each_listed_type_and_not_t_x_t(monkeypatch, name):
+    """Drawn as every sample, each listed maximal type of T x T is
+    classified (a product through a short projection, a diagonal through
+    its n rows), and the census passes; T x T itself is not, and it fails."""
+    T = checks.ctx_group(4)
+    T2 = wreath.wreath_full_table(T, swap=False)
+    types = checks._t2_maximal_types(T, T2)
+    assert len(types) == 8
+    sample = engine.Subgroup(T2, range(T2.order)) if name == "TxT" else types[name]
+    monkeypatch.setattr(checks, "_random_proper_subgroup", lambda G, rng: sample)
+    assert checks.lm_max_census_t2({"q": 4}).status == ("fail" if name == "TxT" else "pass")
 
 
 @pytest.mark.parametrize("swap", [True, False])

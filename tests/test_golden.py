@@ -54,8 +54,8 @@ BUDGETS = {
     "lemma-3.6": (52, 5_500),
     "lemma-4.2-triple": (70, 6_410),
     "lemma-5-properties": (1_000, 12_000_000),
-    "lemma-6.1": (900, 640_000),
-    "lemma-6.2": (670, 123_000),
+    "lemma-6.1": (729, 371_000),
+    "lemma-6.2": (670, 122_000),
     "lemma-7.4": (1_470, 450_000),
     "lemma-7.8": (1_060, 200_000),
     "lemma-dickson-census": (270, 58_700),
